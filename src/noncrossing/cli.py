@@ -33,7 +33,7 @@ _RHO3_ROUTES = {
         n: sum(1 for _ in enumeration.gen_braids_no_isolated(n, 3))
         for n in range(1, n_max + 1)
     },
-    "kernel": lambda n_max: {n: walks.rho3_kernel_ct(n) for n in range(1, n_max + 1)},
+    "kernel": walks._rho3_kernel_table,
     "closed": lambda n_max: {n: walks.rho3_closed_form(n) for n in range(1, n_max + 1)},
     "recurrence": lambda n_max: dict(walks.rho3_recurrence(n_max).entries),
 }

@@ -124,7 +124,8 @@ def contract_two_regular(p: PartitionDiagram, k: int) -> BraidDiagram:
     if not is_k_noncrossing(p, k):
         raise RestrictedDomainError(f"partition is not {k}-noncrossing")
     contracted = contract_partition(p)
-    assert not contracted.loops(), "2-regular input cannot contract to loops"
+    if contracted.loops():
+        raise RestrictedDomainError("2-regular input cannot contract to loops")
     return loop_isolated_vertices(PartitionDiagram(contracted.n, contracted.arcs))
 
 

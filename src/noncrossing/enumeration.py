@@ -110,8 +110,9 @@ def gen_partitions_k(n: int, k: int) -> Iterator[PartitionDiagram]:
 
 def gen_2regular_k(n: int, k: int) -> Iterator[PartitionDiagram]:
     _require_k(k)
-    for p in gen_partitions_k(n, k):
-        if is_two_regular(p):
+    for p in gen_set_partitions(n):
+        # the cheap test first: only Bell(n-1) of Bell(n) partitions pass it
+        if is_two_regular(p) and crossing_number_of_arcs(p.arcs, shared_endpoint=False) < k:
             yield p
 
 

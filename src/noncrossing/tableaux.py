@@ -183,6 +183,10 @@ def validate_tableau(t: VacillatingTableau) -> bool:
 def step_pairs(t: VacillatingTableau) -> tuple[StepPair, ...]:
     """The n half-step pairs of a valid tableau."""
     _require_valid(t)
+    return _unchecked_step_pairs(t)
+
+
+def _unchecked_step_pairs(t: VacillatingTableau) -> tuple[StepPair, ...]:
     return tuple(
         (
             half_step(t.shapes[2 * i - 2], t.shapes[2 * i - 1]),
@@ -284,7 +288,7 @@ def tableau_to_diagram(t: VacillatingTableau) -> PartitionDiagram | BraidDiagram
     _require_valid(t)
     filling: list[list[int]] = []
     arcs: list[tuple[int, int]] = []
-    for i, (odd, even) in enumerate(step_pairs(t), 1):
+    for i, (odd, even) in enumerate(_unchecked_step_pairs(t), 1):
         for half in (odd, even):
             if half is None:
                 continue
@@ -293,7 +297,8 @@ def tableau_to_diagram(t: VacillatingTableau) -> PartitionDiagram | BraidDiagram
                 _place(filling, i, row)
             else:
                 arcs.append((_reverse_bump(filling, row), i))
-    assert not filling, "valid tableaux drain the filling"
+    if filling:
+        raise MalformedTableauError("valid tableaux drain the filling")
     cls = PartitionDiagram if t.step_set == PARTITION_STEPS else BraidDiagram
     return cls(t.n, tuple(arcs))
 
@@ -352,7 +357,8 @@ def diagram_to_tableau(
             else:
                 snap()
                 snap()
-    assert not filling
+    if filling:
+        raise MalformedTableauError("the right-to-left scan left entries in the filling")
     return VacillatingTableau(tuple(reversed(rev)), step_set, k_bound)
 
 

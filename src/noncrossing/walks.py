@@ -13,8 +13,10 @@ The generating-function route works in the kernel
 
 As a quadratic in y it has a unique root Y0 that is a power series in
 t^2 with Laurent-polynomial coefficients in x, fixed point of
-Y = t^2*(1/x + 1)*(x + Y)*(1 + Y); iterating that relation keeps all
-arithmetic in integers.  Constant-term extraction of a fixed x-Laurent
+Y = t^2*(1/x + 1)*(x + Y)*(1 + Y).  Read coefficient by coefficient,
+that relation gives each coefficient of Y0 from the ones before it
+(the online, or relaxed, scheme of van der Hoeven), in integers only.
+Constant-term extraction of a fixed x-Laurent
 combination of Y0, Y0^2, Y0^3 yields rho3, as does a twelve-term
 binomial sum (the coefficients of Y0^k have a closed form proved by
 Lagrange inversion) and a four-term P-recurrence whose divisions must
@@ -159,6 +161,7 @@ def poly_from_terms(*terms: tuple[int, int]) -> LaurentPoly:
 _ONE = LaurentPoly({0: 1})
 _X = LaurentPoly({1: 1})
 _XBAR_PLUS_1 = LaurentPoly({-1: 1, 0: 1})
+_ONE_PLUS_X = LaurentPoly({0: 1, 1: 1})
 
 
 # -- truncated series in t^2 over Laurent polynomials -------------------------------
@@ -282,21 +285,65 @@ def kernel_symmetry_holds() -> bool:
 def kernel_root_series(order: int) -> TruncatedSeries:
     """The power-series root Y0 of the kernel, to the given even order.
 
-    Computed by iterating Y <- t^2*(1/x + 1)*(x + Y)*(1 + Y) from zero;
-    the t^(2m) coefficient is stable after m rounds.  The result has
+    Computed online: with Y_m = [t^m] Y0 and S_m = [t^m] Y0^2, the
+    fixed-point relation reads
+
+        Y_m = (1/x + 1) * (x*[m = 2] + (1 + x)*Y_(m-2) + S_(m-2)),
+
+    and S_(m-2) needs only Y_2 .. Y_(m-4), so each coefficient follows
+    from those already known and none depends on the order.  The map is
+    then applied once more through the generic series product, and a
+    result other than Y0 raises ArithmeticError.  The result has
     nonnegative integer coefficients and starts
     (1 + x) t^2 + x (x + 1) (1/x + 1)^2 t^4 + ...
     """
-    if order < 2:
-        raise ValueError(f"order must be at least 2, got {order}")
-    x_const = series_constant(order, _X)
-    one_const = series_constant(order, _ONE)
-    y = TruncatedSeries(order)
-    for _ in range(order // 2):
-        y = ((x_const + y) * (one_const + y)).scale(_XBAR_PLUS_1).shift_t(2)
-    fixed = ((x_const + y) * (one_const + y)).scale(_XBAR_PLUS_1).shift_t(2)
-    assert fixed == y, "fixed point did not stabilise"
-    return y
+    if order < 2 or order % 2:
+        raise ValueError(f"order must be even and at least 2, got {order}")
+    roots, _ = _online_root(order // 2)
+    return _as_series(roots)
+
+
+def _online_root(half_order: int) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
+    """Y_(2i) for i = 0 .. half_order and S_(2i) for i < half_order, by
+    the relation in kernel_root_series, checked as a fixed point."""
+    roots = [LaurentPoly()]
+    squares: list[LaurentPoly] = []
+    for i in range(1, half_order + 1):
+        squares.append(_square_coefficient(roots, i - 1))
+        inner = _ONE_PLUS_X * roots[i - 1] + squares[i - 1]
+        if i == 1:
+            inner = inner + _X
+        roots.append(inner * _XBAR_PLUS_1)
+    y = _as_series(roots)
+    order = y.order
+    fixed = (
+        (series_constant(order, _X) + y) * (series_constant(order, _ONE) + y)
+    ).scale(_XBAR_PLUS_1).shift_t(2)
+    if fixed != y:
+        raise ArithmeticError(f"kernel root is not a fixed point at order {order}")
+    return roots, squares
+
+
+def _as_series(roots: list[LaurentPoly]) -> TruncatedSeries:
+    return TruncatedSeries(2 * (len(roots) - 1), {2 * i: p for i, p in enumerate(roots)})
+
+
+def _square_coefficient(roots: list[LaurentPoly], i: int) -> LaurentPoly:
+    # sum over a + b = i of roots[a] * roots[b], each unordered pair once
+    out: dict[int, int] = {}
+    for a in range(1, (i + 1) // 2):
+        _add_product(out, roots[a], roots[i - a], 2)
+    if i % 2 == 0:
+        _add_product(out, roots[i // 2], roots[i // 2], 1)
+    return LaurentPoly(out)
+
+
+def _add_product(out: dict[int, int], p: LaurentPoly, q: LaurentPoly, weight: int) -> None:
+    for e1, c1 in p.coeffs.items():
+        c1 *= weight
+        for e2, c2 in q.coeffs.items():
+            e = e1 + e2
+            out[e] = out.get(e, 0) + c1 * c2
 
 
 def kernel_residual(y: TruncatedSeries) -> TruncatedSeries:
@@ -327,13 +374,38 @@ def rho3_kernel_ct(n: int) -> int:
     """rho3(n) by constant-term extraction from the kernel root."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    order = 2 * n + 2
-    y = kernel_root_series(order)
-    y2 = y * y
-    y3 = y2 * y
+    roots, squares = _online_root(n + 1)
+    return _kernel_ct(roots, squares, n)
+
+
+def _rho3_kernel_table(n_max: int) -> dict[int, int]:
+    """rho3(n) for 1 <= n <= n_max, all read from one online root."""
+    roots, squares = _online_root(n_max + 1)
+    return {n: _kernel_ct(roots, squares, n) for n in range(1, n_max + 1)}
+
+
+def _kernel_ct(roots: list[LaurentPoly], squares: list[LaurentPoly], n: int) -> int:
+    # [t^(2n+2)] CT_x(A*Y0 + B*Y0^3 + C*Y0^2), reading only the x-coefficients
+    # the prefactors meet.  With top = n+1, [t^(2 top)] Y0^2 is the sum of
+    # Y_(2i)*Y_(2 top-2i) and [t^(2 top)] Y0^3 that of Y_(2i)*S_(2 top-2i);
+    # neither is formed in full
+    top = n + 1
     a, b, c = _CT_PREFACTORS
-    combo = y.scale(a) + y3.scale(b) + y2.scale(c)
-    return combo.coefficient(order).coeff(0)
+    return (
+        _ct_of_products(a, [(roots[top], _ONE)])
+        + _ct_of_products(b, [(roots[i], squares[top - i]) for i in range(1, top)])
+        + _ct_of_products(c, [(roots[i], roots[top - i]) for i in range(1, top)])
+    )
+
+
+def _ct_of_products(prefactor: LaurentPoly, pairs: list[tuple[LaurentPoly, LaurentPoly]]) -> int:
+    """CT_x(prefactor * sum of p*q over the pairs)."""
+    total = 0
+    for e, c in prefactor.coeffs.items():
+        for p, q in pairs:
+            qc = q.coeffs
+            total += c * sum(pc * qc.get(-e - u, 0) for u, pc in p.coeffs.items())
+    return total
 
 
 def root_power_coefficient(k: int, m: int, n: int) -> int:
@@ -348,7 +420,8 @@ def root_power_coefficient(k: int, m: int, n: int) -> int:
         for s in range(max(0, -m), top + 1)
     )
     value, rem = divmod(k * total, top)
-    assert rem == 0, "coefficient sum must divide by n+1"
+    if rem:
+        raise ArithmeticError(f"coefficient sum for k={k}, m={m}, n={n} does not divide by n+1")
     return value
 
 
@@ -374,7 +447,8 @@ def rho3_closed_form(n: int) -> int:
         )
         total += sign * k * part
     value, rem = divmod(total, top)
-    assert rem == 0, "closed form must be integral"
+    if rem:
+        raise ArithmeticError(f"closed form is not integral at n={n}")
     return value
 
 
@@ -468,7 +542,8 @@ def _leading_coefficient(values: tuple[int, int, int, int]) -> int:
     # cubic leading coefficient via third finite differences
     f0, f1, f2, f3 = values
     lead, rem = divmod(f3 - 3 * f2 + 3 * f1 - f0, 6)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"weights {values} are not an integer cubic")
     return lead
 
 

@@ -170,6 +170,14 @@ class TestRho3:
         assert max(map(int, report["routes"]["brute"])) == cli._BRUTE_CAP
         assert max(map(int, report["routes"]["closed"])) == 10
 
+    def test_kernel_route_matches_closed_form(self, capsys):
+        status, kernel = run_json(capsys, "rho3", "--n-max", "12", "--route", "kernel")
+        assert status == 0
+        status, closed = run_json(capsys, "rho3", "--n-max", "12", "--route", "closed")
+        assert status == 0
+        assert kernel["counts"] == closed["counts"]
+        assert sorted(map(int, kernel["counts"])) == list(range(1, 13))
+
     def test_single_route_csv(self, capsys):
         status, out = run_text(
             capsys, "rho3", "--n-max", "3", "--route", "closed", "--format", "csv"

@@ -76,6 +76,22 @@ class TestPartitionStream:
     def test_two_regular_boundary(self):
         assert list(gen_2regular_k(2, 3)) == [PartitionDiagram(2)]
 
+    def test_two_regular_filters_before_crossings(self, monkeypatch):
+        import noncrossing.enumeration as enumeration_module
+
+        expected = list(gen_2regular_k(7, 3))
+        calls = []
+        real = enumeration_module.crossing_number_of_arcs
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(enumeration_module, "crossing_number_of_arcs", counted)
+        assert list(gen_2regular_k(7, 3)) == expected
+        # only the Bell(n-1) 2-regular partitions reach the crossing filter
+        assert len(calls) == bell_number(6)
+
 
 class TestBraidStream:
     def test_small_counts(self):

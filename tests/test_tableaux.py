@@ -183,6 +183,22 @@ class TestConversion:
         with pytest.raises(MalformedTableauError):
             tableau_to_diagram(VacillatingTableau(((), (1,), ()), P))
 
+    def test_validates_once(self, monkeypatch):
+        import noncrossing.tableaux as tableaux_module
+
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return tableau_violations(t)
+
+        monkeypatch.setattr(tableaux_module, "tableau_violations", counted)
+        t = diagram_to_tableau(PartitionDiagram(4, ((1, 3), (2, 4))))
+        assert tableau_to_diagram(t) == PartitionDiagram(4, ((1, 3), (2, 4)))
+        assert len(calls) == 1
+        step_pairs(t)
+        assert len(calls) == 2
+
     def test_round_trips(self):
         for n in range(0, 8):
             for p in partitions_of(n):

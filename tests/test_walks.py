@@ -101,6 +101,20 @@ class TestKernelRoot:
         with pytest.raises(ValueError):
             kernel_root_series(7)
 
+    def test_lower_orders_are_prefixes(self):
+        full = kernel_root_series(40)
+        for m in range(1, 20):
+            prefix = {e: p for e, p in full.terms.items() if e <= 2 * m}
+            assert kernel_root_series(2 * m).terms == prefix, m
+
+    def test_fixed_point_guard_is_live(self, monkeypatch):
+        import noncrossing.walks as walks_module
+
+        # corrupts the online pass only; the check applies the true map
+        monkeypatch.setattr(walks_module, "_ONE_PLUS_X", poly_from_terms((1, 0), (2, 1)))
+        with pytest.raises(ArithmeticError, match="fixed point"):
+            walks_module.kernel_root_series(6)
+
     def test_symmetry(self):
         assert kernel_symmetry_holds()
 
@@ -124,6 +138,14 @@ class TestCoefficientFormula:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             root_power_coefficient(0, 0, 1)
+
+    def test_integrality_guard_is_live(self, monkeypatch):
+        import noncrossing.walks as walks_module
+
+        # every binomial read as 1: the sum for k=1, m=0, n=1 is 3, odd
+        monkeypatch.setattr(walks_module, "comb", lambda top, s: 1)
+        with pytest.raises(ArithmeticError, match="divide"):
+            walks_module.root_power_coefficient(1, 0, 1)
 
 
 class TestCountingRoutes:
@@ -150,6 +172,32 @@ class TestCountingRoutes:
         for fn in (rho3_kernel_ct, rho3_closed_form):
             with pytest.raises(ValueError):
                 fn(0)
+
+    def test_kernel_route_at_large_n(self):
+        table = rho3_recurrence(40)
+        for n in (30, 40):
+            assert rho3_kernel_ct(n) == table.entries[n]
+
+    def test_kernel_route_is_independent_of_the_closed_form(self, monkeypatch):
+        import noncrossing.walks as walks_module
+
+        expected = rho3_recurrence(12).entries[12]
+
+        def unreachable(*args):
+            raise AssertionError("the kernel route reached the closed form")
+
+        for name in ("root_power_coefficient", "rho3_closed_form", "comb"):
+            monkeypatch.setattr(walks_module, name, unreachable)
+        monkeypatch.setattr(walks_module, "_CLOSED_FORM_TERMS", ())
+        assert walks_module.rho3_kernel_ct(12) == expected
+
+    def test_closed_form_guard_is_live(self, monkeypatch):
+        import noncrossing.walks as walks_module
+
+        # every binomial read as 1: the twelve terms sum to 1 at n=1, not even
+        monkeypatch.setattr(walks_module, "comb", lambda top, s: 1)
+        with pytest.raises(ArithmeticError, match="integral"):
+            walks_module.rho3_closed_form(1)
 
 
 class TestRecurrence:
@@ -199,6 +247,15 @@ class TestAsymptotics:
         assert coeffs == (Fraction(1), Fraction(15, 8), Fraction(3, 4), Fraction(-1, 8))
         assert sum(c * Fraction(8) ** e for e, c in enumerate(coeffs)) == 0
         assert sum(c * Fraction(-1) ** e for e, c in enumerate(coeffs)) == 0
+
+    def test_leading_coefficient_guard_is_live(self, monkeypatch):
+        import noncrossing.walks as walks_module
+
+        # third difference 1 at n = 0..3: not six times an integer
+        broken = lambda n: (int(n == 3), 0, 0, 0)
+        monkeypatch.setattr(walks_module, "recurrence_weights", broken)
+        with pytest.raises(ArithmeticError, match="cubic"):
+            walks_module.characteristic_polynomial()
 
     def test_solved_constants(self):
         params = solve_asymptotics()
