@@ -64,7 +64,6 @@ from .tableaux import (
 from .walks import (
     AsymptoticParams,
     EXACT_K,
-    FITTED_K,
     REFERENCE_K,
     RecurrenceError,
     asymptotic_estimate,

@@ -27,19 +27,32 @@ _CLASS_TAGS = {
     "braids-noiso": "B_k_dagger",
 }
 
-#: rho3 route name -> table builder over 1..n_max
+
+def _rho3_recurrence_route(sizes: list[int] | range) -> dict[int, int]:
+    entries = walks.rho3_recurrence(max(sizes)).entries
+    return {n: entries[n] for n in sizes}
+
+
+#: rho3 route name -> builder mapping the wanted sizes to {n: rho3(n)}
 _RHO3_ROUTES = {
-    "brute": lambda n_max: {
-        n: sum(1 for _ in enumeration.gen_braids_no_isolated(n, 3))
-        for n in range(1, n_max + 1)
+    "brute": lambda sizes: {
+        n: sum(1 for _ in enumeration.gen_braids_no_isolated(n, 3)) for n in sizes
     },
     "kernel": walks._rho3_kernel_table,
-    "closed": lambda n_max: {n: walks.rho3_closed_form(n) for n in range(1, n_max + 1)},
-    "recurrence": lambda n_max: dict(walks.rho3_recurrence(n_max).entries),
+    "closed": lambda sizes: {n: walks.rho3_closed_form(n) for n in sizes},
+    "recurrence": _rho3_recurrence_route,
 }
 
 #: brute force in `rho3 --route all` is capped at this n
 _BRUTE_CAP = 8
+
+
+def _rho3_tables(n_max: int) -> dict[str, dict[int, int]]:
+    """Every rho3 route over 1..n_max, brute force only up to _BRUTE_CAP."""
+    return {
+        name: build(range(1, (min(n_max, _BRUTE_CAP) if name == "brute" else n_max) + 1))
+        for name, build in _RHO3_ROUTES.items()
+    }
 
 
 class _Parser(argparse.ArgumentParser):
@@ -183,8 +196,7 @@ def _suite_tableau(k: int, n_max: int) -> dict:
 
 def _suite_rho3(k: int, n_max: int) -> dict:
     """Four-route agreement on the common range."""
-    tables = {name: build(n_max) for name, build in _RHO3_ROUTES.items() if name != "brute"}
-    tables["brute"] = _RHO3_ROUTES["brute"](min(n_max, _BRUTE_CAP))
+    tables = _rho3_tables(n_max)
     reference = tables["closed"]
     for name, table in tables.items():
         for n, value in table.items():
@@ -227,13 +239,12 @@ def _suite_series(k: int, n_max: int) -> dict:
     if not walks.kernel_symmetry_holds():
         return {"name": "series", "passed": False, "details": {"check": "symmetry"},
                 "counterexample": None}
+    powers = {1: y, 2: y * y}
+    powers[3] = powers[2] * y
     for n in range(0, min(n_max, 10) + 1):
-        yn = walks.kernel_root_series(2 * n + 2)
-        powers = {1: yn, 2: yn * yn}
-        powers[3] = powers[2] * yn
         for kk in (1, 2, 3):
             for m in range(-5, 6):
-                direct = powers[kk].coefficient(2 * n + 2).coeff(m)
+                direct = powers[kk].coefficient(2 * n + 2, m)
                 if direct != walks.root_power_coefficient(kk, m, n):
                     return {"name": "series", "passed": False,
                             "details": {"check": "coefficient", "k": kk, "m": m, "n": n},
@@ -287,7 +298,7 @@ def _cmd_count(ns: argparse.Namespace) -> tuple[dict, int]:
         else:
             counts = dict(map(_count_one, work))
     elif class_tag == "B_k_dagger" and ns.k == 3 and ns.route in _RHO3_ROUTES:
-        counts = {n: v for n, v in _RHO3_ROUTES[ns.route](top).items() if n in set(n_values)}
+        counts = _RHO3_ROUTES[ns.route](n_values)
     else:
         raise ValueError(
             f"route {ns.route!r} is only available for braids-noiso with k=3"
@@ -345,10 +356,7 @@ def _cmd_rho3(ns: argparse.Namespace) -> tuple[dict, int]:
     if ns.n_max < 1:
         raise ValueError("--n-max must be at least 1")
     if ns.route == "all":
-        tables = {
-            name: build(min(ns.n_max, _BRUTE_CAP) if name == "brute" else ns.n_max)
-            for name, build in _RHO3_ROUTES.items()
-        }
+        tables = _rho3_tables(ns.n_max)
         reference = tables["closed"]
         agreement = all(
             value == reference[n]
@@ -364,7 +372,7 @@ def _cmd_rho3(ns: argparse.Namespace) -> tuple[dict, int]:
             "agreement": agreement,
         }
         return payload, 0 if agreement else 2
-    table = _RHO3_ROUTES[ns.route](ns.n_max)
+    table = _RHO3_ROUTES[ns.route](range(1, ns.n_max + 1))
     if ns.format == "csv":
         lines = ["route,n,value"]
         lines += [f"{ns.route},{n},{table[n]}" for n in sorted(table)]

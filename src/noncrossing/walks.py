@@ -13,13 +13,15 @@ The generating-function route works in the kernel
 
 As a quadratic in y it has a unique root Y0 that is a power series in
 t^2 with Laurent-polynomial coefficients in x, fixed point of
-Y = t^2*(1/x + 1)*(x + Y)*(1 + Y).  Read coefficient by coefficient,
-that relation gives each coefficient of Y0 from the ones before it
-(the online, or relaxed, scheme of van der Hoeven), in integers only.
-Constant-term extraction of a fixed x-Laurent
+Y = t^2*(1/x + 1)*(x + Y)*(1 + Y).  With s = t^2/x and Y0 = x*W(s)
+that relation becomes W = s*(1 + x)*(1 + (1 + x)*W + x*W^2), whose
+coefficient W_i = [s^i] W is an ordinary polynomial of degree 2i - 1.
+The code keeps each W_i as a dense row of integers (RowSeries) and
+computes it from the rows before it (the online, or relaxed, scheme of
+van der Hoeven).  Constant-term extraction of a fixed x-Laurent
 combination of Y0, Y0^2, Y0^3 yields rho3, as does a twelve-term
-binomial sum (the coefficients of Y0^k have a closed form proved by
-Lagrange inversion) and a four-term P-recurrence whose divisions must
+signed sum of coefficients of Y0^k (binomial sums, by Lagrange
+inversion) and a four-term P-recurrence whose divisions must
 come out exact.  The recurrence's formal series solution gives the
 asymptotic law rho3(n) ~ K * 8^n * n^-7 * (1 + c1/n + c2/n^2 + c3/n^3)
 with rational c's solved exactly from the quoted linear equations.  The
@@ -44,11 +46,6 @@ _DECIMAL_DIGITS = 60
 #: erratum: it agrees with EXACT_K to three significant figures, not
 #: four, and is low by a relative 7.0e-4.  Nothing computes with it.
 REFERENCE_K = Decimal("6686.408973")
-
-#: Limit reached by fit_leading_constant on exact data, frozen from
-#: measurement (converges at rate n^-4, extrapolated from probes up to
-#: 4000).  It is EXACT_K rounded to ten significant digits.
-FITTED_K = Decimal("6691.090832")
 
 
 def _decimal_pi() -> Decimal:
@@ -95,152 +92,63 @@ class RecurrenceError(ArithmeticError):
     """A recurrence step required a non-exact division."""
 
 
-# -- Laurent polynomials in one variable ------------------------------------------
+# -- dense integer rows -----------------------------------------------------------------
 
 
-class LaurentPoly:
-    """Laurent polynomial in x with integer coefficients, as a dict
-    exponent -> coefficient holding no zeros."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: dict[int, int] | None = None):
-        self.coeffs = {e: c for e, c in (coeffs or {}).items() if c}
-
-    @classmethod
-    def x_power(cls, exponent: int, coefficient: int = 1) -> "LaurentPoly":
-        return cls({exponent: coefficient})
-
-    def coeff(self, exponent: int) -> int:
-        return self.coeffs.get(exponent, 0)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPoly(out)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return LaurentPoly(out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.coeffs.items()})
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        out: dict[int, int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPoly(out)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, LaurentPoly) and self.coeffs == other.coeffs
-
-    def __repr__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        terms = [f"{c}*x^{e}" for e, c in sorted(self.coeffs.items())]
-        return " + ".join(terms)
+def _mul_into(target: list[int], p: list[int], q: list[int], scale: int = 1) -> None:
+    """target += scale * p * q for dense rows (entry e is the coefficient
+    of x^e), growing target as needed."""
+    if not p or not q:
+        return
+    if len(p) > len(q):
+        p, q = q, p
+    width = len(p) + len(q) - 1
+    if len(target) < width:
+        target.extend([0] * (width - len(target)))
+    for i, a in enumerate(p):
+        if a:
+            a *= scale
+            target[i : i + len(q)] = [c + a * b for c, b in zip(target[i : i + len(q)], q)]
 
 
-def poly_from_terms(*terms: tuple[int, int]) -> LaurentPoly:
-    """Build a Laurent polynomial from (coefficient, exponent) pairs."""
-    out: dict[int, int] = {}
-    for c, e in terms:
-        out[e] = out.get(e, 0) + c
-    return LaurentPoly(out)
+def _one_plus_x_times(row: list[int]) -> list[int]:
+    return [a + b for a, b in zip(row + [0], [0] + row)]
 
 
-_ONE = LaurentPoly({0: 1})
-_X = LaurentPoly({1: 1})
-_XBAR_PLUS_1 = LaurentPoly({-1: 1, 0: 1})
-_ONE_PLUS_X = LaurentPoly({0: 1, 1: 1})
+@dataclass(frozen=True)
+class RowSeries:
+    """The truncated series x^power * sum_i s^i rows[i](x) with s = t^2/x.
 
-
-# -- truncated series in t^2 over Laurent polynomials -------------------------------
-
-
-class TruncatedSeries:
-    """Series sum_m p_m(x) t^m truncated at a fixed even order.
-
-    All arithmetic drops exponents above ``order``; combining two series
-    requires equal orders so truncation stays consistent.
+    Each row lists the coefficients of an ordinary polynomial in x, from
+    x^0 upward.  The kernel root Y0 = x*W(s) is stored with power 1 and
+    rows W_0, W_1, ...; its k-th power, with power k and rows [s^i] W^k.
+    The rows stop at s^(order/2), that is at t^order.
     """
 
-    __slots__ = ("order", "terms")
+    power: int
+    rows: list[list[int]]
 
-    def __init__(self, order: int, terms: dict[int, LaurentPoly] | None = None):
-        if order < 0 or order % 2:
-            raise ValueError(f"order must be even and nonnegative, got {order}")
-        self.order = order
-        self.terms = {
-            e: p for e, p in (terms or {}).items() if e <= order and not p.is_zero()
-        }
-
-    def coefficient(self, t_exponent: int) -> LaurentPoly:
-        return self.terms.get(t_exponent, LaurentPoly())
+    def coefficient(self, t_exponent: int, x_exponent: int) -> int:
+        """[x^x_exponent t^t_exponent] of the series."""
+        i, odd = divmod(t_exponent, 2)
+        if i >= len(self.rows):
+            raise ValueError(f"t^{t_exponent} lies beyond the truncation order")
+        if odd or i < 0:
+            return 0
+        row, e = self.rows[i], x_exponent - self.power + i
+        return row[e] if 0 <= e < len(row) else 0
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not any(any(row) for row in self.rows)
 
-    def _require_same_order(self, other: "TruncatedSeries") -> None:
-        if self.order != other.order:
-            raise ValueError(f"order mismatch: {self.order} != {other.order}")
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._require_same_order(other)
-        out = dict(self.terms)
-        for e, p in other.terms.items():
-            out[e] = out.get(e, LaurentPoly()) + p
-        return TruncatedSeries(self.order, out)
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._require_same_order(other)
-        out = dict(self.terms)
-        for e, p in other.terms.items():
-            out[e] = out.get(e, LaurentPoly()) - p
-        return TruncatedSeries(self.order, out)
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._require_same_order(other)
-        out: dict[int, LaurentPoly] = {}
-        for e1, p1 in self.terms.items():
-            for e2, p2 in other.terms.items():
-                e = e1 + e2
-                if e > self.order:
-                    continue
-                prod = p1 * p2
-                out[e] = out.get(e, LaurentPoly()) + prod
-        return TruncatedSeries(self.order, out)
-
-    def scale(self, poly: LaurentPoly) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.order, {e: p * poly for e, p in self.terms.items()}
-        )
-
-    def shift_t(self, amount: int) -> "TruncatedSeries":
-        return TruncatedSeries(
-            self.order,
-            {e + amount: p for e, p in self.terms.items() if e + amount <= self.order},
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.order == other.order
-            and self.terms == other.terms
-        )
-
-
-def series_constant(order: int, poly: LaurentPoly) -> TruncatedSeries:
-    return TruncatedSeries(order, {0: poly})
+    def __mul__(self, other: "RowSeries") -> "RowSeries":
+        """The product, truncated at the lower of the two orders."""
+        size = min(len(self.rows), len(other.rows))
+        rows: list[list[int]] = [[] for _ in range(size)]
+        for i, p in enumerate(self.rows[:size]):
+            for j, q in enumerate(other.rows[: size - i]):
+                _mul_into(rows[i + j], p, q)
+        return RowSeries(self.power + other.power, rows)
 
 
 # -- the kernel and its power-series root --------------------------------------------
@@ -282,129 +190,119 @@ def kernel_symmetry_holds() -> bool:
     return True
 
 
-def kernel_root_series(order: int) -> TruncatedSeries:
-    """The power-series root Y0 of the kernel, to the given even order.
+def kernel_root_series(order: int) -> RowSeries:
+    """The power-series root Y0 = x*W(s) of the kernel, s = t^2/x, to the
+    given even order in t.
 
-    Computed online: with Y_m = [t^m] Y0 and S_m = [t^m] Y0^2, the
-    fixed-point relation reads
+    W_i = [s^i] W is an ordinary polynomial of degree 2i - 1, stored as a
+    dense row, and [x^e t^(2i)] Y0^k = [x^(e-k+i)] [s^i] W^k.  Computed
+    online: with S_i = [s^i] W^2 the fixed-point relation reads
 
-        Y_m = (1/x + 1) * (x*[m = 2] + (1 + x)*Y_(m-2) + S_(m-2)),
+        W_i = (1 + x) * ([i = 1] + (1 + x)*W_(i-1) + x*S_(i-1)),
 
-    and S_(m-2) needs only Y_2 .. Y_(m-4), so each coefficient follows
-    from those already known and none depends on the order.  The map is
-    then applied once more through the generic series product, and a
-    result other than Y0 raises ArithmeticError.  The result has
-    nonnegative integer coefficients and starts
-    (1 + x) t^2 + x (x + 1) (1/x + 1)^2 t^4 + ...
+    and S_(i-1) needs only W_1 .. W_(i-2), so each row follows from
+    those already known and none depends on the order.  The result is
+    then checked against the kernel itself (kernel_residual), and a
+    nonzero residual raises ArithmeticError.  Every coefficient is a
+    positive integer; the rows start W_1 = 1 + x, W_2 = (1 + x)^3, so
+    Y0 = (1 + x) t^2 + (1/x + 3 + 3x + x^2) t^4 + ...
     """
     if order < 2 or order % 2:
         raise ValueError(f"order must be even and at least 2, got {order}")
-    roots, _ = _online_root(order // 2)
-    return _as_series(roots)
+    rows, _ = _online_root(order // 2)
+    return RowSeries(1, rows)
 
 
-def _online_root(half_order: int) -> tuple[list[LaurentPoly], list[LaurentPoly]]:
-    """Y_(2i) for i = 0 .. half_order and S_(2i) for i < half_order, by
-    the relation in kernel_root_series, checked as a fixed point."""
-    roots = [LaurentPoly()]
-    squares: list[LaurentPoly] = []
+def _online_root(half_order: int) -> tuple[list[list[int]], list[list[int]]]:
+    """W_i for i = 0 .. half_order and S_i for i < half_order, by the
+    relation in kernel_root_series, checked against the kernel."""
+    rows: list[list[int]] = [[]]
+    squares: list[list[int]] = []
     for i in range(1, half_order + 1):
-        squares.append(_square_coefficient(roots, i - 1))
-        inner = _ONE_PLUS_X * roots[i - 1] + squares[i - 1]
-        if i == 1:
-            inner = inner + _X
-        roots.append(inner * _XBAR_PLUS_1)
-    y = _as_series(roots)
-    order = y.order
-    fixed = (
-        (series_constant(order, _X) + y) * (series_constant(order, _ONE) + y)
-    ).scale(_XBAR_PLUS_1).shift_t(2)
-    if fixed != y:
-        raise ArithmeticError(f"kernel root is not a fixed point at order {order}")
-    return roots, squares
+        squares.append(_square_row(rows, i - 1))
+        inner = _one_plus_x_times(rows[i - 1])
+        _mul_into(inner, squares[i - 1], [0, 1])
+        inner[0] += i == 1  # the [i = 1] term
+        rows.append(_one_plus_x_times(inner))
+    if not kernel_residual(RowSeries(1, rows)).is_zero():
+        raise ArithmeticError(f"kernel root is not a fixed point at order {2 * half_order}")
+    return rows, squares
 
 
-def _as_series(roots: list[LaurentPoly]) -> TruncatedSeries:
-    return TruncatedSeries(2 * (len(roots) - 1), {2 * i: p for i, p in enumerate(roots)})
-
-
-def _square_coefficient(roots: list[LaurentPoly], i: int) -> LaurentPoly:
-    # sum over a + b = i of roots[a] * roots[b], each unordered pair once
-    out: dict[int, int] = {}
+def _square_row(rows: list[list[int]], i: int) -> list[int]:
+    # sum over a + b = i of W_a * W_b, each unordered pair once
+    out: list[int] = []
     for a in range(1, (i + 1) // 2):
-        _add_product(out, roots[a], roots[i - a], 2)
+        _mul_into(out, rows[a], rows[i - a], 2)
     if i % 2 == 0:
-        _add_product(out, roots[i // 2], roots[i // 2], 1)
-    return LaurentPoly(out)
+        _mul_into(out, rows[i // 2], rows[i // 2])
+    return out
 
 
-def _add_product(out: dict[int, int], p: LaurentPoly, q: LaurentPoly, weight: int) -> None:
-    for e1, c1 in p.coeffs.items():
-        c1 *= weight
-        for e2, c2 in q.coeffs.items():
-            e = e1 + e2
-            out[e] = out.get(e, 0) + c1 * c2
-
-
-def kernel_residual(y: TruncatedSeries) -> TruncatedSeries:
-    """K(x, y(t); t) as a truncated series; zero exactly on the root."""
-    order = y.order
-    lin = poly_from_terms((1, 2), (1, 0))  # x^2 + 1 -> coefficient of y
-    quad = poly_from_terms((1, 1), (1, 0))  # x + 1 -> coefficient of y^2
-    const = poly_from_terms((1, 1), (1, 2))  # x + x^2
-    step_part = (
-        y.scale(lin) + (y * y).scale(quad) + series_constant(order, const)
-        + y.scale(LaurentPoly({1: 2}))
-    )
-    return y.scale(_X) - step_part.shift_t(2)
+def kernel_residual(y: RowSeries) -> RowSeries:
+    """K(x, y(t); t) as a truncated series, summed monomial by monomial
+    over _KERNEL_T0 and _KERNEL_T2; zero exactly on the root."""
+    size = len(y.rows)
+    powers = (RowSeries(0, [[1]] + [[] for _ in range(size - 1)]), y, y * y)
+    rows: list[list[int]] = [[] for _ in range(size)]
+    for level, sign, monomials in ((0, 1, _KERNEL_T0), (1, -1, _KERNEL_T2)):
+        for (i, j), c in monomials.items():
+            # x^i t^(2 level) y^j = x^(i + level + power) s^level * (rows of y^j)
+            monomial = [0] * (i + level + powers[j].power) + [sign * c]
+            for r, row in enumerate(powers[j].rows[: size - level]):
+                _mul_into(rows[r + level], row, monomial)
+    return RowSeries(0, rows)
 
 
 # -- counting routes ------------------------------------------------------------------
 
-# x-Laurent prefactors whose constant term against Y0, Y0^3, Y0^2 counts
-# the braids: rho3(n) = [t^(2n+2)] CT_x(A*Y0 + B*Y0^3 + C*Y0^2).
+# x-Laurent prefactors, exponent -> coefficient, whose constant term
+# against Y0, Y0^3, Y0^2 counts the braids:
+# rho3(n) = [t^(2n+2)] CT_x(A*Y0 + B*Y0^3 + C*Y0^2).
 _CT_PREFACTORS = (
-    poly_from_terms((1, 0), (-1, 1), (-1, 4), (1, 3)),
-    poly_from_terms((-1, -4), (1, -3), (1, 0), (-1, -1)),
-    poly_from_terms((1, -5), (-1, -4), (-1, -1), (1, -2)),
+    {0: 1, 1: -1, 4: -1, 3: 1},
+    {-4: -1, -3: 1, 0: 1, -1: -1},
+    {-5: 1, -4: -1, -1: -1, -2: 1},
 )
 
 
 def rho3_kernel_ct(n: int) -> int:
     """rho3(n) by constant-term extraction from the kernel root."""
-    if n < 1:
+    return _rho3_kernel_table([n])[n]
+
+
+def _rho3_kernel_table(sizes: list[int] | range) -> dict[int, int]:
+    """rho3(n) for each n in sizes, all read from one online root."""
+    if min(sizes) < 1:
         raise ValueError("n must be >= 1")
-    roots, squares = _online_root(n + 1)
-    return _kernel_ct(roots, squares, n)
+    rows, squares = _online_root(max(sizes) + 1)
+    return {n: _kernel_ct(rows, squares, n) for n in sizes}
 
 
-def _rho3_kernel_table(n_max: int) -> dict[int, int]:
-    """rho3(n) for 1 <= n <= n_max, all read from one online root."""
-    roots, squares = _online_root(n_max + 1)
-    return {n: _kernel_ct(roots, squares, n) for n in range(1, n_max + 1)}
-
-
-def _kernel_ct(roots: list[LaurentPoly], squares: list[LaurentPoly], n: int) -> int:
+def _kernel_ct(rows: list[list[int]], squares: list[list[int]], n: int) -> int:
     # [t^(2n+2)] CT_x(A*Y0 + B*Y0^3 + C*Y0^2), reading only the x-coefficients
-    # the prefactors meet.  With top = n+1, [t^(2 top)] Y0^2 is the sum of
-    # Y_(2i)*Y_(2 top-2i) and [t^(2 top)] Y0^3 that of Y_(2i)*S_(2 top-2i);
-    # neither is formed in full
+    # the prefactors meet.  With top = n+1, [t^(2 top)] Y0^k is
+    # x^(k-top) [s^top] W^k, where [s^top] W^2 is the sum of W_i*W_(top-i)
+    # and [s^top] W^3 that of W_i*S_(top-i); neither is formed in full
     top = n + 1
     a, b, c = _CT_PREFACTORS
     return (
-        _ct_of_products(a, [(roots[top], _ONE)])
-        + _ct_of_products(b, [(roots[i], squares[top - i]) for i in range(1, top)])
-        + _ct_of_products(c, [(roots[i], roots[top - i]) for i in range(1, top)])
+        _ct_of_products(a, [(rows[top], [1])], 1 - top)
+        + _ct_of_products(b, [(rows[i], squares[top - i]) for i in range(1, top)], 3 - top)
+        + _ct_of_products(c, [(rows[i], rows[top - i]) for i in range(1, top)], 2 - top)
     )
 
 
-def _ct_of_products(prefactor: LaurentPoly, pairs: list[tuple[LaurentPoly, LaurentPoly]]) -> int:
-    """CT_x(prefactor * sum of p*q over the pairs)."""
+def _ct_of_products(
+    prefactor: dict[int, int], pairs: list[tuple[list[int], list[int]]], shift: int
+) -> int:
+    """CT_x(prefactor * x^shift * sum of p*q over the row pairs)."""
     total = 0
-    for e, c in prefactor.coeffs.items():
+    for e, c in prefactor.items():
+        d = -shift - e  # the exponent of p*q that meets x^e
         for p, q in pairs:
-            qc = q.coeffs
-            total += c * sum(pc * qc.get(-e - u, 0) for u, pc in p.coeffs.items())
+            low, high = max(0, d - len(q) + 1), min(len(p), d + 1)
+            total += c * sum(p[u] * q[d - u] for u in range(low, high))
     return total
 
 
@@ -421,7 +319,10 @@ def root_power_coefficient(k: int, m: int, n: int) -> int:
     )
     value, rem = divmod(k * total, top)
     if rem:
-        raise ArithmeticError(f"coefficient sum for k={k}, m={m}, n={n} does not divide by n+1")
+        raise ArithmeticError(
+            f"coefficient sum for k={k}, m={m}, n={n} does not divide by n+1:"
+            " the coefficient is not integral"
+        )
     return value
 
 
@@ -435,21 +336,10 @@ _CLOSED_FORM_TERMS = (
 
 
 def rho3_closed_form(n: int) -> int:
-    """rho3(n) as the twelve-term alternating binomial sum."""
+    """rho3(n) as the twelve-term signed sum of root_power_coefficient."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    top = n + 1
-    total = 0
-    for k, m, sign in _CLOSED_FORM_TERMS:
-        part = sum(
-            comb(top, s) * comb(top, k + s) * comb(top, s + m)
-            for s in range(max(0, -m), top + 1)
-        )
-        total += sign * k * part
-    value, rem = divmod(total, top)
-    if rem:
-        raise ArithmeticError(f"closed form is not integral at n={n}")
-    return value
+    return sum(sign * root_power_coefficient(k, m, n) for k, m, sign in _CLOSED_FORM_TERMS)
 
 
 def recurrence_weights(n: int) -> tuple[int, int, int, int]:

@@ -1,10 +1,15 @@
 """Command-line interface: payloads, formats, exit codes, determinism."""
 
 import json
+from pathlib import Path
 
 import pytest
 
-from noncrossing import cli
+from noncrossing import cli, walks
+
+_REPORTS = json.loads(
+    (Path(__file__).resolve().parent.parent / "testdata" / "cli_reports.json").read_text()
+)
 
 
 def run_json(capsys, *argv):
@@ -57,6 +62,23 @@ class TestCount:
         assert report["counts"]["40"] == str(
             __import__("noncrossing.walks", fromlist=["x"]).rho3_closed_form(40)
         )
+
+    def test_formula_route_computes_only_the_sizes_asked_for(self, capsys, monkeypatch):
+        calls = []
+        closed_form = walks.rho3_closed_form
+        monkeypatch.setattr(walks, "rho3_closed_form", lambda n: calls.append(n) or closed_form(n))
+        status, report = run_json(
+            capsys, "count", "--class", "braids-noiso", "--k", "3", "--n", "300",
+            "--route", "closed",
+        )
+        assert status == 0 and list(report["counts"]) == ["300"]
+        assert calls == [300]
+
+    def test_formula_route_rejects_size_zero(self, capsys):
+        for route in ("kernel", "closed", "recurrence"):
+            argv = ["count", "--class", "braids-noiso", "--n", "0", "--route", route]
+            assert cli.run(argv) == 1, route
+        capsys.readouterr()
 
     def test_formula_route_needs_the_right_class(self, capsys):
         status = cli.run(["count", "--class", "partitions", "--n", "4",
@@ -216,3 +238,12 @@ class TestHarness:
         first.pop("elapsed_seconds")
         second.pop("elapsed_seconds")
         assert first == second
+
+
+@pytest.mark.parametrize("command", sorted(_REPORTS))
+def test_report_is_pinned(capsys, command):
+    # stdout byte for byte, apart from the elapsed-time line of JSON reports
+    assert cli.run(command.split()) == 0
+    out = capsys.readouterr().out.splitlines(keepends=True)
+    kept = [line for line in out if not line.lstrip().startswith('"elapsed_seconds"')]
+    assert "".join(kept) == _REPORTS[command]

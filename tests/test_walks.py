@@ -1,6 +1,6 @@
-"""Series arithmetic, the kernel root, counting routes, asymptotics."""
+"""The kernel root and its dense rows, counting routes, asymptotics."""
 
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial, isclose, pi, sqrt
 
@@ -10,19 +10,15 @@ from noncrossing.enumeration import gen_braids_no_isolated
 from noncrossing.walks import (
     _CLOSED_FORM_TERMS,
     EXACT_K,
-    FITTED_K,
     REFERENCE_K,
     AsymptoticParams,
-    LaurentPoly,
     RecurrenceError,
-    TruncatedSeries,
     asymptotic_estimate,
     characteristic_polynomial,
     fit_leading_constant,
     kernel_residual,
     kernel_root_series,
     kernel_symmetry_holds,
-    poly_from_terms,
     quadrant_walk_counts,
     recurrence_weights,
     rho3_closed_form,
@@ -30,70 +26,31 @@ from noncrossing.walks import (
     rho3_recurrence,
     rho3_walk_dp,
     root_power_coefficient,
-    series_constant,
     solve_asymptotics,
 )
 
 
-class TestLaurentPoly:
-    def test_arithmetic(self):
-        a = poly_from_terms((1, 0), (2, 1))       # 1 + 2x
-        b = poly_from_terms((1, -1), (-1, 1))     # 1/x - x
-        assert (a + b).coeffs == {-1: 1, 0: 1, 1: 1}
-        assert (a - b).coeffs == {-1: -1, 0: 1, 1: 3}
-        assert (a * b).coeffs == {-1: 1, 0: 2, 1: -1, 2: -2}
-        assert (-b).coeffs == {-1: -1, 1: 1}
-
-    def test_zero_stripping_and_equality(self):
-        assert LaurentPoly({2: 0}).is_zero()
-        assert poly_from_terms((1, 1), (-1, 1)) == LaurentPoly()
-        assert LaurentPoly({0: 1}) != LaurentPoly({1: 1})
-
-    def test_coeff(self):
-        p = poly_from_terms((7, -3))
-        assert p.coeff(-3) == 7 and p.coeff(0) == 0
-
-
-class TestTruncatedSeries:
-    def test_multiplication_truncates(self):
-        t2 = series_constant(4, LaurentPoly({0: 1})).shift_t(2)
-        assert (t2 * t2).coefficient(4).coeff(0) == 1
-        assert ((t2 * t2) * t2).is_zero()
-
-    def test_order_mismatch(self):
-        with pytest.raises(ValueError):
-            series_constant(4, LaurentPoly({0: 1})) + series_constant(6, LaurentPoly({0: 1}))
-
-    def test_odd_order_rejected(self):
-        with pytest.raises(ValueError):
-            TruncatedSeries(3)
+def x_terms(series, t_exponent, span=range(-10, 11)):
+    """The nonzero coefficients of t^t_exponent in series, by x-exponent."""
+    return {e: c for e in span if (c := series.coefficient(t_exponent, e))}
 
 
 class TestKernelRoot:
     def test_leading_terms(self):
         y = kernel_root_series(4)
-        assert y.coefficient(2) == poly_from_terms((1, 0), (1, 1))
+        assert x_terms(y, 2) == {0: 1, 1: 1}
         # x(x+1)(1/x+1)^2 expanded
-        assert y.coefficient(4) == poly_from_terms((1, -1), (3, 0), (3, 1), (1, 2))
+        assert x_terms(y, 4) == {-1: 1, 0: 3, 1: 3, 2: 1}
 
     def test_kernel_identity(self):
         assert kernel_residual(kernel_root_series(20)).is_zero()
 
-    def test_root_times_conjugate_is_x(self):
-        # the kernel is quadratic in y: a*y^2 + b*y + c with
-        # a = -t^2 (x+1) and c = -t^2 x (x+1), so the product of its two
-        # roots is c/a = x; combined with the vanishing residual this is
-        # the product relation for the second root
-        a = poly_from_terms((-1, 1), (-1, 0))
-        c = poly_from_terms((-1, 1), (-1, 2))
-        x = poly_from_terms((1, 1))
-        assert c == a * x
-
     def test_positive_coefficients(self):
         y = kernel_root_series(24)
-        for exponent, poly in y.terms.items():
-            assert exponent % 2 == 0
-            assert all(c > 0 for c in poly.coeffs.values())
+        assert y.rows[0] == []
+        # W_i = [s^i] W has degree 2i - 1, and no coefficient up to it vanishes
+        for i, row in enumerate(y.rows[1:], 1):
+            assert len(row) == 2 * i and all(c > 0 for c in row), i
 
     def test_order_validation(self):
         with pytest.raises(ValueError):
@@ -104,14 +61,24 @@ class TestKernelRoot:
     def test_lower_orders_are_prefixes(self):
         full = kernel_root_series(40)
         for m in range(1, 20):
-            prefix = {e: p for e, p in full.terms.items() if e <= 2 * m}
-            assert kernel_root_series(2 * m).terms == prefix, m
+            assert kernel_root_series(2 * m).rows == full.rows[: m + 1], m
+
+    def test_coefficient_beyond_the_order_is_refused(self):
+        y = kernel_root_series(4)
+        assert y.coefficient(3, 0) == 0 and y.coefficient(-2, 0) == 0
+        with pytest.raises(ValueError):
+            y.coefficient(6, 0)
 
     def test_fixed_point_guard_is_live(self, monkeypatch):
         import noncrossing.walks as walks_module
 
-        # corrupts the online pass only; the check applies the true map
-        monkeypatch.setattr(walks_module, "_ONE_PLUS_X", poly_from_terms((1, 0), (2, 1)))
+        # corrupts the online pass only, multiplying by 1 + 2x where the
+        # relation has 1 + x; the check evaluates the kernel itself
+        monkeypatch.setattr(
+            walks_module,
+            "_one_plus_x_times",
+            lambda row: [a + 2 * b for a, b in zip(row + [0], [0] + row)],
+        )
         with pytest.raises(ArithmeticError, match="fixed point"):
             walks_module.kernel_root_series(6)
 
@@ -131,7 +98,7 @@ class TestCoefficientFormula:
             powers[3] = powers[2] * y
             for k in (1, 2, 3):
                 for m in range(-5, 6):
-                    assert powers[k].coefficient(2 * n + 2).coeff(m) == (
+                    assert powers[k].coefficient(2 * n + 2, m) == (
                         root_power_coefficient(k, m, n)
                     ), (k, m, n)
 
@@ -265,28 +232,13 @@ class TestAsymptotics:
         assert params.c2 == Fraction(4102, 9)
         assert params.c3 == Fraction(-457744, 81)
         assert params.leading_constant == EXACT_K
+        assert len(EXACT_K.as_tuple().digits) == 60
 
     def test_corrections_satisfy_their_equations(self):
         p = solve_asymptotics()
         assert 2268 + 81 * p.c1 == 0
         assert 1683 * p.c1 + 162 * p.c2 - 26712 == 0
         assert -32547 * p.c1 + 729 * p.c2 + 129654 + 243 * p.c3 == 0
-
-    def test_printed_decimals(self):
-        params = solve_asymptotics()
-        c2 = Decimal(params.c2.numerator) / Decimal(params.c2.denominator)
-        c3 = Decimal(params.c3.numerator) / Decimal(params.c3.denominator)
-        assert f"{c2:.5f}" == "455.77778"
-        assert f"{c3:.6f}" == "-5651.160494"
-
-    def test_estimate_error_shrinks(self, golden):
-        table = rho3_recurrence(200)
-        errors = {}
-        for n in (50, 100, 200):
-            est = asymptotic_estimate(n)
-            errors[n] = abs(est / Decimal(table.entries[n]) - 1)
-        assert errors[200] < errors[100] < errors[50]
-        assert errors[200] < Decimal(golden["asymptotics"]["frozen_tolerance_n200"])
 
     def test_corrections_help(self):
         table = rho3_recurrence(50)
@@ -307,17 +259,10 @@ class TestAsymptotics:
             assert str(value).startswith(golden["asymptotics"][f"fit_n{n}"][:12])
         assert abs(fits[200] - fits[1000]) < abs(fits[100] - fits[1000])
         assert abs(fits[100] - fits[1000]) < abs(fits[50] - fits[1000])
-        # the probe sequence approaches the frozen limit, not the
-        # published constant
-        assert abs(fits[1000] - FITTED_K) < Decimal("0.001")
+        # the probe sequence approaches the exact constant, not the
+        # published one
         assert abs(fits[1000] - REFERENCE_K) > Decimal("4")
         assert abs(fits[1000] - EXACT_K) < Decimal("0.001")
-
-    def test_fitted_limit_is_the_exact_constant_rounded(self):
-        assert len(EXACT_K.as_tuple().digits) == 60
-        with localcontext() as ctx:
-            ctx.prec = len(FITTED_K.as_tuple().digits)
-            assert +EXACT_K == FITTED_K
 
     def test_exact_k_from_saddle_point(self):
         # the expansion documented at walks.EXACT_K: alpha_0..alpha_4
