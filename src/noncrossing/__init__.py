@@ -41,7 +41,6 @@ from .enumeration import (
     CountTable,
     RangeGuardError,
     bell_number,
-    count_table,
     gen_2regular_k,
     gen_braids,
     gen_braids_no_isolated,
@@ -73,7 +72,6 @@ from .walks import (
     rho3_closed_form,
     rho3_kernel_ct,
     rho3_recurrence,
-    rho3_walk_dp,
     root_power_coefficient,
     solve_asymptotics,
 )

@@ -26,9 +26,6 @@ from .diagrams import (
     partition_from_blocks,
 )
 
-#: Classes a CountTable can describe.
-CLASS_TAGS = ("P_k", "P_k2", "B_k", "B_k_dagger")
-
 #: Hard ceiling on brute-force configuration counts.
 BRUTE_FORCE_LIMIT = 10_000_000
 
@@ -43,11 +40,11 @@ class CountTable:
 
     class_tag: str
     k: int
-    route: str  # brute | closed_form | recurrence | kernel_ct | walk_dp
+    route: str
     entries: dict[int, int]
 
     def __post_init__(self) -> None:
-        if self.class_tag not in CLASS_TAGS:
+        if self.class_tag not in GENERATORS:
             raise ValueError(f"unknown class tag {self.class_tag!r}")
         if any(v < 0 for v in self.entries.values()):
             raise ValueError("counts must be nonnegative")
@@ -144,7 +141,8 @@ def gen_braids_no_isolated(n: int, k: int) -> Iterator[BraidDiagram]:
         yield BraidDiagram(n, skel.arcs + loops)
 
 
-_GENERATORS = {
+#: class tag -> generator of its diagrams over [n] at k
+GENERATORS = {
     "P_k": gen_partitions_k,
     "P_k2": gen_2regular_k,
     "B_k": gen_braids,
@@ -153,30 +151,18 @@ _GENERATORS = {
 
 
 def count_class(class_tag: str, k: int, n: int) -> int:
-    gen = _GENERATORS[class_tag]
+    gen = GENERATORS[class_tag]
     return sum(1 for _ in gen(n, k))
 
 
-def count_table(class_tag: str, k: int, n_max: int, route: str = "brute") -> CountTable:
-    """Dense brute-force table for 1 <= n <= n_max.
-
-    Refuses outright when Bell(n_max) exceeds BRUTE_FORCE_LIMIT rather
-    than truncating silently.  Formula routes for B_k_dagger at k = 3
-    live in the walks module.
-    """
-    if route != "brute":
-        raise ValueError(
-            f"count_table computes the brute route only, not {route!r}"
-        )
-    if class_tag not in _GENERATORS:
-        raise ValueError(f"unknown class tag {class_tag!r}")
-    if bell_number(n_max) > BRUTE_FORCE_LIMIT:
+def require_brute_budget(n: int) -> None:
+    """Refuse brute force over [n] when its Bell(n) set partitions exceed
+    BRUTE_FORCE_LIMIT, before any of them is generated."""
+    if bell_number(n) > BRUTE_FORCE_LIMIT:
         raise RangeGuardError(
-            f"Bell({n_max}) = {bell_number(n_max)} exceeds the brute-force "
+            f"Bell({n}) = {bell_number(n)} exceeds the brute-force "
             f"budget of {BRUTE_FORCE_LIMIT}"
         )
-    entries = {n: count_class(class_tag, k, n) for n in range(1, n_max + 1)}
-    return CountTable(class_tag, k, route, entries)
 
 
 def _require_k(k: int) -> None:

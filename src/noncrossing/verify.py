@@ -1,0 +1,248 @@
+"""The counting-route registry, with count() its one way in, and the
+cross-validation suites.  Every class counts by brute force at every k;
+rho3 (B_k_dagger at k = 3) also by three formula routes.  A failed suite
+names its route, n and k and a counterexample: a diagram, or the
+disagreeing values."""
+
+from __future__ import annotations
+
+import os
+from concurrent.futures import ProcessPoolExecutor
+from itertools import chain
+
+from . import diagrams, duality, enumeration, tableaux, walks
+
+#: brute force in the rho3 route comparison is capped at this n
+_BRUTE_CAP = 8
+
+
+def _recurrence_route(sizes: list[int]) -> dict[int, int]:
+    entries = walks.rho3_recurrence(max(sizes)).entries
+    return {n: entries[n] for n in sizes}
+
+
+#: (class, k) -> routes besides brute force, each mapping sizes to {n: count}
+_FORMULA_ROUTES = {
+    ("B_k_dagger", 3): {
+        "kernel": walks._rho3_kernel_table,
+        "closed": lambda sizes: {n: walks.rho3_closed_form(n) for n in sizes},
+        "recurrence": _recurrence_route,
+    },
+}
+
+
+def routes(class_tag: str, k: int) -> tuple[str, ...]:
+    """The routes that count class_tag at this k."""
+    return ("brute", *_FORMULA_ROUTES.get((class_tag, k), ()))
+
+
+def count(class_tag: str, k: int, route: str, sizes, jobs: int = 1) -> dict[int, int]:
+    """{n: count} for each n in sizes by the named route.  Brute force is
+    refused up front over budget, and jobs > 1 shards it over at most one
+    worker process per size and per CPU; the formula routes ignore jobs."""
+    if class_tag not in enumeration.GENERATORS:
+        raise ValueError(f"unknown class tag {class_tag!r}")
+    available = routes(class_tag, k)
+    if route not in available:
+        raise ValueError(
+            f"route {route!r} does not count {class_tag} at k={k}; "
+            f"available: {', '.join(available)}"
+        )
+    sizes = list(sizes)
+    if not sizes:
+        raise ValueError("no sizes to count")
+    if route != "brute":
+        return _FORMULA_ROUTES[class_tag, k][route](sizes)
+    enumeration.require_brute_budget(max(sizes))
+    work = [(class_tag, k, n) for n in sizes]
+    workers = min(jobs, len(work), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return dict(pool.map(_count_one, work))
+    return dict(map(_count_one, work))
+
+
+def _count_one(args: tuple[str, int, int]) -> tuple[int, int]:
+    class_tag, k, n = args
+    return n, enumeration.count_class(class_tag, k, n)
+
+
+def rho3_tables(n_max: int) -> dict[str, dict[int, int]]:
+    """Every rho3 route over 1..n_max, brute force only up to _BRUTE_CAP."""
+    return {
+        route: count(
+            "B_k_dagger", 3, route,
+            range(1, (min(n_max, _BRUTE_CAP) if route == "brute" else n_max) + 1),
+        )
+        for route in routes("B_k_dagger", 3)
+    }
+
+
+def check_rho3(tables: dict[str, dict[int, int]]) -> dict:
+    """The rho3 suite's report: every route agrees with the closed form."""
+    reference = tables["closed"]
+    for route, table in tables.items():
+        for n, value in table.items():
+            if value != reference[n]:
+                witness = {route: str(value), "closed": str(reference[n])}
+                return _failure("rho3", "route disagrees", witness, route=route, n=n, k=3)
+    return {
+        "name": "rho3",
+        "passed": True,
+        "details": {"values": {n: str(v) for n, v in reference.items()}},
+    }
+
+
+# -- the suites -------------------------------------------------------------------
+
+
+def _suite_duality(k: int, n_max: int) -> dict:
+    """Cardinality, injectivity, image and arc property of the contraction."""
+    enumeration.require_brute_budget(n_max)
+    cardinalities = {}
+    for n in range(2, n_max + 1):
+        braids = set(enumeration.gen_braids(n - 1, k))
+        images = set()
+        for p in enumeration.gen_partitions_k(n, k):
+            image = duality.contract_partition(p)
+            if image in images:
+                return _failure("duality", "image collision", p, n=n, k=k)
+            if image not in braids:
+                return _failure("duality", "image outside the braid class", p, n=n, k=k)
+            if set(image.arcs) != {(i, j - 1) for i, j in p.arcs}:
+                return _failure("duality", "arc property broken", p, n=n, k=k)
+            images.add(image)
+        if images != braids:
+            # the map is injective into the braids, so one is missed
+            return _failure(
+                "duality", f"|partitions({n})| != |braids({n - 1})|",
+                min(braids - images, key=lambda d: d.arcs), n=n, k=k,
+            )
+        cardinalities[n] = len(images)
+    return {"name": "duality", "passed": True, "details": {"cardinalities": cardinalities}}
+
+
+def _suite_restriction(k: int, n_max: int) -> dict:
+    """Restricted map lands exactly on braids without isolated points."""
+    enumeration.require_brute_budget(n_max)
+    checked = {}
+    for n in range(2, n_max + 1):
+        image = set()
+        for p in enumeration.gen_2regular_k(n, k):
+            b = duality.contract_two_regular(p, k)
+            if duality.expand_braid_no_isolated(b, k) != p:
+                return _failure("restriction", "round trip broken", p, n=n, k=k)
+            image.add(b)
+        target = set(enumeration.gen_braids_no_isolated(n - 1, k))
+        if image != target:
+            return _failure(
+                "restriction", "image is not the braids without isolated points",
+                min(image ^ target, key=lambda d: d.arcs), n=n, k=k,
+            )
+        checked[n] = len(image)
+    return {"name": "restriction", "passed": True, "details": {"cardinalities": checked}}
+
+
+def _suite_routes(k: int, n_max: int) -> dict:
+    """The tableau route computes the same map as the direct route."""
+    enumeration.require_brute_budget(n_max)
+    total = 0
+    for n in range(1, n_max + 1):
+        for p in enumeration.gen_partitions_k(n, k):
+            if duality.contract_partition_via_tableaux(p) != duality.contract_partition(p):
+                return _failure(
+                    "routes", "route disagreement", p, route="via_tableaux", n=n, k=k
+                )
+            total += 1
+    return {"name": "routes", "passed": True, "details": {"checked": total}}
+
+
+def _suite_tableau(k: int, n_max: int) -> dict:
+    """Round trips and the row bound for both diagram classes."""
+    enumeration.require_brute_budget(n_max)
+    total = 0
+    for n in range(0, n_max + 1):
+        braids = enumeration.gen_braids(n, n + 2) if n else ()
+        for d in chain(enumeration.gen_set_partitions(n), braids):
+            t = tableaux.diagram_to_tableau(d)
+            if tableaux.tableau_to_diagram(t) != d:
+                return _failure("tableau", "round trip broken", d, n=n, k=k)
+            if (t.max_rows() < k) != diagrams.is_k_noncrossing(d, k):
+                return _failure("tableau", "row bound broken", d, n=n, k=k)
+            total += 1
+    return {"name": "tableau", "passed": True, "details": {"checked": total}}
+
+
+def _suite_rho3(k: int, n_max: int) -> dict:
+    """Four-route agreement on the common range."""
+    return check_rho3(rho3_tables(n_max))
+
+
+def _suite_walks(k: int, n_max: int) -> dict:
+    """Reflection principle: a_n - b_n equals the closed form."""
+    for n in range(0, n_max + 1):
+        a, b = walks.quadrant_walk_counts(n)
+        expect = 1 if n == 0 else walks.rho3_closed_form(n)
+        if a - b != expect:
+            witness = {"a": str(a), "b": str(b), "closed": str(expect)}
+            return _failure("walks", "a_n - b_n is not rho3(n)", witness, n=n, k=3)
+    return {"name": "walks", "passed": True, "details": {"n_max": n_max}}
+
+
+def _suite_series(k: int, n_max: int) -> dict:
+    """Kernel identities and the coefficient formula."""
+    order = 40
+    y = walks.kernel_root_series(order)
+    residual = walks.kernel_residual(y)
+    if not residual.is_zero():
+        return _failure("series", "the root is not a kernel root",
+                        _first_term(residual), check="kernel", k=3)
+    if not walks.kernel_symmetry_holds():
+        return _failure("series", "the kernel is not symmetric",
+                        {"kernel_symmetry_holds": False}, check="symmetry", k=3)
+    powers = {1: y, 2: y * y}
+    powers[3] = powers[2] * y
+    for n in range(0, min(n_max, 10) + 1):
+        for power in (1, 2, 3):
+            for m in range(-5, 6):
+                direct = powers[power].coefficient(2 * n + 2, m)
+                formula = walks.root_power_coefficient(power, m, n)
+                if direct != formula:
+                    return _failure(
+                        "series", "series coefficient differs from the binomial sum",
+                        {"series": str(direct), "binomial_sum": str(formula)},
+                        check="coefficient", power=power, m=m, n=n, k=3,
+                    )
+    return {"name": "series", "passed": True, "details": {"order": order}}
+
+
+def _first_term(series: walks.RowSeries) -> dict:
+    """The first nonzero coefficient of a series, with its exponents."""
+    for i, row in enumerate(series.rows):
+        for e, c in enumerate(row):
+            if c:
+                return {"t": 2 * i, "x": e + series.power - i, "value": str(c)}
+    return {}
+
+
+def _failure(name: str, reason: str, counterexample, **where) -> dict:
+    """A failed suite: the reason, where (route, n, k, ...) and a counterexample."""
+    if not isinstance(counterexample, dict):
+        counterexample = diagrams.format_diagram(counterexample)
+    return {
+        "name": name,
+        "passed": False,
+        "details": {"reason": reason, **where},
+        "counterexample": counterexample,
+    }
+
+
+SUITES = {
+    "duality": _suite_duality,
+    "restriction": _suite_restriction,
+    "routes": _suite_routes,
+    "tableau": _suite_tableau,
+    "rho3": _suite_rho3,
+    "walks": _suite_walks,
+    "series": _suite_series,
+}

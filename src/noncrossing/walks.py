@@ -404,15 +404,6 @@ def quadrant_walk_counts(n: int) -> tuple[int, int]:
     return grid.get((1, 0), 0), grid.get((0, 1), 0)
 
 
-def rho3_walk_dp(n_max: int) -> CountTable:
-    """rho3 by reflection: a_n - b_n over the quadrant walk model."""
-    entries = {}
-    for n in range(1, n_max + 1):
-        a, b = quadrant_walk_counts(n)
-        entries[n] = a - b
-    return CountTable("B_k_dagger", 3, "walk_dp", entries)
-
-
 # -- asymptotics -----------------------------------------------------------------------
 
 

@@ -1,11 +1,12 @@
 """Command-line interface: payloads, formats, exit codes, determinism."""
 
 import json
+from itertools import islice
 from pathlib import Path
 
 import pytest
 
-from noncrossing import cli, walks
+from noncrossing import cli, duality, enumeration, tableaux, verify, walks
 
 _REPORTS = json.loads(
     (Path(__file__).resolve().parent.parent / "testdata" / "cli_reports.json").read_text()
@@ -94,6 +95,35 @@ class TestCount:
         )
         assert status == 0 and report["counts"]["5"] == "52"
 
+    @pytest.mark.parametrize(
+        "jobs, n_max, cpus, workers",
+        [(1000, 5, 2, 2), (1000, 5, 64, 5), (3, 5, 64, 3), (1000, 1, 64, None)],
+    )
+    def test_jobs_are_capped(self, capsys, monkeypatch, jobs, n_max, cpus, workers):
+        # a fake pool records the worker count; no process is started
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+        status, report = run_json(
+            capsys, "count", "--class", "partitions", "--n-max", str(n_max),
+            "--jobs", str(jobs),
+        )
+        assert status == 0 and len(report["counts"]) == n_max
+        assert started == ([workers] if workers else [])
+
     def test_empty_range_rejected(self, capsys):
         assert cli.run(["count", "--class", "partitions", "--n-max", "0"]) == 1
         assert cli.run(["rho3", "--n-max", "0"]) == 1
@@ -154,7 +184,7 @@ class TestVerify:
     def test_all_suites(self, capsys):
         status, report = run_json(capsys, "verify", "--n-max", "4")
         assert status == 0
-        assert {s["name"] for s in report["suites"]} == set(cli._SUITES)
+        assert {s["name"] for s in report["suites"]} == set(verify.SUITES)
 
     def test_duality_suite_at_depth(self, capsys):
         status, report = run_json(
@@ -172,11 +202,118 @@ class TestVerify:
                 "counterexample": "n=1; arcs=",
             }
 
-        monkeypatch.setitem(cli._SUITES, "duality", broken)
+        monkeypatch.setitem(verify.SUITES, "duality", broken)
         status, report = run_json(capsys, "verify", "--suite", "duality")
         assert status == 2
         assert report["passed"] is False
         assert report["suites"][0]["counterexample"] == "n=1; arcs="
+
+
+class TestSuiteFailures:
+    """Each suite's failure names what disagreed and a counterexample."""
+
+    def _run(self, capsys, suite, n_max=5):
+        status, report = run_json(capsys, "verify", "--suite", suite, "--n-max", str(n_max))
+        assert status == 2 and report["passed"] is False
+        [failed] = report["suites"]
+        assert failed["passed"] is False and failed["details"]["reason"]
+        assert failed["counterexample"] is not None
+        return failed
+
+    def test_rho3_kernel_off_by_one(self, capsys, monkeypatch):
+        routes = verify._FORMULA_ROUTES["B_k_dagger", 3]
+        kernel = routes["kernel"]
+        monkeypatch.setitem(
+            routes, "kernel",
+            lambda sizes: {n: v + (n == 5) for n, v in kernel(sizes).items()},
+        )
+        failed = self._run(capsys, "rho3", 8)
+        assert failed["details"]["route"] == "kernel"
+        assert (failed["details"]["n"], failed["details"]["k"]) == (5, 3)
+        assert failed["counterexample"] == {"kernel": "52", "closed": "51"}
+
+    def test_duality_collision(self, capsys, monkeypatch):
+        contract = duality.contract_partition
+        monkeypatch.setattr(
+            duality, "contract_partition",
+            lambda p: contract(p) if p.n < 4 else contract(type(p)(p.n)),
+        )
+        failed = self._run(capsys, "duality")
+        assert (failed["details"]["n"], failed["details"]["k"]) == (4, 3)
+        assert failed["counterexample"].startswith("n=4; arcs=")
+
+    def test_duality_missed_braid(self, capsys, monkeypatch):
+        # without the partition 1234, its image (1,1)(2,2)(3,3) is missed
+        gen = enumeration.gen_partitions_k
+        monkeypatch.setattr(
+            enumeration, "gen_partitions_k",
+            lambda n, k: islice(gen(n, k), int(n == 4), None),
+        )
+        failed = self._run(capsys, "duality")
+        assert (failed["details"]["n"], failed["details"]["k"]) == (4, 3)
+        assert failed["counterexample"] == "n=3; arcs=(1,1)(2,2)(3,3)"
+
+    def test_restriction(self, capsys, monkeypatch):
+        monkeypatch.setattr(duality, "expand_braid_no_isolated", lambda b, k: None)
+        failed = self._run(capsys, "restriction")
+        assert (failed["details"]["n"], failed["details"]["k"]) == (2, 3)
+        assert failed["counterexample"] == "n=2; arcs="
+
+    def test_routes(self, capsys, monkeypatch):
+        monkeypatch.setattr(duality, "contract_partition_via_tableaux", lambda p: None)
+        failed = self._run(capsys, "routes")
+        assert failed["details"]["route"] == "via_tableaux"
+        assert (failed["details"]["n"], failed["details"]["k"]) == (1, 3)
+        assert failed["counterexample"] == "n=1; arcs="
+
+    def test_tableau(self, capsys, monkeypatch):
+        monkeypatch.setattr(tableaux, "tableau_to_diagram", lambda t: None)
+        failed = self._run(capsys, "tableau")
+        assert (failed["details"]["n"], failed["details"]["k"]) == (0, 3)
+        assert failed["counterexample"] == "n=0; arcs="
+
+    def test_walks(self, capsys, monkeypatch):
+        counts = walks.quadrant_walk_counts
+        monkeypatch.setattr(
+            walks, "quadrant_walk_counts", lambda n: (counts(n)[0] + (n == 3), counts(n)[1])
+        )
+        failed = self._run(capsys, "walks")
+        assert (failed["details"]["n"], failed["details"]["k"]) == (3, 3)
+        assert failed["counterexample"]["closed"] == "5"
+
+    def test_series_kernel(self, capsys, monkeypatch):
+        root = walks.kernel_root_series
+
+        def corrupted(order):
+            y = root(order)
+            y.rows[2][0] += 1
+            return y
+
+        monkeypatch.setattr(walks, "kernel_root_series", corrupted)
+        failed = self._run(capsys, "series")
+        assert failed["details"]["check"] == "kernel"
+        # Y gains x^-1 t^4, so K(x, Y; t) gains x * x^-1 t^4
+        assert failed["counterexample"] == {"t": 4, "x": 0, "value": "1"}
+
+    def test_series_symmetry(self, capsys, monkeypatch):
+        monkeypatch.setattr(walks, "kernel_symmetry_holds", lambda: False)
+        failed = self._run(capsys, "series")
+        assert failed["details"]["check"] == "symmetry"
+
+    def test_series_coefficient(self, capsys, monkeypatch):
+        coefficient = walks.root_power_coefficient
+        monkeypatch.setattr(
+            walks, "root_power_coefficient",
+            lambda k, m, n: coefficient(k, m, n) + ((k, m, n) == (2, 1, 4)),
+        )
+        failed = self._run(capsys, "series")
+        details = failed["details"]
+        assert (details["check"], details["power"], details["m"], details["n"]) == (
+            "coefficient", 2, 1, 4,
+        )
+        assert int(failed["counterexample"]["binomial_sum"]) == (
+            int(failed["counterexample"]["series"]) + 1
+        )
 
 
 class TestRho3:
@@ -189,7 +326,7 @@ class TestRho3:
     def test_brute_is_capped(self, capsys):
         status, report = run_json(capsys, "rho3", "--n-max", "10")
         assert status == 0
-        assert max(map(int, report["routes"]["brute"])) == cli._BRUTE_CAP
+        assert max(map(int, report["routes"]["brute"])) == verify._BRUTE_CAP
         assert max(map(int, report["routes"]["closed"])) == 10
 
     def test_kernel_route_matches_closed_form(self, capsys):
@@ -221,6 +358,30 @@ class TestRender:
         status, out = run_text(capsys, "render", "--in", "n=3; arcs=(1,3)(2,2)")
         assert status == 0
         assert out.startswith("<svg") and out.strip().endswith("</svg>")
+
+
+class TestBudgets:
+    @pytest.mark.parametrize("argv", [
+        "rho3 --route brute --n-max 14",
+        "enum --class partitions --n 14",
+        "verify --suite tableau --n-max 14",
+        "count --class partitions --n 14",
+    ])
+    def test_brute_force_over_budget_is_refused(self, capsys, argv):
+        assert cli.run(argv.split()) == 1
+        err = capsys.readouterr().err
+        assert json.loads(err.splitlines()[-1])["error"] == "RangeGuardError"
+
+    @pytest.mark.parametrize("suite", ["all", *sorted(verify.SUITES)])
+    def test_verify_rejects_an_empty_range(self, capsys, suite):
+        assert cli.run(["verify", "--suite", suite, "--n-max", "-3"]) == 1
+        diagnostic = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert diagnostic == {"error": "ValueError", "message": "--n-max must be at least 1"}
+
+    def test_unknown_route_names_the_routes(self, capsys):
+        assert cli.run(["count", "--class", "braids-noiso", "--n", "4", "--route", "x"]) == 1
+        message = json.loads(capsys.readouterr().err.splitlines()[-1])["message"]
+        assert "brute, kernel, closed, recurrence" in message
 
 
 class TestHarness:

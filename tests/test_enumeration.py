@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from noncrossing import verify
 from noncrossing.diagrams import (
     BraidDiagram,
     InvalidDiagramError,
@@ -15,7 +16,6 @@ from noncrossing.enumeration import (
     CountTable,
     RangeGuardError,
     bell_number,
-    count_table,
     gen_2regular_k,
     gen_braids,
     gen_braids_no_isolated,
@@ -150,7 +150,7 @@ class TestBraidStream:
 
 class TestCountTable:
     def test_example(self):
-        assert count_table("B_k_dagger", 3, 1).entries == {1: 1}
+        assert verify.count("B_k_dagger", 3, "brute", [1]) == {1: 1}
 
     def test_matches_golden(self, golden):
         for k in (3, 4):
@@ -160,20 +160,15 @@ class TestCountTable:
                 ("braids", "B_k", 6),
                 ("braids-noiso", "B_k_dagger", 6),
             ):
-                table = count_table(tag, k, n_max)
+                table = verify.count(tag, k, "brute", range(1, n_max + 1))
                 stored = golden["counts"][f"{name}_k{k}"]
-                for n, value in table.entries.items():
+                for n, value in table.items():
                     assert str(value) == stored[str(n)], (name, k, n)
-                assert table.route == "brute"
 
     def test_range_guard(self):
         assert bell_number(13) > BRUTE_FORCE_LIMIT
         with pytest.raises(RangeGuardError):
-            count_table("P_k", 3, 13)
-
-    def test_route_restriction(self):
-        with pytest.raises(ValueError):
-            count_table("P_k", 3, 4, route="closed_form")
+            verify.count("P_k", 3, "brute", range(1, 14))
 
     def test_bad_tags_rejected(self):
         with pytest.raises(ValueError):

@@ -19,3 +19,30 @@ def test_no_bare_asserts():
             if isinstance(node, ast.Assert)
         ]
     assert not found, f"bare asserts in the library: {', '.join(found)}"
+
+
+def _package_imports(path):
+    """The sibling modules a library module imports, relatively or not."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ("noncrossing." * bool(node.level) + (node.module or "")).rstrip(".")
+            if module == "noncrossing":
+                names = [f"noncrossing.{a.name}" for a in node.names]
+            else:
+                names = [module]
+        else:
+            continue
+        found |= {name.split(".")[1] for name in names if name.startswith("noncrossing.")}
+    return found
+
+
+def test_module_layering():
+    # brute force and the formula routes stay independent of each other,
+    # and the checking module stays out of the layers it checks
+    imports = {p.stem: _package_imports(p) for p in _PACKAGE.glob("*.py")}
+    assert imports["enumeration"] == {"diagrams"}
+    assert not imports["walks"] & {"tableaux", "duality", "verify"}
+    assert {name for name, used in imports.items() if "verify" in used} == {"cli"}

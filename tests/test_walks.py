@@ -24,7 +24,6 @@ from noncrossing.walks import (
     rho3_closed_form,
     rho3_kernel_ct,
     rho3_recurrence,
-    rho3_walk_dp,
     root_power_coefficient,
     solve_asymptotics,
 )
@@ -201,11 +200,6 @@ class TestQuadrantWalks:
         for n in range(1, 11):
             a, b = quadrant_walk_counts(n)
             assert a - b == table.entries[n]
-
-    def test_walk_table_route_tag(self):
-        table = rho3_walk_dp(4)
-        assert table.route == "walk_dp"
-        assert table.entries == {1: 1, 2: 2, 3: 5, 4: 15}
 
 
 class TestAsymptotics:
