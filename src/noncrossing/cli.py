@@ -5,7 +5,8 @@ All big integers cross the boundary as decimal strings so arbitrary
 precision survives any consumer.  Reports are JSON on stdout with
 sorted keys (byte-identical for identical invocations, apart from the
 elapsed-time field); diagnostics go to stderr.  Exit codes: 0 success
-or verification passed, 1 usage error, 2 verification failure.
+or verification passed, 1 usage error, refused input or a library
+ArithmeticError, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -130,6 +131,8 @@ def _cmd_map(ns: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_verify(ns: argparse.Namespace) -> tuple[dict, int]:
     _one_to(ns.n_max)
+    if ns.suite in verify.K3_SUITES and ns.k != 3:
+        raise ValueError(f"the {ns.suite} suite checks k = 3 only, not k = {ns.k}")
     names = sorted(verify.SUITES) if ns.suite == "all" else [ns.suite]
     reports = [verify.SUITES[name](ns.k, ns.n_max) for name in names]
     passed = all(r["passed"] for r in reports)
@@ -154,6 +157,7 @@ def _cmd_rho3(ns: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_asympt(ns: argparse.Namespace) -> tuple[dict, int]:
+    verify.require_cap("asympt", ns.n, verify.ASYMPT_CAP)
     estimate = walks.asymptotic_estimate(ns.n)
     payload = {"n": ns.n, "estimate": str(estimate)}
     if ns.n <= 2000:
@@ -192,7 +196,7 @@ def run(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     try:
         payload, status = _HANDLERS[ns.command](ns)
-    except (ValueError, enumeration.RangeGuardError, walks.RecurrenceError) as err:
+    except (ValueError, ArithmeticError, enumeration.RangeGuardError) as err:
         _diag(type(err).__name__, str(err))
         return 1
     for key in _RAW_KEYS:

@@ -1,8 +1,9 @@
 """The counting-route registry, with count() its one way in, and the
 cross-validation suites.  Every class counts by brute force at every k;
-rho3 (B_k_dagger at k = 3) also by three formula routes.  A failed suite
-names its route, n and k and a counterexample: a diagram, or the
-disagreeing values."""
+rho3 (B_k_dagger at k = 3) also by three formula routes.  Every entry
+point has a size cap, refused with RangeGuardError before any work.  A
+failed suite names its route, n and k and a counterexample: a diagram,
+the disagreeing values, or the ArithmeticError a route raised."""
 
 from __future__ import annotations
 
@@ -30,6 +31,29 @@ _FORMULA_ROUTES = {
     },
 }
 
+# The size caps of the entry points that do not enumerate (brute force has
+# enumeration.require_brute_budget).  Each is set where the call takes
+# about ten seconds on a 2-core x86 VM under Python 3.11: a formula
+# route's table over 1..cap, the walks suite at --n-max cap, asympt at
+# --n cap.  The recurrence is cheap in time but holds about 1.5 n^2 bits
+# of table; at 20 000 that is 75 MB, which sets its cap instead.
+
+#: (class, k) -> route -> the largest n it counts
+_FORMULA_CAPS = {("B_k_dagger", 3): {"kernel": 120, "closed": 800, "recurrence": 20_000}}
+#: the largest --n-max of the walks suite
+_WALKS_CAP = 210
+#: the largest --n of asympt
+ASYMPT_CAP = 800_000
+
+#: the suites that check k = 3 only
+K3_SUITES = frozenset({"rho3", "walks", "series"})
+
+
+def require_cap(what: str, n: int, cap: int) -> None:
+    """Refuse n above cap, before any work."""
+    if n > cap:
+        raise enumeration.RangeGuardError(f"{what} is capped at n = {cap}, got {n}")
+
 
 def routes(class_tag: str, k: int) -> tuple[str, ...]:
     """The routes that count class_tag at this k."""
@@ -52,6 +76,7 @@ def count(class_tag: str, k: int, route: str, sizes, jobs: int = 1) -> dict[int,
     if not sizes:
         raise ValueError("no sizes to count")
     if route != "brute":
+        require_cap(f"route {route!r}", max(sizes), _FORMULA_CAPS[class_tag, k][route])
         return _FORMULA_ROUTES[class_tag, k][route](sizes)
     enumeration.require_brute_budget(max(sizes))
     work = [(class_tag, k, n) for n in sizes]
@@ -70,12 +95,13 @@ def _count_one(args: tuple[str, int, int]) -> tuple[int, int]:
 def rho3_tables(n_max: int) -> dict[str, dict[int, int]]:
     """Every rho3 route over 1..n_max, brute force only up to _BRUTE_CAP."""
     return {
-        route: count(
-            "B_k_dagger", 3, route,
-            range(1, (min(n_max, _BRUTE_CAP) if route == "brute" else n_max) + 1),
-        )
+        route: count("B_k_dagger", 3, route, _rho3_sizes(route, n_max))
         for route in routes("B_k_dagger", 3)
     }
+
+
+def _rho3_sizes(route: str, n_max: int) -> range:
+    return range(1, (min(n_max, _BRUTE_CAP) if route == "brute" else n_max) + 1)
 
 
 def check_rho3(tables: dict[str, dict[int, int]]) -> dict:
@@ -174,15 +200,28 @@ def _suite_tableau(k: int, n_max: int) -> dict:
 
 
 def _suite_rho3(k: int, n_max: int) -> dict:
-    """Four-route agreement on the common range."""
-    return check_rho3(rho3_tables(n_max))
+    """Four-route agreement on the common range.  A route that raises
+    ArithmeticError fails the suite at the largest n it was asked for;
+    the error's message says where it broke."""
+    tables = {}
+    for route in routes("B_k_dagger", 3):
+        sizes = _rho3_sizes(route, n_max)
+        try:
+            tables[route] = count("B_k_dagger", 3, route, sizes)
+        except ArithmeticError as err:
+            return _raised("rho3", err, route=route, n=sizes[-1], k=3)
+    return check_rho3(tables)
 
 
 def _suite_walks(k: int, n_max: int) -> dict:
     """Reflection principle: a_n - b_n equals the closed form."""
+    require_cap("the walks suite", n_max, _WALKS_CAP)
     for n in range(0, n_max + 1):
         a, b = walks.quadrant_walk_counts(n)
-        expect = 1 if n == 0 else walks.rho3_closed_form(n)
+        try:
+            expect = 1 if n == 0 else walks.rho3_closed_form(n)
+        except ArithmeticError as err:
+            return _raised("walks", err, route="closed", n=n, k=3)
         if a - b != expect:
             witness = {"a": str(a), "b": str(b), "closed": str(expect)}
             return _failure("walks", "a_n - b_n is not rho3(n)", witness, n=n, k=3)
@@ -192,7 +231,11 @@ def _suite_walks(k: int, n_max: int) -> dict:
 def _suite_series(k: int, n_max: int) -> dict:
     """Kernel identities and the coefficient formula."""
     order = 40
-    y = walks.kernel_root_series(order)
+    try:
+        y = walks.kernel_root_series(order)
+    except ArithmeticError as err:
+        # the root to t^order holds [t^(2n+2)] up to n = order/2 - 1
+        return _raised("series", err, check="kernel", route="kernel", n=order // 2 - 1, k=3)
     residual = walks.kernel_residual(y)
     if not residual.is_zero():
         return _failure("series", "the root is not a kernel root",
@@ -206,7 +249,11 @@ def _suite_series(k: int, n_max: int) -> dict:
         for power in (1, 2, 3):
             for m in range(-5, 6):
                 direct = powers[power].coefficient(2 * n + 2, m)
-                formula = walks.root_power_coefficient(power, m, n)
+                try:
+                    formula = walks.root_power_coefficient(power, m, n)
+                except ArithmeticError as err:
+                    return _raised("series", err, check="coefficient", route="closed",
+                                   power=power, m=m, n=n, k=3)
                 if direct != formula:
                     return _failure(
                         "series", "series coefficient differs from the binomial sum",
@@ -235,6 +282,12 @@ def _failure(name: str, reason: str, counterexample, **where) -> dict:
         "details": {"reason": reason, **where},
         "counterexample": counterexample,
     }
+
+
+def _raised(name: str, err: ArithmeticError, **where) -> dict:
+    """A failed suite for an ArithmeticError that a library route raised."""
+    error = {"error": type(err).__name__, "message": str(err)}
+    return _failure(name, f"the route raised {type(err).__name__}", error, **where)
 
 
 SUITES = {

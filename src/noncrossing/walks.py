@@ -312,10 +312,22 @@ def root_power_coefficient(k: int, m: int, n: int) -> int:
     which follows from Lagrange inversion of the fixed-point relation."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    return _coefficient_from_row(_binomial_row(n + 1, max(k, m)), k, m, n)
+
+
+def _binomial_row(top: int, reach: int) -> list[int]:
+    """comb(top, j) for 0 <= j <= top + reach, zero past top."""
+    return [comb(top, j) for j in range(top + reach + 1)]
+
+
+def _coefficient_from_row(row: list[int], k: int, m: int, n: int) -> int:
+    # row is _binomial_row(n + 1, reach) with reach >= max(k, m), so the
+    # two shifted slices are at least as long as the first and zip drops
+    # nothing
     top = n + 1
+    low = max(0, -m)
     total = sum(
-        comb(top, s) * comb(top, k + s) * comb(top, s + m)
-        for s in range(max(0, -m), top + 1)
+        a * b * c for a, b, c in zip(row[low : top + 1], row[low + k :], row[low + m :])
     )
     value, rem = divmod(k * total, top)
     if rem:
@@ -333,13 +345,18 @@ _CLOSED_FORM_TERMS = (
     (3, 4, -1), (3, 3, 1), (3, 0, 1), (3, 1, -1),
     (2, 5, 1), (2, 4, -1), (2, 1, -1), (2, 2, 1),
 )
+_CLOSED_FORM_REACH = max(max(k, m) for k, m, _ in _CLOSED_FORM_TERMS)
 
 
 def rho3_closed_form(n: int) -> int:
-    """rho3(n) as the twelve-term signed sum of root_power_coefficient."""
+    """rho3(n) as the twelve-term signed sum of root_power_coefficient,
+    every term read from one row of binomials C(n+1, j)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return sum(sign * root_power_coefficient(k, m, n) for k, m, sign in _CLOSED_FORM_TERMS)
+    row = _binomial_row(n + 1, _CLOSED_FORM_REACH)
+    return sum(
+        sign * _coefficient_from_row(row, k, m, n) for k, m, sign in _CLOSED_FORM_TERMS
+    )
 
 
 def recurrence_weights(n: int) -> tuple[int, int, int, int]:
@@ -381,27 +398,37 @@ def rho3_recurrence(n_max: int, seeds: tuple[int, int, int] | None = None) -> Co
 
 # -- quadrant walks -------------------------------------------------------------------
 
-_MOVES = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
-
-
 def quadrant_walk_counts(n: int) -> tuple[int, int]:
     """(a_n, b_n): n-compound-step walks from (1,0) staying in the first
     quadrant, ending at (1,0) and at (0,1).  The six unit moves are
     barred from leaving the quadrant; the two stay steps are always
-    legal and distinct, hence the weight 2."""
+    legal and distinct, hence the weight 2.
+
+    The counts are kept as dense rows, one per anti-diagonal d = x + y,
+    entry x of row d counting the walks now at (x, d - x).  A step moves
+    d by at most one, so with h_d = (1 + X) * row_d the step reads
+
+        new row_d[j] = h_(d-1)[j] + h_d[j] + h_d[j+1] + h_(d+1)[j+1]
+
+    (E and N from d - 1; stay, stay, (1,-1) and (-1,1) within d; W and
+    S from d + 1, the zero padding of h being the quadrant's walls).
+    After step t only the diagonals d <= 1 + min(t, n - t) are kept:
+    the others cannot get back to d = 1 in the steps left.
+    """
     if n < 0:
         raise ValueError("n must be >= 0")
-    grid: dict[tuple[int, int], int] = {(1, 0): 1}
-    for _ in range(n):
-        nxt: dict[tuple[int, int], int] = {}
-        for (x, y), ways in grid.items():
-            nxt[(x, y)] = nxt.get((x, y), 0) + 2 * ways
-            for dx, dy in _MOVES:
-                p, q = x + dx, y + dy
-                if p >= 0 and q >= 0:
-                    nxt[(p, q)] = nxt.get((p, q), 0) + ways
-        grid = nxt
-    return grid.get((1, 0), 0), grid.get((0, 1), 0)
+    rows = [[0], [0, 1]]
+    for t in range(1, n + 1):
+        # h[d + 1] = h_d, h[0] = h_(-1); two zero rows stand for the
+        # diagonals not yet reached, and zip stops at h[d], of length d + 1
+        h = [[0]] + [[a + b for a, b in zip([0] + row, row + [0])] for row in rows]
+        zero = [0] * (len(rows) + 3)
+        h += [zero, zero]
+        rows = [
+            [a + b + c + e for a, b, c, e in zip(h[d], h[d + 1], h[d + 1][1:], h[d + 2][1:])]
+            for d in range(2 + min(t, n - t))
+        ]
+    return rows[1][1], rows[1][0]
 
 
 # -- asymptotics -----------------------------------------------------------------------

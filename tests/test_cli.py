@@ -384,6 +384,105 @@ class TestBudgets:
         assert "brute, kernel, closed, recurrence" in message
 
 
+def _corrupt_kernel_root(monkeypatch):
+    # multiplies by 1 + 2x where the fixed-point relation has 1 + x, so
+    # the kernel root's own check raises ArithmeticError
+    monkeypatch.setattr(
+        walks, "_one_plus_x_times",
+        lambda row: [a + 2 * b for a, b in zip(row + [0], [0] + row)],
+    )
+
+
+class TestLibraryArithmeticErrors:
+    def test_cli_exits_1_with_a_diagnostic(self, capsys, monkeypatch):
+        _corrupt_kernel_root(monkeypatch)
+        argv = ["count", "--class", "braids-noiso", "--n", "5", "--route", "kernel"]
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err.splitlines()[-1]) == {
+            "error": "ArithmeticError",
+            "message": "kernel root is not a fixed point at order 12",
+        }
+
+    def _failed(self, capsys, suite):
+        status, report = run_json(capsys, "verify", "--suite", suite, "--n-max", "5")
+        assert status == 2 and report["passed"] is False
+        [failed] = report["suites"]
+        assert failed["passed"] is False
+        assert failed["counterexample"]["error"] == "ArithmeticError"
+        return failed
+
+    def test_series_suite(self, capsys, monkeypatch):
+        _corrupt_kernel_root(monkeypatch)
+        failed = self._failed(capsys, "series")
+        assert failed["details"]["route"] == "kernel" and failed["details"]["k"] == 3
+        assert (failed["details"]["check"], failed["details"]["n"]) == ("kernel", 19)
+        assert failed["counterexample"]["message"] == (
+            "kernel root is not a fixed point at order 40"
+        )
+
+    def test_rho3_suite(self, capsys, monkeypatch):
+        _corrupt_kernel_root(monkeypatch)
+        failed = self._failed(capsys, "rho3")
+        assert (failed["details"]["route"], failed["details"]["n"]) == ("kernel", 5)
+        assert "order 12" in failed["counterexample"]["message"]
+
+    def test_walks_suite(self, capsys, monkeypatch):
+        # every binomial read as 1: the closed form is not integral at n = 1
+        monkeypatch.setattr(walks, "comb", lambda top, s: 1)
+        failed = self._failed(capsys, "walks")
+        assert (failed["details"]["route"], failed["details"]["n"]) == ("closed", 1)
+        assert "not integral" in failed["counterexample"]["message"]
+
+
+@pytest.mark.parametrize("suite", sorted(verify.K3_SUITES))
+def test_k3_suite_refuses_another_k(capsys, suite):
+    assert cli.run(["verify", "--suite", suite, "--k", "7", "--n-max", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.splitlines()[-1]) == {
+        "error": "ValueError",
+        "message": f"the {suite} suite checks k = 3 only, not k = 7",
+    }
+
+
+def _unreachable(*args):
+    raise AssertionError("work started before the cap was checked")
+
+
+class TestFormulaCaps:
+    @pytest.mark.parametrize("route", ["kernel", "closed", "recurrence"])
+    def test_route_over_its_cap_is_refused(self, capsys, monkeypatch, route):
+        cap = verify._FORMULA_CAPS["B_k_dagger", 3][route]
+        monkeypatch.setitem(verify._FORMULA_ROUTES["B_k_dagger", 3], route, _unreachable)
+        for argv in (
+            f"count --class braids-noiso --n {cap + 1} --route {route}",
+            f"rho3 --n-max {cap + 1} --route {route}",
+        ):
+            assert cli.run(argv.split()) == 1
+            message = json.loads(capsys.readouterr().err.splitlines()[-1])
+            assert message == {
+                "error": "RangeGuardError",
+                "message": f"route {route!r} is capped at n = {cap}, got {cap + 1}",
+            }
+
+    def test_walks_suite_over_its_cap_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(walks, "quadrant_walk_counts", _unreachable)
+        argv = ["verify", "--suite", "walks", "--n-max", str(verify._WALKS_CAP + 1)]
+        assert cli.run(argv) == 1
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "RangeGuardError"
+
+    def test_asympt_over_its_cap_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(walks, "asymptotic_estimate", _unreachable)
+        assert cli.run(["asympt", "--n", str(verify.ASYMPT_CAP + 1)]) == 1
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "RangeGuardError"
+
+    def test_recurrence_reaches_10000(self):
+        [value] = verify.count("B_k_dagger", 3, "recurrence", [10_000]).values()
+        assert value.bit_length() > 29_000
+
+
 class TestHarness:
     def test_usage_error_exit_1(self, capsys):
         assert cli.run(["count", "--class", "bogus"]) == 1

@@ -360,3 +360,50 @@ def _saddle_point_alphas(order):
         sum(c * moment(a, b) for (a, b), c in series.items())
         for series in mul(p, exp_h)
     ]
+
+
+def _dict_walk_counts(n):
+    """The quadrant walk count as a dict from (x, y) to walks, advanced
+    one compound step at a time: the reference for the dense rows."""
+    moves = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
+    grid = {(1, 0): 1}
+    for _ in range(n):
+        nxt = {}
+        for (x, y), ways in grid.items():
+            nxt[(x, y)] = nxt.get((x, y), 0) + 2 * ways
+            for dx, dy in moves:
+                p, q = x + dx, y + dy
+                if p >= 0 and q >= 0:
+                    nxt[(p, q)] = nxt.get((p, q), 0) + ways
+        grid = nxt
+    return grid.get((1, 0), 0), grid.get((0, 1), 0)
+
+
+class TestDenseRoutes:
+    def test_diagonal_rows_match_the_dict_walk(self):
+        for n in range(0, 41):
+            assert quadrant_walk_counts(n) == _dict_walk_counts(n), n
+
+    def test_reflection_difference_to_120(self):
+        table = rho3_recurrence(120).entries
+        for n in range(1, 121):
+            a, b = quadrant_walk_counts(n)
+            assert a - b == table[n], n
+
+    def test_closed_form_to_400(self):
+        table = rho3_recurrence(400).entries
+        for n in range(1, 401):
+            assert rho3_closed_form(n) == table[n], n
+
+    def test_coefficient_row_reaches_every_shift(self):
+        # the shared binomial row must be wide enough for any k and m,
+        # including shifts past n + 1 where every binomial vanishes
+        for n in range(0, 8):
+            top = n + 1
+            for k in (1, 2, 5):
+                for m in range(-top - 2, top + 8):
+                    total = sum(
+                        comb(top, s) * comb(top, k + s) * comb(top, s + m)
+                        for s in range(max(0, -m), top + 1)
+                    )
+                    assert root_power_coefficient(k, m, n) * top == k * total, (k, m, n)
