@@ -2,9 +2,13 @@
 verification, the rho3 routes, asymptotics, and SVG rendering.
 
 All big integers cross the boundary as decimal strings so arbitrary
-precision survives any consumer.  Reports are JSON on stdout with
-sorted keys (byte-identical for identical invocations, apart from the
-elapsed-time field); diagnostics go to stderr.  Exit codes: 0 success
+precision survives any consumer.  They come from verify.count_text,
+which computes the recurrence table in decimal radix, so that printing
+it costs time linear in its digits; a count of more than
+sys.get_int_max_str_digits() digits is still refused with exit 1, as
+str() of an int refuses it.  Reports are JSON on stdout with sorted keys
+(byte-identical for identical invocations, apart from the elapsed-time
+field); diagnostics go to stderr.  Exit codes: 0 success
 or verification passed, 1 usage error, refused input or a library
 ArithmeticError, 2 verification failure.
 """
@@ -92,20 +96,20 @@ def _one_to(n_max: int) -> range:
     return range(1, n_max + 1)
 
 
-def _decimal(table: dict[int, int]) -> dict[str, str]:
-    return {str(n): str(v) for n, v in table.items()}
+def _by_size(table: dict[int, str]) -> dict[str, str]:
+    return {str(n): v for n, v in table.items()}
 
 
 def _cmd_count(ns: argparse.Namespace) -> tuple[dict, int]:
     sizes = [ns.n] if ns.n is not None else _one_to(ns.n_max)
-    counts = verify.count(_CLASS_TAGS[ns.class_name], ns.k, ns.route, sizes, ns.jobs)
+    counts = verify.count_text(_CLASS_TAGS[ns.class_name], ns.k, ns.route, sizes, ns.jobs)
     if ns.format == "csv":
         lines = ["class,k,route,n,count"]
         lines += [
             f"{ns.class_name},{ns.k},{ns.route},{n},{counts[n]}" for n in sorted(counts)
         ]
         return {"csv": "\n".join(lines)}, 0
-    return {"class": ns.class_name, "k": ns.k, "route": ns.route, "counts": _decimal(counts)}, 0
+    return {"class": ns.class_name, "k": ns.k, "route": ns.route, "counts": _by_size(counts)}, 0
 
 
 def _cmd_enum(ns: argparse.Namespace) -> tuple[dict, int]:
@@ -146,14 +150,14 @@ def _cmd_rho3(ns: argparse.Namespace) -> tuple[dict, int]:
     if ns.route == "all":
         tables = verify.rho3_tables(ns.n_max)
         agreement = verify.check_rho3(tables)["passed"]
-        routes = {name: _decimal(table) for name, table in tables.items()}
+        routes = {name: _by_size(table) for name, table in tables.items()}
         return {"k": 3, "routes": routes, "agreement": agreement}, 0 if agreement else 2
-    table = verify.count("B_k_dagger", 3, ns.route, sizes)
+    table = verify.count_text("B_k_dagger", 3, ns.route, sizes)
     if ns.format == "csv":
         lines = ["route,n,value"]
         lines += [f"{ns.route},{n},{table[n]}" for n in sorted(table)]
         return {"csv": "\n".join(lines)}, 0
-    return {"k": 3, "route": ns.route, "counts": _decimal(table)}, 0
+    return {"k": 3, "route": ns.route, "counts": _by_size(table)}, 0
 
 
 def _cmd_asympt(ns: argparse.Namespace) -> tuple[dict, int]:
@@ -161,9 +165,9 @@ def _cmd_asympt(ns: argparse.Namespace) -> tuple[dict, int]:
     estimate = walks.asymptotic_estimate(ns.n)
     payload = {"n": ns.n, "estimate": str(estimate)}
     if ns.n <= 2000:
-        exact = walks.rho3_recurrence(ns.n).entries[ns.n]
+        [exact] = verify.count_text("B_k_dagger", 3, "recurrence", [ns.n]).values()
         rel = abs(estimate / Decimal(exact) - 1)
-        payload["exact"] = str(exact)
+        payload["exact"] = exact
         payload["relative_error"] = str(rel)
     return payload, 0
 

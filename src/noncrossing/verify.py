@@ -8,7 +8,9 @@ the disagreeing values, or the ArithmeticError a route raised."""
 from __future__ import annotations
 
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from decimal import Decimal
 from itertools import chain
 
 from . import diagrams, duality, enumeration, tableaux, walks
@@ -17,8 +19,11 @@ from . import diagrams, duality, enumeration, tableaux, walks
 _BRUTE_CAP = 8
 
 
-def _recurrence_route(sizes: list[int]) -> dict[int, int]:
-    entries = walks.rho3_recurrence(max(sizes)).entries
+def _recurrence_route(sizes: list[int], number: type = int) -> dict:
+    """One recurrence table over 1..max(sizes), carried in int or, with
+    number=Decimal, in decimal radix."""
+    seeds = tuple(number(walks.rho3_closed_form(n)) for n in (1, 2, 3))
+    entries = walks.rho3_recurrence(max(sizes), seeds).entries
     return {n: entries[n] for n in sizes}
 
 
@@ -34,9 +39,14 @@ _FORMULA_ROUTES = {
 # The size caps of the entry points that do not enumerate (brute force has
 # enumeration.require_brute_budget).  Each is set where the call takes
 # about ten seconds on a 2-core x86 VM under Python 3.11: a formula
-# route's table over 1..cap, the walks suite at --n-max cap, asympt at
-# --n cap.  The recurrence is cheap in time but holds about 1.5 n^2 bits
-# of table; at 20 000 that is 75 MB, which sets its cap instead.
+# route's table over 1..cap, the walks suite at --n-max cap.  The
+# recurrence is cheap in time but holds about 1.5 n^2 bits of table; at
+# 20 000 that is 75 MB, which sets its cap instead.  asympt takes about
+# 0.05 s at --n cap; the cap stays so that every entry point has one.
+
+#: (class, k) -> the formula routes that also run in decimal radix, called
+#: by count_text with number=Decimal
+_DECIMAL_RADIX = {("B_k_dagger", 3): {"recurrence"}}
 
 #: (class, k) -> route -> the largest n it counts
 _FORMULA_CAPS = {("B_k_dagger", 3): {"kernel": 120, "closed": 800, "recurrence": 20_000}}
@@ -64,6 +74,38 @@ def count(class_tag: str, k: int, route: str, sizes, jobs: int = 1) -> dict[int,
     """{n: count} for each n in sizes by the named route.  Brute force is
     refused up front over budget, and jobs > 1 shards it over at most one
     worker process per size and per CPU; the formula routes ignore jobs."""
+    sizes = _admit(class_tag, k, route, sizes)
+    if route != "brute":
+        return _FORMULA_ROUTES[class_tag, k][route](sizes)
+    enumeration.require_brute_budget(max(sizes))
+    work = [(class_tag, k, n) for n in sizes]
+    workers = min(jobs, len(work), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return dict(pool.map(_count_one, work))
+    return dict(map(_count_one, work))
+
+
+def count_text(class_tag: str, k: int, route: str, sizes, jobs: int = 1) -> dict[int, str]:
+    """count(), with every value a decimal string.  A route in
+    _DECIMAL_RADIX computes in decimal radix, so that its strings cost
+    time linear in their digits; the others are converted with str().
+    Either way a value of more than sys.get_int_max_str_digits() digits
+    is refused with the ValueError that str() of an int raises."""
+    if route not in _DECIMAL_RADIX.get((class_tag, k), ()):
+        return {n: str(v) for n, v in count(class_tag, k, route, sizes, jobs).items()}
+    values = _FORMULA_ROUTES[class_tag, k][route](_admit(class_tag, k, route, sizes), Decimal)
+    limit = sys.get_int_max_str_digits()
+    if limit and any(v.adjusted() >= limit for v in values.values()):
+        raise ValueError(
+            f"Exceeds the limit ({limit} digits) for integer string conversion;"
+            " use sys.set_int_max_str_digits() to increase the limit"
+        )
+    return {n: str(v) for n, v in values.items()}
+
+
+def _admit(class_tag: str, k: int, route: str, sizes) -> list[int]:
+    """The sizes as a list, once the class, route and size cap admit them."""
     if class_tag not in enumeration.GENERATORS:
         raise ValueError(f"unknown class tag {class_tag!r}")
     available = routes(class_tag, k)
@@ -77,14 +119,7 @@ def count(class_tag: str, k: int, route: str, sizes, jobs: int = 1) -> dict[int,
         raise ValueError("no sizes to count")
     if route != "brute":
         require_cap(f"route {route!r}", max(sizes), _FORMULA_CAPS[class_tag, k][route])
-        return _FORMULA_ROUTES[class_tag, k][route](sizes)
-    enumeration.require_brute_budget(max(sizes))
-    work = [(class_tag, k, n) for n in sizes]
-    workers = min(jobs, len(work), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return dict(pool.map(_count_one, work))
-    return dict(map(_count_one, work))
+    return sizes
 
 
 def _count_one(args: tuple[str, int, int]) -> tuple[int, int]:
@@ -92,10 +127,11 @@ def _count_one(args: tuple[str, int, int]) -> tuple[int, int]:
     return n, enumeration.count_class(class_tag, k, n)
 
 
-def rho3_tables(n_max: int) -> dict[str, dict[int, int]]:
-    """Every rho3 route over 1..n_max, brute force only up to _BRUTE_CAP."""
+def rho3_tables(n_max: int) -> dict[str, dict[int, str]]:
+    """Every rho3 route over 1..n_max as decimal strings (count_text),
+    brute force only up to _BRUTE_CAP."""
     return {
-        route: count("B_k_dagger", 3, route, _rho3_sizes(route, n_max))
+        route: count_text("B_k_dagger", 3, route, _rho3_sizes(route, n_max))
         for route in routes("B_k_dagger", 3)
     }
 
@@ -104,8 +140,9 @@ def _rho3_sizes(route: str, n_max: int) -> range:
     return range(1, (min(n_max, _BRUTE_CAP) if route == "brute" else n_max) + 1)
 
 
-def check_rho3(tables: dict[str, dict[int, int]]) -> dict:
-    """The rho3 suite's report: every route agrees with the closed form."""
+def check_rho3(tables: dict[str, dict]) -> dict:
+    """The rho3 suite's report: every route agrees with the closed form.
+    The tables hold ints, or all of them decimal strings."""
     reference = tables["closed"]
     for route, table in tables.items():
         for n, value in table.items():

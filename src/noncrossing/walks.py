@@ -22,9 +22,12 @@ van der Hoeven).  Constant-term extraction of a fixed x-Laurent
 combination of Y0, Y0^2, Y0^3 yields rho3, as does a twelve-term
 signed sum of coefficients of Y0^k (binomial sums, by Lagrange
 inversion) and a four-term P-recurrence whose divisions must
-come out exact.  The recurrence's formal series solution gives the
-asymptotic law rho3(n) ~ K * 8^n * n^-7 * (1 + c1/n + c2/n^2 + c3/n^3)
-with rational c's solved exactly from the quoted linear equations.  The
+come out exact.  Given Decimal seeds the recurrence runs in decimal
+radix under an exact context, so that its table prints in time linear
+in its digits (str() of a long int is quadratic, and refuses more than
+4300 digits by default; a caller that prints keeps that refusal).  The
+recurrence's formal series solution gives the asymptotic law
+rho3(n) ~ K * 8^n * n^-7 * (1 + c1/n + c2/n^2 + c3/n^3) with rational c's solved exactly from the quoted linear equations.  The
 leading constant is K = 327680*sqrt(3)/(27*pi) (EXACT_K), from a
 saddle-point expansion of the twelve-term sum; the published value
 6686.408973 (REFERENCE_K) is low by a relative 7.0e-4 and is kept only
@@ -34,7 +37,18 @@ as an erratum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    Decimal,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    localcontext,
+)
 from fractions import Fraction
 from math import comb, gcd
 
@@ -368,13 +382,26 @@ def recurrence_weights(n: int) -> tuple[int, int, int, int]:
     return a1, a2, a3, a4
 
 
-def rho3_recurrence(n_max: int, seeds: tuple[int, int, int] | None = None) -> CountTable:
+#: Exact decimal arithmetic: integers of any length are represented
+#: exactly, and a rounded or invalid result raises instead.
+_EXACT = Context(
+    prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+    traps=[Inexact, InvalidOperation, DivisionByZero, Overflow],
+)
+
+
+def rho3_recurrence(
+    n_max: int, seeds: tuple[int, int, int] | tuple[Decimal, Decimal, Decimal] | None = None
+) -> CountTable:
     """Dense rho3 table for 1 <= n <= n_max via
     a4(n) rho3(n+3) = a1(n) rho3(n) + a2(n) rho3(n+1) + a3(n) rho3(n+2).
 
     Seeds default to the closed form at n = 1, 2, 3 and are checked
-    against it when supplied.  Every division must be exact; a remainder
-    would falsify the recurrence and raises RecurrenceError.
+    against it when supplied.  The entries take the seeds' type: int,
+    or Decimal, in which case the loop runs in decimal radix under an
+    exact context and str() of an entry costs time linear in its digits
+    (str() of a long int is quadratic).  Every division must be exact; a
+    remainder would falsify the recurrence and raises RecurrenceError.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -384,15 +411,17 @@ def rho3_recurrence(n_max: int, seeds: tuple[int, int, int] | None = None) -> Co
     elif tuple(seeds) != expected:
         raise ValueError(f"seeds {seeds} disagree with the closed form {expected}")
     entries = {n: seeds[n - 1] for n in range(1, min(3, n_max) + 1)}
-    for n in range(1, n_max - 2):
-        a1, a2, a3, a4 = recurrence_weights(n)
-        numerator = a1 * entries[n] + a2 * entries[n + 1] + a3 * entries[n + 2]
-        value, rem = divmod(numerator, a4)
-        if rem:
-            raise RecurrenceError(
-                f"non-exact division at n={n}: {numerator} % {a4} = {rem}"
-            )
-        entries[n + 3] = value
+    with localcontext(_EXACT):
+        for n in range(1, n_max - 2):
+            a1, a2, a3, a4 = recurrence_weights(n)
+            numerator = a1 * entries[n] + a2 * entries[n + 1] + a3 * entries[n + 2]
+            value, rem = divmod(numerator, a4)
+            if rem:
+                # the numerator itself may be too long to print
+                raise RecurrenceError(
+                    f"non-exact division at n={n}: remainder {rem} modulo {a4}"
+                )
+            entries[n + 3] = value
     return CountTable("B_k_dagger", 3, "recurrence", entries)
 
 
@@ -516,19 +545,26 @@ def asymptotic_estimate(
     leading_constant: Decimal | None = None,
 ) -> Decimal:
     """K * base^n * n^exponent * (1 + c1/n + c2/n^2 + c3/n^3) at 60-digit
-    precision; base^n is exact."""
+    precision.
+
+    The factor after K is the reduced fraction a * base^n / g over b / g,
+    where a/b = correction * n^exponent and g = gcd(base^n, b).  Its
+    numerator is formed exactly in decimal radix, so no long binary
+    integer is converted to decimal, and K times it is then rounded once
+    to 60 digits and divided by b / g.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     params = params or solve_asymptotics()
     K = leading_constant if leading_constant is not None else params.leading_constant
-    corr = _correction(params, n)
-    power = Fraction(params.base) ** n * Fraction(n) ** params.exponent
-    value = corr * power
+    scale = _correction(params, n) * Fraction(n) ** params.exponent
+    a, b = scale.numerator, scale.denominator
+    g = gcd(pow(params.base, n, b), b)
+    with localcontext(_EXACT):
+        numerator = Decimal(a) * Decimal(params.base) ** n / g
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_DIGITS
-        return (
-            K * Decimal(value.numerator) / Decimal(value.denominator)
-        )
+        return K * numerator / Decimal(b // g)
 
 
 def fit_leading_constant(n_probe: int, table: CountTable | None = None) -> Decimal:

@@ -1,6 +1,7 @@
 """Command-line interface: payloads, formats, exit codes, determinism."""
 
 import json
+import sys
 from itertools import islice
 from pathlib import Path
 
@@ -481,6 +482,94 @@ class TestFormulaCaps:
     def test_recurrence_reaches_10000(self):
         [value] = verify.count("B_k_dagger", 3, "recurrence", [10_000]).values()
         assert value.bit_length() > 29_000
+
+
+class TestDecimalTables:
+    """The recurrence tables are printed from decimal radix (count_text)."""
+
+    TABLE = {n: str(v) for n, v in walks.rho3_recurrence(1000).entries.items()}
+
+    def test_rho3_json_and_csv(self, capsys):
+        argv = ["rho3", "--route", "recurrence", "--n-max", "1000"]
+        status, report = run_json(capsys, *argv)
+        assert status == 0
+        assert report["counts"] == {str(n): v for n, v in self.TABLE.items()}
+        status, out = run_text(capsys, *argv, "--format", "csv")
+        assert status == 0
+        assert out.splitlines() == ["route,n,value"] + [
+            f"recurrence,{n},{v}" for n, v in self.TABLE.items()
+        ]
+
+    def test_count_json_and_csv(self, capsys):
+        argv = ["count", "--class", "braids-noiso", "--n-max", "1000", "--route", "recurrence"]
+        status, report = run_json(capsys, *argv)
+        assert status == 0
+        assert report["counts"] == {str(n): v for n, v in self.TABLE.items()}
+        status, out = run_text(capsys, *argv, "--format", "csv")
+        assert status == 0
+        assert out.splitlines() == ["class,k,route,n,count"] + [
+            f"braids-noiso,3,recurrence,{n},{v}" for n, v in self.TABLE.items()
+        ]
+
+    def test_count_text_keeps_count_returning_ints(self):
+        texts = verify.count_text("B_k_dagger", 3, "recurrence", [10, 1000])
+        values = verify.count("B_k_dagger", 3, "recurrence", [10, 1000])
+        assert all(type(v) is int for v in values.values())
+        assert texts == {n: str(v) for n, v in values.items()} == {
+            n: self.TABLE[n] for n in (10, 1000)
+        }
+
+    @pytest.mark.parametrize("command", ["rho3", "count"])
+    def test_exactness_guard_fires_through_the_decimal_path(self, capsys, monkeypatch, command):
+        weights = walks.recurrence_weights
+        broken = lambda n: (1, 1, 1, weights(n)[3])
+        monkeypatch.setattr(walks, "recurrence_weights", broken)
+        argv = {
+            "rho3": "rho3 --route recurrence --n-max 10",
+            "count": "count --class braids-noiso --n 10 --route recurrence",
+        }[command]
+        assert cli.run(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        diagnostic = json.loads(captured.err.splitlines()[-1])
+        assert diagnostic["error"] == "RecurrenceError"
+        assert diagnostic["message"].startswith("non-exact division at n=1: remainder ")
+
+    def test_the_4300_digit_refusal_is_pinned(self, capsys):
+        # str() of an int refuses more than sys.get_int_max_str_digits()
+        # digits (4300 by default), and the decimal tables refuse the same
+        # counts with the same diagnostic.  rho3(4785) has 4300 digits.
+        # Pinned until the benchmark can hold the longer report.
+        status, report = run_json(capsys, "rho3", "--route", "recurrence", "--n-max", "4785")
+        assert status == 0 and len(report["counts"]["4785"]) == 4300
+        with pytest.raises(ValueError) as caught:
+            str(10**4300)
+        for argv in (
+            "rho3 --route recurrence --n-max 4786",
+            "rho3 --route recurrence --n-max 4786 --format csv",
+            "count --class braids-noiso --n 4786 --route recurrence",
+        ):
+            assert cli.run(argv.split()) == 1, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert json.loads(captured.err.splitlines()[-1]) == {
+                "error": "ValueError",
+                "message": str(caught.value),
+            }
+
+    def test_the_refusal_follows_the_interpreter_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(1000)
+        try:
+            with pytest.raises(ValueError) as caught:
+                str(10**1000)
+            ok = cli.run(["rho3", "--route", "recurrence", "--n-max", "1100"])
+            refused = cli.run(["rho3", "--route", "recurrence", "--n-max", "1200"])
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert (ok, refused) == (0, 1)
+        err = capsys.readouterr().err
+        assert json.loads(err.splitlines()[-1])["message"] == str(caught.value)
 
 
 class TestHarness:

@@ -1,6 +1,10 @@
 """Checks on the library source itself."""
 
 import ast
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import noncrossing
@@ -46,3 +50,23 @@ def test_module_layering():
     assert imports["enumeration"] == {"diagrams"}
     assert not imports["walks"] & {"tableaux", "duality", "verify"}
     assert {name for name, used in imports.items() if "verify" in used} == {"cli"}
+
+
+def test_integrity_checks_fire_under_python_O():
+    # the guard tests (-k guard) corrupt a route and expect its own check
+    # to raise; under -O, which strips assert statements, they must pass
+    tests = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(_PACKAGE.parent), env.get("PYTHONPATH")])
+    )
+    stripped = subprocess.run([sys.executable, "-O", "-c", "assert False"], env=env)
+    assert stripped.returncode == 0, "python -O did not strip an assert"
+    run = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-k", "guard", str(tests)],
+        capture_output=True, text=True, env=env, cwd=tests.parent,
+    )
+    assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
+    passed = re.search(r"(\d+) passed", run.stdout)
+    assert passed and int(passed.group(1)) >= 10, run.stdout[-2000:]

@@ -189,6 +189,35 @@ class TestRecurrence:
         with pytest.raises(RecurrenceError):
             walks_module.rho3_recurrence(10)
 
+    def test_decimal_seeds_carry_the_table_in_decimal_radix(self):
+        ints = rho3_recurrence(300).entries
+        decimals = rho3_recurrence(300, tuple(map(Decimal, (1, 2, 5)))).entries
+        assert all(type(v) is Decimal for v in decimals.values())
+        assert decimals == ints
+        assert [str(v) for v in decimals.values()] == [str(v) for v in ints.values()]
+
+    @pytest.mark.parametrize("number", [int, Decimal])
+    def test_exactness_guard_names_n_divisor_and_remainder(self, monkeypatch, number):
+        import noncrossing.walks as walks_module
+
+        # past n = 4783 the numerator has more than 4300 digits, more than
+        # str() of an int prints; the message must not need it
+        def broken(n):
+            a1, a2, a3, a4 = recurrence_weights(n)
+            return (a1 + (n >= 4785), a2, a3, a4)
+
+        table = rho3_recurrence(4787).entries
+        a1, a2, a3, a4 = broken(4785)
+        rem = (a1 * table[4785] + a2 * table[4786] + a3 * table[4787]) % a4
+        assert rem
+        monkeypatch.setattr(walks_module, "recurrence_weights", broken)
+        seeds = tuple(map(number, (1, 2, 5)))
+        with pytest.raises(RecurrenceError) as caught:
+            walks_module.rho3_recurrence(4800, seeds)
+        assert str(caught.value) == (
+            f"non-exact division at n=4785: remainder {rem} modulo {a4}"
+        )
+
 
 class TestQuadrantWalks:
     def test_base_cases(self):
