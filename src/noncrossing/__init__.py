@@ -38,7 +38,6 @@ from .duality import (
     expand_braid_no_isolated,
 )
 from .enumeration import (
-    CountTable,
     RangeGuardError,
     bell_number,
     gen_2regular_k,

@@ -100,15 +100,16 @@ def _by_size(table: dict[int, str]) -> dict[str, str]:
     return {str(n): v for n, v in table.items()}
 
 
+def _csv(header: str, prefix: str, table: dict[int, str]) -> tuple[dict, int]:
+    lines = [header] + [f"{prefix},{n},{table[n]}" for n in sorted(table)]
+    return {"csv": "\n".join(lines)}, 0
+
+
 def _cmd_count(ns: argparse.Namespace) -> tuple[dict, int]:
     sizes = [ns.n] if ns.n is not None else _one_to(ns.n_max)
     counts = verify.count_text(_CLASS_TAGS[ns.class_name], ns.k, ns.route, sizes, ns.jobs)
     if ns.format == "csv":
-        lines = ["class,k,route,n,count"]
-        lines += [
-            f"{ns.class_name},{ns.k},{ns.route},{n},{counts[n]}" for n in sorted(counts)
-        ]
-        return {"csv": "\n".join(lines)}, 0
+        return _csv("class,k,route,n,count", f"{ns.class_name},{ns.k},{ns.route}", counts)
     return {"class": ns.class_name, "k": ns.k, "route": ns.route, "counts": _by_size(counts)}, 0
 
 
@@ -123,6 +124,7 @@ def _cmd_enum(ns: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_map(ns: argparse.Namespace) -> tuple[dict, int]:
     n, arcs = diagrams.parse_diagram(ns.text)
+    verify.require_cap("a diagram", n, verify.DIAGRAM_CAP)
     if ns.inverse:
         out = duality.expand_braid(diagrams.BraidDiagram(n, arcs))
     else:
@@ -154,9 +156,7 @@ def _cmd_rho3(ns: argparse.Namespace) -> tuple[dict, int]:
         return {"k": 3, "routes": routes, "agreement": agreement}, 0 if agreement else 2
     table = verify.count_text("B_k_dagger", 3, ns.route, sizes)
     if ns.format == "csv":
-        lines = ["route,n,value"]
-        lines += [f"{ns.route},{n},{table[n]}" for n in sorted(table)]
-        return {"csv": "\n".join(lines)}, 0
+        return _csv("route,n,value", ns.route, table)
     return {"k": 3, "route": ns.route, "counts": _by_size(table)}, 0
 
 
@@ -174,6 +174,7 @@ def _cmd_asympt(ns: argparse.Namespace) -> tuple[dict, int]:
 
 def _cmd_render(ns: argparse.Namespace) -> tuple[dict, int]:
     n, arcs = diagrams.parse_diagram(ns.text)
+    verify.require_cap("a diagram", n, verify.DIAGRAM_CAP)
     return {"svg": diagrams.diagram_svg(diagrams.ArcDiagram(n, arcs))}, 0
 
 

@@ -14,7 +14,6 @@ against; they are deliberately simple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -32,22 +31,6 @@ BRUTE_FORCE_LIMIT = 10_000_000
 
 class RangeGuardError(RuntimeError):
     """Brute-force range would exceed the configuration budget."""
-
-
-@dataclass(frozen=True)
-class CountTable:
-    """Dense table n -> count with provenance of the producing route."""
-
-    class_tag: str
-    k: int
-    route: str
-    entries: dict[int, int]
-
-    def __post_init__(self) -> None:
-        if self.class_tag not in GENERATORS:
-            raise ValueError(f"unknown class tag {self.class_tag!r}")
-        if any(v < 0 for v in self.entries.values()):
-            raise ValueError("counts must be nonnegative")
 
 
 @lru_cache(maxsize=None)

@@ -12,6 +12,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal
 from itertools import chain
+from typing import Callable, NamedTuple
 
 from . import diagrams, duality, enumeration, tableaux, walks
 
@@ -23,18 +24,15 @@ def _recurrence_route(sizes: list[int], number: type = int) -> dict:
     """One recurrence table over 1..max(sizes), carried in int or, with
     number=Decimal, in decimal radix."""
     seeds = tuple(number(walks.rho3_closed_form(n)) for n in (1, 2, 3))
-    entries = walks.rho3_recurrence(max(sizes), seeds).entries
-    return {n: entries[n] for n in sizes}
+    table = walks.rho3_recurrence(max(sizes), seeds)
+    return {n: table[n] for n in sizes}
 
 
-#: (class, k) -> routes besides brute force, each mapping sizes to {n: count}
-_FORMULA_ROUTES = {
-    ("B_k_dagger", 3): {
-        "kernel": walks._rho3_kernel_table,
-        "closed": lambda sizes: {n: walks.rho3_closed_form(n) for n in sizes},
-        "recurrence": _recurrence_route,
-    },
-}
+class _Route(NamedTuple):
+    count: Callable  # sizes -> {n: count}, for 1 <= n <= cap
+    cap: int
+    decimal: bool = False  # count also takes number=Decimal (count_text)
+
 
 # The size caps of the entry points that do not enumerate (brute force has
 # enumeration.require_brute_budget).  Each is set where the call takes
@@ -42,18 +40,23 @@ _FORMULA_ROUTES = {
 # route's table over 1..cap, the walks suite at --n-max cap.  The
 # recurrence is cheap in time but holds about 1.5 n^2 bits of table; at
 # 20 000 that is 75 MB, which sets its cap instead.  asympt takes about
-# 0.05 s at --n cap; the cap stays so that every entry point has one.
+# 0.05 s at --n cap, and render about 0.2 s and 55 MB at DIAGRAM_CAP;
+# those caps stay so that every entry point has one.
 
-#: (class, k) -> the formula routes that also run in decimal radix, called
-#: by count_text with number=Decimal
-_DECIMAL_RADIX = {("B_k_dagger", 3): {"recurrence"}}
-
-#: (class, k) -> route -> the largest n it counts
-_FORMULA_CAPS = {("B_k_dagger", 3): {"kernel": 120, "closed": 800, "recurrence": 20_000}}
+#: (class, k) -> route -> its _Route
+_FORMULA_ROUTES = {
+    ("B_k_dagger", 3): {
+        "kernel": _Route(walks._rho3_kernel_table, 120),
+        "closed": _Route(lambda sizes: {n: walks.rho3_closed_form(n) for n in sizes}, 800),
+        "recurrence": _Route(_recurrence_route, 20_000, decimal=True),
+    },
+}
 #: the largest --n-max of the walks suite
 _WALKS_CAP = 210
 #: the largest --n of asympt
 ASYMPT_CAP = 800_000
+#: the largest n of a diagram given to map or render
+DIAGRAM_CAP = 100_000
 
 #: the suites that check k = 3 only
 K3_SUITES = frozenset({"rho3", "walks", "series"})
@@ -74,9 +77,9 @@ def count(class_tag: str, k: int, route: str, sizes, jobs: int = 1) -> dict[int,
     """{n: count} for each n in sizes by the named route.  Brute force is
     refused up front over budget, and jobs > 1 shards it over at most one
     worker process per size and per CPU; the formula routes ignore jobs."""
-    sizes = _admit(class_tag, k, route, sizes)
-    if route != "brute":
-        return _FORMULA_ROUTES[class_tag, k][route](sizes)
+    sizes, entry = _admit(class_tag, k, route, sizes)
+    if entry:
+        return entry.count(sizes)
     enumeration.require_brute_budget(max(sizes))
     work = [(class_tag, k, n) for n in sizes]
     workers = min(jobs, len(work), os.cpu_count() or 1)
@@ -87,14 +90,15 @@ def count(class_tag: str, k: int, route: str, sizes, jobs: int = 1) -> dict[int,
 
 
 def count_text(class_tag: str, k: int, route: str, sizes, jobs: int = 1) -> dict[int, str]:
-    """count(), with every value a decimal string.  A route in
-    _DECIMAL_RADIX computes in decimal radix, so that its strings cost
-    time linear in their digits; the others are converted with str().
-    Either way a value of more than sys.get_int_max_str_digits() digits
-    is refused with the ValueError that str() of an int raises."""
-    if route not in _DECIMAL_RADIX.get((class_tag, k), ()):
+    """count(), with every value a decimal string.  A route marked decimal
+    computes in decimal radix, so that its strings cost time linear in
+    their digits; the others are converted with str().  Either way a
+    value of more than sys.get_int_max_str_digits() digits is refused
+    with the ValueError that str() of an int raises."""
+    sizes, entry = _admit(class_tag, k, route, sizes)
+    if not (entry and entry.decimal):
         return {n: str(v) for n, v in count(class_tag, k, route, sizes, jobs).items()}
-    values = _FORMULA_ROUTES[class_tag, k][route](_admit(class_tag, k, route, sizes), Decimal)
+    values = entry.count(sizes, Decimal)
     limit = sys.get_int_max_str_digits()
     if limit and any(v.adjusted() >= limit for v in values.values()):
         raise ValueError(
@@ -104,8 +108,9 @@ def count_text(class_tag: str, k: int, route: str, sizes, jobs: int = 1) -> dict
     return {n: str(v) for n, v in values.items()}
 
 
-def _admit(class_tag: str, k: int, route: str, sizes) -> list[int]:
-    """The sizes as a list, once the class, route and size cap admit them."""
+def _admit(class_tag: str, k: int, route: str, sizes) -> tuple[list[int], _Route | None]:
+    """The sizes as a list and the route's entry (None for brute force),
+    once the class, route and size cap admit them."""
     if class_tag not in enumeration.GENERATORS:
         raise ValueError(f"unknown class tag {class_tag!r}")
     available = routes(class_tag, k)
@@ -117,9 +122,13 @@ def _admit(class_tag: str, k: int, route: str, sizes) -> list[int]:
     sizes = list(sizes)
     if not sizes:
         raise ValueError("no sizes to count")
-    if route != "brute":
-        require_cap(f"route {route!r}", max(sizes), _FORMULA_CAPS[class_tag, k][route])
-    return sizes
+    if route == "brute":
+        return sizes, None
+    if min(sizes) < 1:
+        raise ValueError(f"route {route!r} counts from n = 1, got n = {min(sizes)}")
+    entry = _FORMULA_ROUTES[class_tag, k][route]
+    require_cap(f"route {route!r}", max(sizes), entry.cap)
+    return sizes, entry
 
 
 def _count_one(args: tuple[str, int, int]) -> tuple[int, int]:

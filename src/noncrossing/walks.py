@@ -21,17 +21,16 @@ computes it from the rows before it (the online, or relaxed, scheme of
 van der Hoeven).  Constant-term extraction of a fixed x-Laurent
 combination of Y0, Y0^2, Y0^3 yields rho3, as does a twelve-term
 signed sum of coefficients of Y0^k (binomial sums, by Lagrange
-inversion) and a four-term P-recurrence whose divisions must
-come out exact.  Given Decimal seeds the recurrence runs in decimal
-radix under an exact context, so that its table prints in time linear
-in its digits (str() of a long int is quadratic, and refuses more than
-4300 digits by default; a caller that prints keeps that refusal).  The
-recurrence's formal series solution gives the asymptotic law
-rho3(n) ~ K * 8^n * n^-7 * (1 + c1/n + c2/n^2 + c3/n^3) with rational c's solved exactly from the quoted linear equations.  The
-leading constant is K = 327680*sqrt(3)/(27*pi) (EXACT_K), from a
+inversion) and a four-term P-recurrence, stated once as a table of
+integer polynomial coefficients (_RHO3_RECURRENCE), whose divisions
+must come out exact.  Given Decimal seeds it runs in decimal radix
+under an exact context, so that its table prints in time linear in its
+digits (str() of a long int is quadratic).  The asymptotic law
+rho3(n) ~ K * 8^n * n^-7 * (1 + c1/n + c2/n^2 + c3/n^3) is the formal
+series solution of that table (series_solution, in exact rationals).
+Its constant K = 327680*sqrt(3)/(27*pi) (EXACT_K) comes from a
 saddle-point expansion of the twelve-term sum; the published value
-6686.408973 (REFERENCE_K) is low by a relative 7.0e-4 and is kept only
-as an erratum.
+6686.408973 (REFERENCE_K) is low by a relative 7.0e-4, an erratum.
 """
 
 from __future__ import annotations
@@ -50,9 +49,8 @@ from decimal import (
     localcontext,
 )
 from fractions import Fraction
-from math import comb, gcd
-
-from .enumeration import CountTable
+from functools import cache
+from math import comb, gcd, prod
 
 _DECIMAL_DIGITS = 60
 
@@ -353,11 +351,9 @@ def _coefficient_from_row(row: list[int], k: int, m: int, n: int) -> int:
 
 
 # (k, m, sign) triples of the twelve-term sum: the prefactors above,
-# expanded term by term against the root powers.
-_CLOSED_FORM_TERMS = (
-    (1, 0, 1), (1, -1, -1), (1, -4, -1), (1, -3, 1),
-    (3, 4, -1), (3, 3, 1), (3, 0, 1), (3, 1, -1),
-    (2, 5, 1), (2, 4, -1), (2, 1, -1), (2, 2, 1),
+# expanded term by term against the root powers Y0, Y0^3, Y0^2.
+_CLOSED_FORM_TERMS = tuple(
+    (k, -e, c) for k, prefactor in zip((1, 3, 2), _CT_PREFACTORS) for e, c in prefactor.items()
 )
 _CLOSED_FORM_REACH = max(max(k, m) for k, m, _ in _CLOSED_FORM_TERMS)
 
@@ -373,13 +369,20 @@ def rho3_closed_form(n: int) -> int:
     )
 
 
+#: The P-recurrence of rho3 (Bousquet-Mélou and Xin),
+#: a4(n) rho3(n+3) = a1(n) rho3(n) + a2(n) rho3(n+1) + a3(n) rho3(n+2),
+#: one row of integer coefficients per weight a1 .. a4, constant term first.
+_RHO3_RECURRENCE = (
+    (48, 88, 48, 8),
+    (624, 594, 171, 15),
+    (924, 531, 99, 6),
+    (504, 191, 24, 1),
+)
+
+
 def recurrence_weights(n: int) -> tuple[int, int, int, int]:
     """The four polynomial weights of the rho3 recurrence at index n."""
-    a1 = 8 * (n + 2) * (n + 3) * (n + 1)
-    a2 = 3 * (n + 2) * (5 * n * n + 47 * n + 104)
-    a3 = 3 * (n + 4) * (2 * n + 11) * (n + 7)
-    a4 = (n + 9) * (n + 8) * (n + 7)
-    return a1, a2, a3, a4
+    return tuple([((d * n + c) * n + b) * n + a for a, b, c, d in _RHO3_RECURRENCE])
 
 
 #: Exact decimal arithmetic: integers of any length are represented
@@ -392,16 +395,14 @@ _EXACT = Context(
 
 def rho3_recurrence(
     n_max: int, seeds: tuple[int, int, int] | tuple[Decimal, Decimal, Decimal] | None = None
-) -> CountTable:
-    """Dense rho3 table for 1 <= n <= n_max via
-    a4(n) rho3(n+3) = a1(n) rho3(n) + a2(n) rho3(n+1) + a3(n) rho3(n+2).
+) -> dict[int, int]:
+    """{n: rho3(n)} for 1 <= n <= n_max by the recurrence of _RHO3_RECURRENCE.
 
     Seeds default to the closed form at n = 1, 2, 3 and are checked
-    against it when supplied.  The entries take the seeds' type: int,
-    or Decimal, in which case the loop runs in decimal radix under an
-    exact context and str() of an entry costs time linear in its digits
-    (str() of a long int is quadratic).  Every division must be exact; a
-    remainder would falsify the recurrence and raises RecurrenceError.
+    against it when supplied.  The entries take the seeds' type: int, or
+    Decimal, in which case the loop runs in decimal radix under an exact
+    context, so that str() of an entry costs time linear in its digits.
+    Every division must be exact; a remainder raises RecurrenceError.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
@@ -416,13 +417,10 @@ def rho3_recurrence(
             a1, a2, a3, a4 = recurrence_weights(n)
             numerator = a1 * entries[n] + a2 * entries[n + 1] + a3 * entries[n + 2]
             value, rem = divmod(numerator, a4)
-            if rem:
-                # the numerator itself may be too long to print
-                raise RecurrenceError(
-                    f"non-exact division at n={n}: remainder {rem} modulo {a4}"
-                )
+            if rem:  # the numerator itself may be too long to print
+                raise RecurrenceError(f"non-exact division at n={n}: remainder {rem} modulo {a4}")
             entries[n + 3] = value
-    return CountTable("B_k_dagger", 3, "recurrence", entries)
+    return entries
 
 
 # -- quadrant walks -------------------------------------------------------------------
@@ -465,123 +463,132 @@ def quadrant_walk_counts(n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class AsymptoticParams:
-    """Solved constants of rho3(n) ~ K * base^n * n^exponent * (1 + c1/n + ...)."""
+    """rho3(n) ~ K * base^n * n^exponent * (1 + c1/n + c2/n^2 + c3/n^3),
+    K the leading_constant, the rest from series_solution."""
 
-    base: int
+    base: Fraction
     exponent: Fraction
     c1: Fraction
     c2: Fraction
     c3: Fraction
-    leading_constant: Decimal | None = None
-
-
-def _leading_coefficient(values: tuple[int, int, int, int]) -> int:
-    # cubic leading coefficient via third finite differences
-    f0, f1, f2, f3 = values
-    lead, rem = divmod(f3 - 3 * f2 + 3 * f1 - f0, 6)
-    if rem:
-        raise ArithmeticError(f"weights {values} are not an integer cubic")
-    return lead
+    leading_constant: Decimal
 
 
 def characteristic_polynomial() -> tuple[Fraction, ...]:
     """Coefficients (constant term first) of the growth polynomial
-    1 + (15/8)X + (3/4)X^2 - (1/8)X^3, derived from the leading
-    coefficients of the recurrence weights."""
-    columns = tuple(zip(*(recurrence_weights(n) for n in range(4))))
-    l1, l2, l3, l4 = (_leading_coefficient(col) for col in columns)
-    return (Fraction(1), Fraction(l2, l1), Fraction(l3, l1), Fraction(-l4, l1))
+    1 + (15/8)X + (3/4)X^2 - (1/8)X^3: the recurrence table's leading
+    column, a4's entry negated, scaled to constant term 1."""
+    *column, top = (row[-1] for row in _RHO3_RECURRENCE)
+    return tuple(Fraction(c, column[0]) for c in (*column, -top))
 
 
+def _dominant_root(coeffs: list[int]) -> Fraction:
+    """The rational root of largest modulus of sum_i coeffs[i] X^i, among
+    the candidates p/q with p | the constant term and q | the leading one.
+    ArithmeticError unless the Cauchy bound of the quotient by X - root
+    puts every other root strictly inside its modulus (so it is simple)."""
+    while coeffs[0] == 0:  # roots at zero never dominate
+        coeffs = coeffs[1:]
+    value = lambda poly, x: sum(c * x**i for i, c in enumerate(poly))
+    divisors = lambda m: [d for d in range(1, abs(m) + 1) if m % d == 0]
+    roots = [
+        r for p in divisors(coeffs[0]) for q in divisors(coeffs[-1])
+        for r in (Fraction(p, q), Fraction(-p, q)) if value(coeffs, r) == 0
+    ]
+    if not roots:
+        raise ArithmeticError(f"the characteristic polynomial {coeffs} has no rational root")
+    beta = max(roots, key=abs)
+    quotient = [Fraction(coeffs[-1])]  # by synthetic division, top term first
+    for c in coeffs[-2:0:-1]:
+        quotient.append(c + beta * quotient[-1])
+    cauchy = [-abs(c / quotient[0]) for c in quotient[:0:-1]] + [1]
+    if value(cauchy, abs(beta)) <= 0:
+        raise ArithmeticError(f"the dominant root {beta} is not simple and alone in its modulus")
+    return beta
+
+
+def series_solution(table, order: int) -> tuple[Fraction, Fraction, tuple[Fraction, ...]]:
+    """(beta, theta, (c_1, ..., c_order)) of the formal solution
+    r(n) ~ beta^n n^theta (1 + c_1/n + ... + c_order/n^order) of the
+    recurrence table[-1](n) r(n+d) = sum_(j<d) table[j](n) r(n+j), each
+    row a tuple of polynomial coefficients from the constant term up.
+
+    The ansatz of Wimp and Zeilberger.  Written as sum_j p_j(n) r(n+j) = 0
+    (p_j = row j, the last negated, of top degree D), in u = 1/n and
+    divided by beta^n n^(theta+D), it reads sum_m c_m u^m E_m(u), c_0 = 1,
+    with E_m(u) = sum_j beta^j p_j(u) (1 + j u)^(theta - m).  Its u^0 term
+    is the characteristic polynomial at beta, its u^1 term fixes theta,
+    and c_m first enters at u^(m+1), with factor [u^1] E_m =
+    -m sum_j j beta^j p_j0, nonzero as beta is simple."""
+    width = max(map(len, table))
+    signed = [*table[:-1], tuple(-c for c in table[-1])]
+    # rows[j][i] = [n^(D-i)] p_j, zero-padded for the orders to come
+    rows = [(0,) * (width - len(row)) + row[::-1] + (0,) * (order + 1) for row in signed]
+    beta = _dominant_root([row[0] for row in rows])
+    powers = [beta**j for j in range(len(rows))]
+    slope = sum(j * w * row[0] for j, (w, row) in enumerate(zip(powers, rows)))
+    theta = -sum(w * row[1] for w, row in zip(powers, rows)) / slope
+
+    def e(m: int, k: int) -> Fraction:  # [u^k] E_m(u), binomials of theta - m
+        return sum(
+            w * row[i] * j ** (k - i) * prod((theta - m - t) / (t + 1) for t in range(k - i))
+            for j, (w, row) in enumerate(zip(powers, rows))
+            for i in range(k + 1)
+        )
+
+    c = [Fraction(1)]
+    for m in range(1, order + 1):
+        c.append(sum(c[i] * e(i, m + 1 - i) for i in range(m)) / (m * slope))
+    return beta, theta, tuple(c[1:])
+
+
+@cache
 def solve_asymptotics() -> AsymptoticParams:
-    """Solve the growth base, polynomial exponent, and correction
-    coefficients exactly from their defining equations."""
-    coeffs = characteristic_polynomial()
-    # clear denominators; integer roots then divide the constant term
-    scale = 1
-    for c in coeffs:
-        scale = scale * c.denominator // gcd(scale, c.denominator)
-    constant = int(coeffs[0] * scale)
-    candidates = {d for d in range(1, abs(constant) + 1) if constant % d == 0}
-    roots = sorted(
-        r
-        for c in candidates
-        for r in (c, -c)
-        if sum(coeff * r**e for e, coeff in enumerate(coeffs)) == 0
-    )
-    base = max(roots, key=abs)
-
-    # coefficient of n^-1 in the shifted recurrence: each term contributes
-    # factor * (offset + slope * theta), factors being base^j times the
-    # characteristic coefficients
-    factors = [coeffs[j] * base**j for j in (1, 2, 3)]
-    offsets = [Fraction(27, 5), Fraction(21, 2), Fraction(18)]
-    slopes = [1, 2, 3]
-    slope_sum = sum(f * s for f, s in zip(factors, slopes))
-    offset_sum = sum(f * o for f, o in zip(factors, offsets))
-    theta = -offset_sum / slope_sum
-
-    # corrections, from equating the coefficients of n^-2, n^-3, n^-4
-    c1 = Fraction(-2268, 81)
-    c2 = Fraction(26712 - 1683 * c1, 162)
-    c3 = Fraction(32547 * c1 - 729 * c2 - 129654, 243)
-    return AsymptoticParams(
-        base=base,
-        exponent=theta,
-        c1=c1,
-        c2=c2,
-        c3=c3,
-        leading_constant=EXACT_K,
-    )
+    """The law of rho3: series_solution of _RHO3_RECURRENCE to three
+    corrections, and K = EXACT_K.  Solved once per process."""
+    base, exponent, (c1, c2, c3) = series_solution(_RHO3_RECURRENCE, 3)
+    return AsymptoticParams(base, exponent, c1, c2, c3, EXACT_K)
 
 
-def _correction(params: AsymptoticParams, n: int) -> Fraction:
-    return 1 + params.c1 / n + params.c2 / n**2 + params.c3 / n**3
+def _shape(params: AsymptoticParams, n: int) -> Fraction:
+    """n^exponent * (1 + c1/n + c2/n^2 + c3/n^3)"""
+    correction = 1 + params.c1 / n + params.c2 / n**2 + params.c3 / n**3
+    return Fraction(n) ** params.exponent * correction
 
 
-def asymptotic_estimate(
-    n: int,
-    params: AsymptoticParams | None = None,
-    leading_constant: Decimal | None = None,
-) -> Decimal:
-    """K * base^n * n^exponent * (1 + c1/n + c2/n^2 + c3/n^3) at 60-digit
-    precision.
+def asymptotic_estimate(n: int, params: AsymptoticParams | None = None) -> Decimal:
+    """K * base^n * n^exponent * (1 + c1/n + c2/n^2 + c3/n^3) at 60 digits.
 
-    The factor after K is the reduced fraction a * base^n / g over b / g,
-    where a/b = correction * n^exponent and g = gcd(base^n, b).  Its
-    numerator is formed exactly in decimal radix, so no long binary
-    integer is converted to decimal, and K times it is then rounded once
-    to 60 digits and divided by b / g.
-    """
+    With base = p/q and a/b = n^exponent * correction, the factor after K
+    is a * p^n / g over (b / g) * q^n, g = gcd(p^n, b), both formed
+    exactly in decimal radix (no long binary integer is converted to
+    decimal); K times the first is rounded once to 60 digits and divided
+    by the second."""
     if n < 1:
         raise ValueError("n must be >= 1")
     params = params or solve_asymptotics()
-    K = leading_constant if leading_constant is not None else params.leading_constant
-    scale = _correction(params, n) * Fraction(n) ** params.exponent
-    a, b = scale.numerator, scale.denominator
-    g = gcd(pow(params.base, n, b), b)
+    p, q = params.base.numerator, params.base.denominator
+    a, b = _shape(params, n).as_integer_ratio()
+    g = gcd(pow(p, n, b), b)
     with localcontext(_EXACT):
-        numerator = Decimal(a) * Decimal(params.base) ** n / g
+        numerator = Decimal(a) * Decimal(p) ** n / g
+        denominator = Decimal(b // g) * Decimal(q) ** n
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_DIGITS
-        return K * numerator / Decimal(b // g)
+        return params.leading_constant * numerator / denominator
 
 
-def fit_leading_constant(n_probe: int, table: CountTable | None = None) -> Decimal:
-    """Estimate the leading constant from an exact value:
-    rho3(n) * n^7 / (8^n * correction).  Stabilises toward EXACT_K as
-    the probe grows."""
+def fit_leading_constant(n_probe: int, table: dict[int, int] | None = None) -> Decimal:
+    """The leading constant estimated as rho3(n) / (8^n * n^-7 * correction),
+    rho3(n) read from table ({n: rho3(n)}); tends to EXACT_K as n grows."""
     if n_probe < 1:
         raise ValueError("n_probe must be >= 1")
     params = solve_asymptotics()
     if table is None:
         table = rho3_recurrence(n_probe)
-    if n_probe not in table.entries:
+    if n_probe not in table:
         raise ValueError(f"table does not cover n={n_probe}")
-    exact = table.entries[n_probe]
-    corr = _correction(params, n_probe)
-    denom = Fraction(params.base) ** n_probe * corr * Fraction(n_probe) ** params.exponent
-    ratio = Fraction(exact) / denom
+    ratio = table[n_probe] / (params.base**n_probe * _shape(params, n_probe))
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_DIGITS
         return Decimal(ratio.numerator) / Decimal(ratio.denominator)

@@ -111,9 +111,9 @@ def test_criterion_4_four_route_equality():
         table = rho3_recurrence(300)
         for n in range(1, 9):
             brute = sum(1 for _ in gen_braids_no_isolated(n, 3))
-            assert brute == rho3_kernel_ct(n) == rho3_closed_form(n) == table.entries[n]
+            assert brute == rho3_kernel_ct(n) == rho3_closed_form(n) == table[n]
         for n in (50, 150, 300):
-            assert rho3_closed_form(n) == table.entries[n]
+            assert rho3_closed_form(n) == table[n]
 
 
 def test_criterion_5_reflection_principle():
@@ -121,7 +121,7 @@ def test_criterion_5_reflection_principle():
         table = rho3_recurrence(12)
         for n in range(1, 13):
             a, b = quadrant_walk_counts(n)
-            assert a - b == table.entries[n], n
+            assert a - b == table[n], n
 
 
 def test_criterion_6_row_bound_and_round_trips():
@@ -170,7 +170,7 @@ def test_criterion_8_asymptotic_constants(golden):
 
         table = rho3_recurrence(200)
         errors = {
-            n: abs(asymptotic_estimate(n) / Decimal(table.entries[n]) - 1)
+            n: abs(asymptotic_estimate(n) / Decimal(table[n]) - 1)
             for n in (50, 100, 200)
         }
         assert errors[200] < errors[100] < errors[50]
@@ -198,7 +198,7 @@ def test_criterion_8_reference_constant():
         probes = range(1000, 2001, 50)
         limit = neville_at_zero(
             [Fraction(1, n) for n in probes],
-            [Fraction(table.entries[n] * n**7, 8**n) for n in probes],
+            [Fraction(table[n] * n**7, 8**n) for n in probes],
         )
         assert abs(limit / Fraction(EXACT_K) - 1) < Fraction(1, 10**40), (
             f"extrapolated limit {float(limit)!r}, exact constant {EXACT_K}"
@@ -212,6 +212,6 @@ def test_criterion_8_reference_constant():
 def test_criterion_9_exact_division_to_1000():
     with criterion(9, "recurrence divisions exact to n=1000"):
         table = rho3_recurrence(1000)  # RecurrenceError on any inexact step
-        assert len(table.entries) == 1000
-        assert table.entries[1000] > 0
-        assert rho3_closed_form(250) == table.entries[250]
+        assert len(table) == 1000
+        assert table[1000] > 0
+        assert rho3_closed_form(250) == table[250]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from noncrossing import cli, duality, enumeration, tableaux, verify, walks
+from noncrossing import cli, diagrams, duality, enumeration, tableaux, verify, walks
 
 _REPORTS = json.loads(
     (Path(__file__).resolve().parent.parent / "testdata" / "cli_reports.json").read_text()
@@ -223,11 +223,10 @@ class TestSuiteFailures:
 
     def test_rho3_kernel_off_by_one(self, capsys, monkeypatch):
         routes = verify._FORMULA_ROUTES["B_k_dagger", 3]
-        kernel = routes["kernel"]
-        monkeypatch.setitem(
-            routes, "kernel",
-            lambda sizes: {n: v + (n == 5) for n, v in kernel(sizes).items()},
-        )
+        kernel = routes["kernel"].count
+        monkeypatch.setitem(routes, "kernel", routes["kernel"]._replace(
+            count=lambda sizes: {n: v + (n == 5) for n, v in kernel(sizes).items()},
+        ))
         failed = self._run(capsys, "rho3", 8)
         assert failed["details"]["route"] == "kernel"
         assert (failed["details"]["n"], failed["details"]["k"]) == (5, 3)
@@ -455,8 +454,9 @@ def _unreachable(*args):
 class TestFormulaCaps:
     @pytest.mark.parametrize("route", ["kernel", "closed", "recurrence"])
     def test_route_over_its_cap_is_refused(self, capsys, monkeypatch, route):
-        cap = verify._FORMULA_CAPS["B_k_dagger", 3][route]
-        monkeypatch.setitem(verify._FORMULA_ROUTES["B_k_dagger", 3], route, _unreachable)
+        routes = verify._FORMULA_ROUTES["B_k_dagger", 3]
+        cap = routes[route].cap
+        monkeypatch.setitem(routes, route, routes[route]._replace(count=_unreachable))
         for argv in (
             f"count --class braids-noiso --n {cap + 1} --route {route}",
             f"rho3 --n-max {cap + 1} --route {route}",
@@ -479,15 +479,41 @@ class TestFormulaCaps:
         assert cli.run(["asympt", "--n", str(verify.ASYMPT_CAP + 1)]) == 1
         assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "RangeGuardError"
 
+    @pytest.mark.parametrize("route", ["kernel", "closed", "recurrence"])
+    def test_route_below_n_1_is_refused(self, route):
+        with pytest.raises(ValueError, match=f"route {route!r} counts from n = 1, got n = 0"):
+            verify.count("B_k_dagger", 3, route, [0, 5])
+
     def test_recurrence_reaches_10000(self):
         [value] = verify.count("B_k_dagger", 3, "recurrence", [10_000]).values()
         assert value.bit_length() > 29_000
 
 
+class TestDiagramCap:
+    @pytest.mark.parametrize(
+        "argv", ["map --in", "map --inverse --in", "render --in"], ids=["map", "inverse", "render"]
+    )
+    def test_diagram_over_its_cap_is_refused(self, capsys, monkeypatch, argv):
+        # refused before any diagram is built
+        for name in ("ArcDiagram", "BraidDiagram", "PartitionDiagram"):
+            monkeypatch.setattr(diagrams, name, _unreachable)
+        cap = verify.DIAGRAM_CAP
+        assert cli.run([*argv.split(), f"n={cap + 1}; arcs=(1,3)"]) == 1
+        assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
+            "error": "RangeGuardError",
+            "message": f"a diagram is capped at n = {cap}, got {cap + 1}",
+        }
+
+    def test_diagram_at_its_cap_is_mapped(self, capsys):
+        status, out = run_text(capsys, "map", "--in", f"n={verify.DIAGRAM_CAP}; arcs=(1,3)")
+        assert status == 0
+        assert out.strip() == f"n={verify.DIAGRAM_CAP - 1}; arcs=(1,2)"
+
+
 class TestDecimalTables:
     """The recurrence tables are printed from decimal radix (count_text)."""
 
-    TABLE = {n: str(v) for n, v in walks.rho3_recurrence(1000).entries.items()}
+    TABLE = {n: str(v) for n, v in walks.rho3_recurrence(1000).items()}
 
     def test_rho3_json_and_csv(self, capsys):
         argv = ["rho3", "--route", "recurrence", "--n-max", "1000"]

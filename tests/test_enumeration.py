@@ -13,7 +13,6 @@ from noncrossing.diagrams import (
 )
 from noncrossing.enumeration import (
     BRUTE_FORCE_LIMIT,
-    CountTable,
     RangeGuardError,
     bell_number,
     gen_2regular_k,
@@ -169,9 +168,3 @@ class TestCountTable:
         assert bell_number(13) > BRUTE_FORCE_LIMIT
         with pytest.raises(RangeGuardError):
             verify.count("P_k", 3, "brute", range(1, 14))
-
-    def test_bad_tags_rejected(self):
-        with pytest.raises(ValueError):
-            CountTable("X", 3, "brute", {})
-        with pytest.raises(ValueError):
-            CountTable("P_k", 3, "brute", {1: -1})

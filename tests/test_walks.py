@@ -25,6 +25,7 @@ from noncrossing.walks import (
     rho3_kernel_ct,
     rho3_recurrence,
     root_power_coefficient,
+    series_solution,
     solve_asymptotics,
 )
 
@@ -124,15 +125,15 @@ class TestCountingRoutes:
     def test_routes_agree_midrange(self):
         table = rho3_recurrence(100)
         for n in range(1, 17):
-            assert table.entries[n] == rho3_closed_form(n)
+            assert table[n] == rho3_closed_form(n)
         for n in range(9, 13):
-            assert rho3_kernel_ct(n) == table.entries[n]
-        assert table.entries[100] == rho3_closed_form(100)
+            assert rho3_kernel_ct(n) == table[n]
+        assert table[100] == rho3_closed_form(100)
 
     def test_golden_values(self, golden):
         table = rho3_recurrence(300)
         for n_str, value in golden["rho3"].items():
-            assert str(table.entries[int(n_str)]) == value
+            assert str(table[int(n_str)]) == value
 
     def test_domain(self):
         for fn in (rho3_kernel_ct, rho3_closed_form):
@@ -142,12 +143,12 @@ class TestCountingRoutes:
     def test_kernel_route_at_large_n(self):
         table = rho3_recurrence(40)
         for n in (30, 40):
-            assert rho3_kernel_ct(n) == table.entries[n]
+            assert rho3_kernel_ct(n) == table[n]
 
     def test_kernel_route_is_independent_of_the_closed_form(self, monkeypatch):
         import noncrossing.walks as walks_module
 
-        expected = rho3_recurrence(12).entries[12]
+        expected = rho3_recurrence(12)[12]
 
         def unreachable(*args):
             raise AssertionError("the kernel route reached the closed form")
@@ -170,16 +171,21 @@ class TestRecurrence:
     def test_weights_at_zero(self):
         assert recurrence_weights(0) == (48, 624, 924, 504)
 
+    def test_weights_match_their_factored_form(self):
+        for n in range(0, 201):
+            assert recurrence_weights(n) == (
+                8 * (n + 1) * (n + 2) * (n + 3),
+                3 * (n + 2) * (5 * n * n + 47 * n + 104),
+                3 * (n + 4) * (2 * n + 11) * (n + 7),
+                (n + 7) * (n + 8) * (n + 9),
+            ), n
+
     def test_seed_mismatch_rejected(self):
         with pytest.raises(ValueError):
             rho3_recurrence(5, seeds=(1, 2, 6))
 
     def test_explicit_seeds_accepted(self):
-        assert rho3_recurrence(5, seeds=(1, 2, 5)).entries[5] == 51
-
-    def test_provenance(self):
-        table = rho3_recurrence(4)
-        assert table.class_tag == "B_k_dagger" and table.route == "recurrence"
+        assert rho3_recurrence(5, seeds=(1, 2, 5))[5] == 51
 
     def test_exactness_guard_is_live(self, monkeypatch):
         import noncrossing.walks as walks_module
@@ -190,8 +196,8 @@ class TestRecurrence:
             walks_module.rho3_recurrence(10)
 
     def test_decimal_seeds_carry_the_table_in_decimal_radix(self):
-        ints = rho3_recurrence(300).entries
-        decimals = rho3_recurrence(300, tuple(map(Decimal, (1, 2, 5)))).entries
+        ints = rho3_recurrence(300)
+        decimals = rho3_recurrence(300, tuple(map(Decimal, (1, 2, 5))))
         assert all(type(v) is Decimal for v in decimals.values())
         assert decimals == ints
         assert [str(v) for v in decimals.values()] == [str(v) for v in ints.values()]
@@ -206,7 +212,7 @@ class TestRecurrence:
             a1, a2, a3, a4 = recurrence_weights(n)
             return (a1 + (n >= 4785), a2, a3, a4)
 
-        table = rho3_recurrence(4787).entries
+        table = rho3_recurrence(4787)
         a1, a2, a3, a4 = broken(4785)
         rem = (a1 * table[4785] + a2 * table[4786] + a3 * table[4787]) % a4
         assert rem
@@ -228,7 +234,7 @@ class TestQuadrantWalks:
         table = rho3_recurrence(10)
         for n in range(1, 11):
             a, b = quadrant_walk_counts(n)
-            assert a - b == table.entries[n]
+            assert a - b == table[n]
 
 
 class TestAsymptotics:
@@ -238,14 +244,22 @@ class TestAsymptotics:
         assert sum(c * Fraction(8) ** e for e, c in enumerate(coeffs)) == 0
         assert sum(c * Fraction(-1) ** e for e, c in enumerate(coeffs)) == 0
 
-    def test_leading_coefficient_guard_is_live(self, monkeypatch):
-        import noncrossing.walks as walks_module
+    def test_double_root_guard_is_live(self):
+        # r(n+2) = 4r(n+1) - 4r(n): characteristic -(X - 2)^2
+        with pytest.raises(ArithmeticError):
+            series_solution(((-4,), (4,), (1,)), 3)
 
-        # third difference 1 at n = 0..3: not six times an integer
-        broken = lambda n: (int(n == 3), 0, 0, 0)
-        monkeypatch.setattr(walks_module, "recurrence_weights", broken)
-        with pytest.raises(ArithmeticError, match="cubic"):
-            walks_module.characteristic_polynomial()
+    def test_equal_modulus_guard_is_live(self):
+        # r(n+2) = r(n): roots 1 and -1
+        with pytest.raises(ArithmeticError):
+            series_solution(((1,), (0,), (1,)), 3)
+
+    def test_solver_reproduces_the_catalan_expansion(self):
+        # (n+2) C(n+1) = 2(2n+1) C(n), and C(n) ~ 4^n n^(-3/2) / sqrt(pi) *
+        # (1 - 9/(8n) + 145/(128n^2) - 1155/(1024n^3) + ...)
+        assert series_solution(((2, 4), (2, 1)), 3) == (
+            4, Fraction(-3, 2), (Fraction(-9, 8), Fraction(145, 128), Fraction(-1155, 1024)),
+        )
 
     def test_solved_constants(self):
         params = solve_asymptotics()
@@ -265,7 +279,7 @@ class TestAsymptotics:
 
     def test_corrections_help(self):
         table = rho3_recurrence(50)
-        exact = Decimal(table.entries[50])
+        exact = Decimal(table[50])
         with_c = asymptotic_estimate(50)
         params = solve_asymptotics()
         flat = AsymptoticParams(
@@ -414,13 +428,13 @@ class TestDenseRoutes:
             assert quadrant_walk_counts(n) == _dict_walk_counts(n), n
 
     def test_reflection_difference_to_120(self):
-        table = rho3_recurrence(120).entries
+        table = rho3_recurrence(120)
         for n in range(1, 121):
             a, b = quadrant_walk_counts(n)
             assert a - b == table[n], n
 
     def test_closed_form_to_400(self):
-        table = rho3_recurrence(400).entries
+        table = rho3_recurrence(400)
         for n in range(1, 401):
             assert rho3_closed_form(n) == table[n], n
 
