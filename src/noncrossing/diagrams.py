@@ -21,6 +21,7 @@ two or more.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -185,28 +186,26 @@ def crossing_number_of_arcs(arcs: Iterable[Arc], shared_endpoint: bool) -> int:
     Every arc of such a set spans the cut c = i_m, so the maximum is
     found by scanning cuts: among the arcs spanning a cut, a mutually
     crossing set is exactly a subset whose left and right endpoints both
-    increase strictly, i.e. a longest increasing subsequence.
+    increase strictly.  Sorted by (i, -j), arcs sharing a left endpoint
+    have decreasing right endpoints, so such a subset is exactly a
+    strictly increasing run of right endpoints, found by patience
+    sorting.  One pass per cut costs O(m^2 log m) for m arcs.
     """
-    arcs = sorted(arcs)
+    arcs = sorted(arcs, key=lambda a: (a[0], -a[1]))
     best = 0
     for c in {i for i, _ in arcs}:
-        if shared_endpoint:
-            window = [(i, j) for i, j in arcs if i <= c <= j]
-        else:
-            window = [(i, j) for i, j in arcs if i <= c < j]
-        best = max(best, _longest_chain(window))
+        tails: list[int] = []  # tails[h]: least right end of a run of h + 1
+        for i, j in arcs:
+            if i > c:
+                break
+            if j > c or (shared_endpoint and j == c):
+                h = bisect_left(tails, j)
+                if h == len(tails):
+                    tails.append(j)
+                else:
+                    tails[h] = j
+        best = max(best, len(tails))
     return best
-
-
-def _longest_chain(arcs: list[Arc]) -> int:
-    """Longest subsequence strictly increasing in both coordinates."""
-    best = [0] * len(arcs)
-    for t, (i, j) in enumerate(arcs):
-        best[t] = 1 + max(
-            (best[s] for s in range(t) if arcs[s][0] < i and arcs[s][1] < j),
-            default=0,
-        )
-    return max(best, default=0)
 
 
 def partition_crossing_number(p: PartitionDiagram) -> int:

@@ -29,10 +29,16 @@ undone by deleting the entry i, which at that moment is maximal and
 therefore sits at a removable corner.  Because insertion and reverse
 bumping are mutually inverse, the two scans are exact inverses, and the
 maximal number of rows used equals the diagram's crossing number.
+
+Each tableau handed to ``step_pairs`` or ``tableau_to_diagram`` is
+validated once, by one scan that checks every shape and derives every
+half-step once; the left-to-right scan then reads the pairs that
+validation derived.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -83,21 +89,33 @@ def remove_square(shape: Shape, row: int) -> Shape:
 
 
 def half_step(prev: Shape, nxt: Shape) -> HalfStep:
-    """The half-step turning prev into nxt, or raise if they differ by
-    more than one square."""
+    """The half-step turning shape prev into nxt, or raise if they
+    differ by more than one square.
+
+    Only the first row where the two differ can carry the step: it must
+    gain or lose one square, stay legal against its neighbouring row,
+    and leave every other row as it was.
+    """
     if prev == nxt:
         return None
-    for row in range(1, max(len(prev), len(nxt)) + 1):
-        a = prev[row - 1] if row <= len(prev) else 0
-        b = nxt[row - 1] if row <= len(nxt) else 0
-        if a == b:
-            continue
-        if b == a + 1 and add_square(prev, row) == nxt:
-            return ("+", row)
-        if b == a - 1 and remove_square(prev, row) == nxt:
-            return ("-", row)
-        break
-    raise MalformedTableauError(f"shapes {prev} -> {nxt} differ by more than one square")
+    h = 0
+    while h < len(prev) and h < len(nxt) and prev[h] == nxt[h]:
+        h += 1
+    a = prev[h] if h < len(prev) else 0
+    b = nxt[h] if h < len(nxt) else 0
+    if b == a + 1:
+        if h and prev[h - 1] <= a:
+            raise MalformedTableauError(f"adding at row {h + 1} of {prev} is illegal")
+        step = ("+", h + 1)
+    elif b == a - 1:
+        if h + 1 < len(prev) and prev[h + 1] >= a:
+            raise MalformedTableauError(f"removing at row {h + 1} of {prev} is illegal")
+        step = ("-", h + 1)
+    else:
+        step = None
+    if step is None or nxt != prev[:h] + ((b,) if b else ()) + prev[h + 1:]:
+        raise MalformedTableauError(f"shapes {prev} -> {nxt} differ by more than one square")
+    return step
 
 
 def _legal_pair(pair: StepPair, step_set: str) -> bool:
@@ -141,22 +159,36 @@ class VacillatingTableau:
         return max((len(s) for s in self.shapes), default=0)
 
 
-def tableau_violations(t: VacillatingTableau) -> list[str]:
-    """All rule violations, empty when the tableau is valid."""
-    out: list[str] = []
+class TableauReport(list):
+    """The rule violations of a tableau, as a list of strings, together
+    with the step pairs its scan derived; the pairs are complete exactly
+    when the list is empty."""
+
+    def __init__(self, problems: Iterable[str] = (), pairs: Iterable[StepPair] = ()):
+        super().__init__(problems)
+        self.pairs = tuple(pairs)
+
+
+def tableau_violations(t: VacillatingTableau) -> TableauReport:
+    """All rule violations, empty when the tableau is valid.
+
+    One scan checks every shape and derives every half-step once; the
+    report carries the derived pairs for the callers that go on to use
+    them.
+    """
     if t.step_set not in (PARTITION_STEPS, BRAID_STEPS):
-        return [f"unknown step set {t.step_set!r}"]
+        return TableauReport([f"unknown step set {t.step_set!r}"])
     if len(t.shapes) % 2 == 0 or not t.shapes:
-        out.append(f"length {len(t.shapes)} is not 2n+1")
-        return out
+        return TableauReport([f"length {len(t.shapes)} is not 2n+1"])
     for pos, s in enumerate(t.shapes):
         if not is_shape(s):
-            out.append(f"entry {pos} is not a shape: {s}")
-            return out
+            return TableauReport([f"entry {pos} is not a shape: {s}"])
+    out: list[str] = []
     if t.shapes[0] != ():
         out.append("first shape is not empty")
     if t.shapes[-1] != ():
         out.append("last shape is not empty")
+    pairs: list[StepPair] = []
     for i in range(1, t.n + 1):
         try:
             pair = (
@@ -168,12 +200,13 @@ def tableau_violations(t: VacillatingTableau) -> list[str]:
             continue
         if not _legal_pair(pair, t.step_set):
             out.append(f"vertex {i}: pair {pair} not allowed for {t.step_set} steps")
+        pairs.append(pair)
     if t.k_bound is not None:
         for pos, s in enumerate(t.shapes):
             if len(s) >= t.k_bound:
                 out.append(f"entry {pos} has {len(s)} rows, bound is < {t.k_bound}")
                 break
-    return out
+    return TableauReport(out, pairs)
 
 
 def validate_tableau(t: VacillatingTableau) -> bool:
@@ -182,18 +215,7 @@ def validate_tableau(t: VacillatingTableau) -> bool:
 
 def step_pairs(t: VacillatingTableau) -> tuple[StepPair, ...]:
     """The n half-step pairs of a valid tableau."""
-    _require_valid(t)
-    return _unchecked_step_pairs(t)
-
-
-def _unchecked_step_pairs(t: VacillatingTableau) -> tuple[StepPair, ...]:
-    return tuple(
-        (
-            half_step(t.shapes[2 * i - 2], t.shapes[2 * i - 1]),
-            half_step(t.shapes[2 * i - 1], t.shapes[2 * i]),
-        )
-        for i in range(1, t.n + 1)
-    )
+    return _require_valid(t)
 
 
 def tableau_from_step_pairs(
@@ -247,8 +269,10 @@ def _reverse_bump(filling: list[list[int]], row: int) -> int:
     if not filling[row - 1]:
         filling.pop(row - 1)
     for r in range(row - 2, -1, -1):
+        # rows increase strictly, and columns too, so some entry of the
+        # row above is smaller than the carried value
         cells = filling[r]
-        pos = max(c for c in range(len(cells)) if cells[c] < value)
+        pos = bisect_left(cells, value) - 1
         cells[pos], value = value, cells[pos]
     return value
 
@@ -258,11 +282,10 @@ def _insert(filling: list[list[int]], value: int) -> int:
     r = 0
     while r < len(filling):
         cells = filling[r]
-        bigger = [c for c in range(len(cells)) if cells[c] > value]
-        if not bigger:
+        pos = bisect_right(cells, value)
+        if pos == len(cells):
             cells.append(value)
             return r + 1
-        pos = bigger[0]
         cells[pos], value = value, cells[pos]
         r += 1
     filling.append([value])
@@ -285,10 +308,9 @@ def _extract_max(filling: list[list[int]], value: int) -> int:
 
 def tableau_to_diagram(t: VacillatingTableau) -> PartitionDiagram | BraidDiagram:
     """Left-to-right scan turning a valid tableau into its diagram."""
-    _require_valid(t)
     filling: list[list[int]] = []
     arcs: list[tuple[int, int]] = []
-    for i, (odd, even) in enumerate(_unchecked_step_pairs(t), 1):
+    for i, (odd, even) in enumerate(_require_valid(t), 1):
         for half in (odd, even):
             if half is None:
                 continue
@@ -381,7 +403,9 @@ def parse_tableau(
     return VacillatingTableau(shapes, step_set, k_bound)
 
 
-def _require_valid(t: VacillatingTableau) -> None:
-    problems = tableau_violations(t)
-    if problems:
-        raise MalformedTableauError("; ".join(problems))
+def _require_valid(t: VacillatingTableau) -> tuple[StepPair, ...]:
+    """The step pairs of t, or raise with every violation."""
+    report = tableau_violations(t)
+    if report:
+        raise MalformedTableauError("; ".join(report))
+    return report.pairs

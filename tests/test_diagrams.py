@@ -1,5 +1,6 @@
 """Diagram model: invariants, block view, crossing statistics, formats."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -11,6 +12,7 @@ from noncrossing.diagrams import (
     InvalidDiagramError,
     PartitionDiagram,
     braid_crossing_number,
+    crossing_number_of_arcs,
     diagram_svg,
     format_diagram,
     has_isolated_points,
@@ -49,6 +51,38 @@ def oracle_crossing(arcs, shared):
         if chain_exists(arcs, size, shared):
             best = size
     return best
+
+
+def window_crossing(arcs, shared):
+    """The crossing statistic by the cut scan with a quadratic chain DP
+    on each window: every arc spanning the cut, longest subsequence
+    strictly increasing in both endpoints."""
+    arcs = sorted(arcs)
+    best = 0
+    for c in {i for i, _ in arcs}:
+        window = [(i, j) for i, j in arcs if i <= c < j or (shared and c == j)]
+        chain = [0] * len(window)
+        for t, (i, j) in enumerate(window):
+            chain[t] = 1 + max(
+                (chain[s] for s in range(t) if window[s][0] < i and window[s][1] < j),
+                default=0,
+            )
+        best = max(best, max(chain, default=0))
+    return best
+
+
+def raw_arc_lists(seed, count, n_max, m_max):
+    """Seeded arc lists that no diagram class would accept: arcs are
+    drawn independently, so left endpoints repeat, loops occur, an arc
+    may end where another starts, and arcs may repeat."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, n_max)
+        arcs = []
+        for _ in range(rng.randint(0, m_max)):
+            i = rng.randint(1, n)
+            arcs.append((i, rng.randint(i, n)))
+        yield arcs
 
 
 class TestConstruction:
@@ -160,6 +194,22 @@ class TestCrossingStatistics:
         for n in range(0, 8):
             for b in braids_over(n):
                 assert braid_crossing_number(b) == oracle_crossing(b.arcs, True)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_statistic_on_raw_arc_lists(self, shared):
+        seen = {"repeated left": 0, "loop": 0, "shared endpoint": 0}
+        for arcs in raw_arc_lists(20_110 + shared, 400, 8, 9):
+            lefts = [i for i, _ in arcs]
+            seen["repeated left"] += len(set(lefts)) < len(lefts)
+            seen["loop"] += any(i == j for i, j in arcs)
+            seen["shared endpoint"] += bool(set(lefts) & {j for i, j in arcs if i < j})
+            assert crossing_number_of_arcs(arcs, shared) == oracle_crossing(arcs, shared), arcs
+        assert min(seen.values()) >= 100, seen
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_statistic_on_long_raw_arc_lists(self, shared):
+        for arcs in raw_arc_lists(20_120 + shared, 60, 40, 40):
+            assert crossing_number_of_arcs(arcs, shared) == window_crossing(arcs, shared), arcs
 
     def test_braid_statistic_splits_into_flat_conditions(self):
         # k-noncrossing braid == the loop-stripped arcs lack both a

@@ -48,6 +48,10 @@ def test_module_layering():
     # and the checking module stays out of the layers it checks
     imports = {p.stem: _package_imports(p) for p in _PACKAGE.glob("*.py")}
     assert imports["enumeration"] == {"diagrams"}
+    # the crossing statistic and a tableau's row count are two routes
+    # to one number, so neither may be computed through the other
+    assert imports["diagrams"] == set()
+    assert imports["tableaux"] == {"diagrams"}
     assert imports["walks"] == set()
     assert {name for name, used in imports.items() if "verify" in used} == {"cli"}
 

@@ -90,6 +90,34 @@ def enumerate_tableaux(n, step_set):
     yield from walk((), n, [])
 
 
+def shapes_up_to(size):
+    """Every shape with at most ``size`` squares, the empty one included."""
+
+    def parts(total, largest):
+        if total == 0:
+            yield ()
+        for first in range(min(total, largest), 0, -1):
+            for rest in parts(total - first, first):
+                yield (first,) + rest
+
+    return [s for total in range(size + 1) for s in parts(total, total)]
+
+
+def defined_half_step(prev, nxt):
+    """half_step by its definition: the add or remove that turns prev
+    into nxt."""
+    if prev == nxt:
+        return None
+    for row in range(1, len(prev) + 2):
+        for op, sign in ((add_square, "+"), (remove_square, "-")):
+            try:
+                if op(prev, row) == nxt:
+                    return (sign, row)
+            except MalformedTableauError:
+                pass
+    raise MalformedTableauError(f"no half-step turns {prev} into {nxt}")
+
+
 class TestShapes:
     def test_add_and_remove(self):
         assert add_square((), 1) == (1,)
@@ -116,6 +144,45 @@ class TestShapes:
         assert half_step((2, 1), (1, 1)) == ("-", 1)
         with pytest.raises(MalformedTableauError):
             half_step((), (2,))
+
+    def test_half_step_matches_its_definition(self):
+        shapes = shapes_up_to(6)
+        assert len(shapes) == 30
+        # pairs a legal step cannot join, among them shapes two rows
+        # apart and single-square changes that break the shape
+        extra = [((2, 2), (2, 3)), ((2, 2), (1, 2)), ((1, 1), (1, 1, 1, 1)),
+                 ((3, 1, 1), (3,)), ((2, 1, 1), (2,)), ((), (1, 1))]
+        pairs = [(a, b) for a in shapes for b in shapes] + extra
+        assert sum(abs(len(a) - len(b)) == 2 for a, b in pairs) > 100
+        steps = 0
+        for prev, nxt in pairs:
+            try:
+                expect = defined_half_step(prev, nxt)
+            except MalformedTableauError:
+                with pytest.raises(MalformedTableauError):
+                    half_step(prev, nxt)
+                continue
+            assert half_step(prev, nxt) == expect, (prev, nxt)
+            steps += expect is not None
+        # each corner of a shape is one add into it and one remove out of it
+        assert steps == 2 * sum(len(set(s)) for s in shapes)
+
+    @pytest.mark.parametrize(
+        "prev,nxt,message",
+        [
+            ((2, 2), (2, 3), "adding at row 2 of (2, 2) is illegal"),
+            ((2, 2), (1, 2), "removing at row 1 of (2, 2) is illegal"),
+            ((2, 2), (2, 3, 1), "adding at row 2 of (2, 2) is illegal"),
+            ((1,), (1, 1, 1), "shapes (1,) -> (1, 1, 1) differ by more than one square"),
+            ((3, 1, 1), (3,), "removing at row 2 of (3, 1, 1) is illegal"),
+            ((2, 1), (1, 2), "shapes (2, 1) -> (1, 2) differ by more than one square"),
+        ],
+    )
+    def test_half_step_messages(self, prev, nxt, message):
+        # validation reports these messages verbatim
+        with pytest.raises(MalformedTableauError) as err:
+            half_step(prev, nxt)
+        assert str(err.value) == message
 
 
 class TestValidation:
@@ -198,6 +265,29 @@ class TestConversion:
         assert len(calls) == 1
         step_pairs(t)
         assert len(calls) == 2
+
+    def test_witness_route_scans_each_tableau_once(self, monkeypatch):
+        import noncrossing.tableaux as tableaux_module
+        from noncrossing.duality import contract_partition, contract_partition_via_tableaux
+
+        counts = {"validations": 0, "half_steps": 0}
+
+        def counted_violations(t):
+            counts["validations"] += 1
+            return tableau_violations(t)
+
+        def counted_half_step(prev, nxt):
+            counts["half_steps"] += 1
+            return half_step(prev, nxt)
+
+        monkeypatch.setattr(tableaux_module, "tableau_violations", counted_violations)
+        monkeypatch.setattr(tableaux_module, "half_step", counted_half_step)
+        n = 7
+        p = PartitionDiagram(n, ((1, 3), (2, 5), (3, 4), (5, 7)))
+        assert contract_partition_via_tableaux(p) == contract_partition(p)
+        # one partition tableau over [n] and one braid tableau over [n-1]:
+        # 2n + 2(n - 1) shape transitions
+        assert counts == {"validations": 2, "half_steps": 4 * n - 2}
 
     def test_round_trips(self):
         for n in range(0, 8):
