@@ -84,45 +84,37 @@ class ArcDiagram:
         return tuple(i for i, j in self.arcs if i == j)
 
 
+def _check_endpoints(arcs: Iterable[Arc]) -> None:
+    """No vertex starts two of these non-loop arcs, and none ends two."""
+    starts: set[int] = set()
+    ends: set[int] = set()
+    for i, j in arcs:
+        if i in starts:
+            raise InvalidDiagramError(f"vertex {i} starts two non-loop arcs")
+        if j in ends:
+            raise InvalidDiagramError(f"vertex {j} ends two non-loop arcs")
+        starts.add(i)
+        ends.add(j)
+
+
 class PartitionDiagram(ArcDiagram):
     """Arc form of a set partition of [n]."""
 
     def _check(self) -> None:
         super()._check()
-        lefts: set[int] = set()
-        rights: set[int] = set()
         for i, j in self.arcs:
             if i == j:
                 raise InvalidDiagramError(f"partition diagram cannot contain loop {(i, j)}")
-            if i in lefts:
-                raise InvalidDiagramError(f"vertex {i} starts two arcs")
-            if j in rights:
-                raise InvalidDiagramError(f"vertex {j} ends two arcs")
-            lefts.add(i)
-            rights.add(j)
+        _check_endpoints(self.arcs)
 
 
 class BraidDiagram(ArcDiagram):
-    """Braid diagram: degree-two vertices are loops or crossing pairs."""
+    """Braid diagram: degree-two vertices are loops or crossing pairs;
+    the endpoint rule leaves a pair only as (i, v), (v, h)."""
 
     def _check(self) -> None:
         super()._check()
-        starts: dict[int, int] = {}
-        ends: dict[int, int] = {}
-        for i, j in self.arcs:
-            if i == j:
-                continue
-            starts[i] = starts.get(i, 0) + 1
-            ends[j] = ends.get(j, 0) + 1
-        for v in range(1, self.n + 1):
-            s, e = starts.get(v, 0), ends.get(v, 0)
-            if s > 1:
-                raise InvalidDiagramError(f"vertex {v} starts two non-loop arcs")
-            if e > 1:
-                raise InvalidDiagramError(f"vertex {v} ends two non-loop arcs")
-            # degree-2 non-loop vertices must be endpoint-then-origin,
-            # i.e. arcs (i, v), (v, h): one in, one out.  s == e == 1 is
-            # exactly that; s == 2 or e == 2 was rejected above.
+        _check_endpoints((i, j) for i, j in self.arcs if i != j)
 
 
 # -- block view of partitions -------------------------------------------------

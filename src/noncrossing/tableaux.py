@@ -10,6 +10,9 @@ disciplines are used:
 * braid steps: the legal pairs are (do nothing, do nothing),
   (add, remove), (do nothing, add) and (remove, do nothing).
 
+Both are stated once, as the table ``_LEGAL_KINDS`` of legal (odd, even)
+kinds, which validation and the right-to-left scan both read.
+
 The translation to diagrams scans vertices left to right while
 maintaining a filling (a partial standard Young tableau whose entries
 are the currently open origins):
@@ -22,13 +25,15 @@ are the currently open origins):
   arc (e, i).  Under braid steps a vertex may place i and immediately
   eject it again, which is how loops (i, i) arise.
 
-The inverse direction scans the diagram right to left, undoing each
-half-step: an ejection is undone by ordinary row insertion of the arc
-partner (bump the smallest larger entry downward), a placement is
-undone by deleting the entry i, which at that moment is maximal and
-therefore sits at a removable corner.  Because insertion and reverse
-bumping are mutually inverse, the two scans are exact inverses, and the
-maximal number of rows used equals the diagram's crossing number.
+The inverse direction scans the diagram right to left.  Each vertex
+places iff it starts an arc and ejects iff it ends one, and under either
+discipline exactly one legal pair does just that; the scan undoes its
+even half-step, then its odd one.  An ejection is undone by ordinary
+row insertion of the arc partner (bump the smallest larger entry
+downward), a placement by deleting the entry i, which at that moment is
+maximal and therefore sits at a removable corner.  Because insertion and
+reverse bumping are mutually inverse, the two scans are exact inverses,
+and the maximal number of rows used equals the diagram's crossing number.
 
 Each tableau handed to ``step_pairs`` or ``tableau_to_diagram`` is
 validated once, by one scan that checks every shape and derives every
@@ -40,6 +45,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import ge
 from typing import Iterable, Sequence
 
 from .diagrams import BraidDiagram, PartitionDiagram
@@ -60,9 +66,8 @@ class MalformedTableauError(ValueError):
 
 
 def is_shape(rows: Sequence[int]) -> bool:
-    return all(r >= 1 for r in rows) and all(
-        rows[h] >= rows[h + 1] for h in range(len(rows) - 1)
-    )
+    """Weakly decreasing rows, the last at least 1, so that every row is."""
+    return not rows or (rows[-1] >= 1 and all(map(ge, rows, rows[1:])))
 
 
 def add_square(shape: Shape, row: int) -> Shape:
@@ -118,19 +123,19 @@ def half_step(prev: Shape, nxt: Shape) -> HalfStep:
     return step
 
 
+#: step set -> the legal (odd, even) kinds of a vertex's pair, where a
+#: kind is None (do nothing), "+" (add) or "-" (remove)
+_LEGAL_KINDS = {
+    PARTITION_STEPS: frozenset({(None, None), ("-", None), (None, "+"), ("-", "+")}),
+    BRAID_STEPS: frozenset({(None, None), ("+", "-"), (None, "+"), ("-", None)}),
+}
+
+
 def _legal_pair(pair: StepPair, step_set: str) -> bool:
+    if step_set not in _LEGAL_KINDS:
+        raise ValueError(f"unknown step set {step_set!r}")
     odd, even = pair
-    if step_set == PARTITION_STEPS:
-        odd_ok = odd is None or odd[0] == "-"
-        even_ok = even is None or even[0] == "+"
-        return odd_ok and even_ok
-    if step_set == BRAID_STEPS:
-        if odd is None:
-            return even is None or even[0] == "+"
-        if odd[0] == "+":
-            return even is not None and even[0] == "-"
-        return even is None  # odd removes
-    raise ValueError(f"unknown step set {step_set!r}")
+    return (odd and odd[0], even and even[0]) in _LEGAL_KINDS[step_set]
 
 
 # -- tableaux ---------------------------------------------------------------------
@@ -176,7 +181,7 @@ def tableau_violations(t: VacillatingTableau) -> TableauReport:
     report carries the derived pairs for the callers that go on to use
     them.
     """
-    if t.step_set not in (PARTITION_STEPS, BRAID_STEPS):
+    if t.step_set not in _LEGAL_KINDS:
         return TableauReport([f"unknown step set {t.step_set!r}"])
     if len(t.shapes) % 2 == 0 or not t.shapes:
         return TableauReport([f"length {len(t.shapes)} is not 2n+1"])
@@ -343,42 +348,20 @@ def diagram_to_tableau(
 
     partner = {j: i for i, j in d.arcs}  # vertex -> entry its ejection released
     placers = {i for i, _ in d.arcs}  # vertices that placed themselves
+    # each legal pair by what its vertex does, (places, ejects), even
+    # half first: the scan undoes a placement by deleting the entry i and
+    # an ejection by inserting its partner
+    undo = {("+" in kinds, "-" in kinds): kinds[::-1] for kinds in _LEGAL_KINDS[step_set]}
 
     filling: list[list[int]] = []
     rev: list[Shape] = [()]
-
-    def snap() -> None:
-        rev.append(tuple(len(r) for r in filling))
-
     for i in range(d.n, 0, -1):
-        places, ejects = i in placers, i in partner
-        if step_set == PARTITION_STEPS:
-            # forward order was: eject at odd, place at even
-            if places:
+        for kind in undo[i in placers, i in partner]:
+            if kind == "+":
                 _extract_max(filling, i)
-            snap()
-            if ejects:
+            elif kind == "-":
                 _insert(filling, partner[i])
-            snap()
-        else:
-            # forward order was: place at odd and eject at even when the
-            # vertex does both; otherwise place at even / eject at odd
-            if places and ejects:
-                _insert(filling, partner[i])
-                snap()
-                _extract_max(filling, i)
-                snap()
-            elif places:
-                _extract_max(filling, i)
-                snap()
-                snap()
-            elif ejects:
-                snap()
-                _insert(filling, partner[i])
-                snap()
-            else:
-                snap()
-                snap()
+            rev.append(tuple(map(len, filling)))
     if filling:
         raise MalformedTableauError("the right-to-left scan left entries in the filling")
     return VacillatingTableau(tuple(reversed(rev)), step_set, k_bound)

@@ -1,9 +1,10 @@
 """The counting-route registry, with count() its one way in, and the
 cross-validation suites.  Every class counts by brute force at every k;
-rho3 (B_k_dagger at k = 3) also by three formula routes.  Every entry
-point has a size cap, refused with RangeGuardError before any work.  A
-failed suite names its route, n and k and a counterexample: a diagram,
-the disagreeing values, or the ArithmeticError a route raised."""
+rho3 (B_k_dagger at k = 3) also by three formula routes, which
+rho3_agreement checks against each other.  Every entry point has a size
+cap, refused with RangeGuardError before any work.  A failed suite names
+its route, n and k and a counterexample: a diagram, the disagreeing
+values, or the ArithmeticError a route raised."""
 
 from __future__ import annotations
 
@@ -136,33 +137,26 @@ def _count_one(args: tuple[str, int, int]) -> tuple[int, int]:
     return n, enumeration.count_class(class_tag, k, n)
 
 
-def rho3_tables(n_max: int) -> dict[str, dict[int, str]]:
+def rho3_agreement(n_max: int) -> tuple[dict[str, dict[int, str]], dict]:
     """Every rho3 route over 1..n_max as decimal strings (count_text),
-    brute force only up to _BRUTE_CAP."""
-    return {
-        route: count_text("B_k_dagger", 3, route, _rho3_sizes(route, n_max))
-        for route in routes("B_k_dagger", 3)
-    }
-
-
-def _rho3_sizes(route: str, n_max: int) -> range:
-    return range(1, (min(n_max, _BRUTE_CAP) if route == "brute" else n_max) + 1)
-
-
-def check_rho3(tables: dict[str, dict]) -> dict:
-    """The rho3 suite's report: every route agrees with the closed form.
-    The tables hold ints, or all of them decimal strings."""
+    brute force only up to _BRUTE_CAP, and the rho3 suite's report that
+    each agrees with the closed form.  A route that raises ArithmeticError
+    fails it at the largest n asked for, with the tables built so far."""
+    tables = {}
+    for route in routes("B_k_dagger", 3):
+        top = min(n_max, _BRUTE_CAP) if route == "brute" else n_max
+        try:
+            tables[route] = count_text("B_k_dagger", 3, route, range(1, top + 1))
+        except ArithmeticError as err:
+            return tables, _raised("rho3", err, route=route, n=top, k=3)
     reference = tables["closed"]
     for route, table in tables.items():
         for n, value in table.items():
             if value != reference[n]:
-                witness = {route: str(value), "closed": str(reference[n])}
-                return _failure("rho3", "route disagrees", witness, route=route, n=n, k=3)
-    return {
-        "name": "rho3",
-        "passed": True,
-        "details": {"values": {n: str(v) for n, v in reference.items()}},
-    }
+                witness = {route: value, "closed": reference[n]}
+                return tables, _failure("rho3", "route disagrees", witness,
+                                        route=route, n=n, k=3)
+    return tables, {"name": "rho3", "passed": True, "details": {"values": reference}}
 
 
 # -- the suites -------------------------------------------------------------------
@@ -246,17 +240,8 @@ def _suite_tableau(k: int, n_max: int) -> dict:
 
 
 def _suite_rho3(k: int, n_max: int) -> dict:
-    """Four-route agreement on the common range.  A route that raises
-    ArithmeticError fails the suite at the largest n it was asked for;
-    the error's message says where it broke."""
-    tables = {}
-    for route in routes("B_k_dagger", 3):
-        sizes = _rho3_sizes(route, n_max)
-        try:
-            tables[route] = count("B_k_dagger", 3, route, sizes)
-        except ArithmeticError as err:
-            return _raised("rho3", err, route=route, n=sizes[-1], k=3)
-    return check_rho3(tables)
+    """Four-route agreement on the common range."""
+    return rho3_agreement(n_max)[1]
 
 
 def _suite_walks(k: int, n_max: int) -> dict:

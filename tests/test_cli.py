@@ -329,6 +329,17 @@ class TestRho3:
         assert max(map(int, report["routes"]["brute"])) == verify._BRUTE_CAP
         assert max(map(int, report["routes"]["closed"])) == 10
 
+    @pytest.mark.parametrize("argv", ["rho3 --route all --n-max 6",
+                                      "verify --suite rho3 --n-max 6"])
+    def test_one_agreement_check(self, capsys, monkeypatch, argv):
+        calls = []
+        agreement = verify.rho3_agreement
+        monkeypatch.setattr(verify, "rho3_agreement",
+                            lambda n_max: calls.append(n_max) or agreement(n_max))
+        assert cli.run(argv.split()) == 0
+        capsys.readouterr()
+        assert calls == [6]
+
     def test_kernel_route_matches_closed_form(self, capsys):
         status, kernel = run_json(capsys, "rho3", "--n-max", "12", "--route", "kernel")
         assert status == 0
@@ -427,6 +438,14 @@ class TestLibraryArithmeticErrors:
         failed = self._failed(capsys, "rho3")
         assert (failed["details"]["route"], failed["details"]["n"]) == ("kernel", 5)
         assert "order 12" in failed["counterexample"]["message"]
+
+    def test_rho3_all_routes(self, capsys, monkeypatch):
+        # an agreement check that a route cannot finish fails, as the
+        # rho3 suite does; the tables hold the routes before it
+        _corrupt_kernel_root(monkeypatch)
+        status, report = run_json(capsys, "rho3", "--route", "all", "--n-max", "5")
+        assert status == 2 and report["agreement"] is False
+        assert list(report["routes"]) == ["brute"]
 
     def test_walks_suite(self, capsys, monkeypatch):
         # every binomial read as 1: the closed form is not integral at n = 1

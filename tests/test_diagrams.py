@@ -112,6 +112,36 @@ class TestConstruction:
         with pytest.raises(InvalidDiagramError):
             cls(n, arcs)
 
+    # (n, arcs, partition outcome, braid outcome): None accepts, a string
+    # is the InvalidDiagramError message.  With two violations, the
+    # endpoint rule reports the first in arc order, and a partition
+    # refuses a loop before it applies the rule.
+    @pytest.mark.parametrize(
+        "n,arcs,partition,braid",
+        [
+            (3, ((1, 2), (1, 3)), "vertex 1 starts two non-loop arcs",
+             "vertex 1 starts two non-loop arcs"),
+            (3, ((1, 3), (2, 3)), "vertex 3 ends two non-loop arcs",
+             "vertex 3 ends two non-loop arcs"),
+            (2, ((1, 1),), "partition diagram cannot contain loop (1, 1)", None),
+            (3, ((1, 2), (2, 3)), None, None),
+            (3, ((1, 1), (2, 3)), "partition diagram cannot contain loop (1, 1)", None),
+            (2, ((1, 1), (1, 2)), "vertex 1 has degree 3 > 2", "vertex 1 has degree 3 > 2"),
+            (4, ((1, 3), (2, 3), (2, 4)), "vertex 3 ends two non-loop arcs",
+             "vertex 3 ends two non-loop arcs"),
+            (4, ((1, 2), (1, 3), (4, 4)), "partition diagram cannot contain loop (4, 4)",
+             "vertex 1 starts two non-loop arcs"),
+        ],
+    )
+    def test_endpoint_rule(self, n, arcs, partition, braid):
+        for cls, message in ((PartitionDiagram, partition), (BraidDiagram, braid)):
+            if message is None:
+                assert cls(n, arcs).arcs == arcs
+                continue
+            with pytest.raises(InvalidDiagramError) as err:
+                cls(n, arcs)
+            assert str(err.value) == message, cls.__name__
+
     def test_classes_compare_distinct(self):
         arcs = ((1, 2), (2, 3))
         assert PartitionDiagram(3, arcs) != BraidDiagram(3, arcs)

@@ -56,6 +56,38 @@ def test_module_layering():
     assert {name for name, used in imports.items() if "verify" in used} == {"cli"}
 
 
+def test_private_names_are_used():
+    # a private module-level name that no other statement of the library
+    # reads is a helper left behind by a refactor
+    defined, used = [], []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = {stmt.name}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                own = {t.id for t in targets if isinstance(t, ast.Name)}
+            else:
+                own = set()
+            defined += [(path.name, name, stmt) for name in own
+                        if name.startswith("_") and not name.startswith("__")]
+            used.append((stmt, names))
+    assert len(defined) > 20
+    unused = [
+        f"{module}:{name}" for module, name, stmt in defined
+        if not any(name in names for other, names in used if other is not stmt)
+    ]
+    assert not unused, f"private names nothing reads: {', '.join(unused)}"
+
+
 def test_integrity_checks_fire_under_python_O():
     # the guard tests (-k guard) corrupt a route and expect its own check
     # to raise; under -O, which strips assert statements, they must pass

@@ -1,8 +1,12 @@
 """Vacillating tableaux: shapes, validation, and the diagram bijection."""
 
+import re
+from itertools import product
+
 import pytest
 
 from conftest import braids_over, partitions_of
+from noncrossing import tableaux
 from noncrossing.diagrams import (
     BraidDiagram,
     PartitionDiagram,
@@ -20,6 +24,7 @@ from noncrossing.tableaux import (
     diagram_to_tableau,
     format_tableau,
     half_step,
+    is_shape,
     parse_tableau,
     remove_square,
     step_pairs,
@@ -118,6 +123,31 @@ def defined_half_step(prev, nxt):
     raise MalformedTableauError(f"no half-step turns {prev} into {nxt}")
 
 
+def defined_is_shape(rows):
+    """is_shape by its two-condition definition."""
+    return all(r >= 1 for r in rows) and all(
+        rows[h] >= rows[h + 1] for h in range(len(rows) - 1)
+    )
+
+
+def documented_kinds(step_set):
+    """The legal (odd, even) kinds of a step set, read from the module
+    docstring's list of the two disciplines."""
+    kind = {"do nothing": None, "add": "+", "remove": "-", "add a square": "+",
+            "remove a square": "-"}
+    [bullet] = re.findall(rf"^\* {step_set} steps: (.*?)(?=^\S|^\* |\Z)",
+                          tableaux.__doc__, re.M | re.S)
+    bullet = " ".join(bullet.split())
+    if step_set == P:
+        odd, even = re.fullmatch(
+            r"the odd half may (.*) or do nothing, the even half may (.*) or do nothing;",
+            bullet,
+        ).groups()
+        return set(product((None, kind[odd]), (None, kind[even])))
+    pairs = re.findall(r"\((do nothing|add|remove), (do nothing|add|remove)\)", bullet)
+    return {(kind[a], kind[b]) for a, b in pairs}
+
+
 class TestShapes:
     def test_add_and_remove(self):
         assert add_square((), 1) == (1,)
@@ -167,6 +197,15 @@ class TestShapes:
         # each corner of a shape is one add into it and one remove out of it
         assert steps == 2 * sum(len(set(s)) for s in shapes)
 
+    def test_is_shape_matches_its_definition(self):
+        # one pass (weakly decreasing, last row >= 1) against the two
+        # conditions (every row >= 1, weakly decreasing)
+        rows = [r for size in range(6) for r in product(range(-1, 5), repeat=size)]
+        assert len(rows) == 9331
+        for r in rows:
+            expect = defined_is_shape(r)
+            assert is_shape(r) is expect and is_shape(list(r)) is expect, r
+
     @pytest.mark.parametrize(
         "prev,nxt,message",
         [
@@ -212,6 +251,21 @@ class TestValidation:
 
 
 class TestStepPairs:
+    @pytest.mark.parametrize("step_set", [P, B])
+    def test_legal_pairs_are_the_documented_ones(self, step_set):
+        documented = documented_kinds(step_set)
+        assert len(documented) == 4
+        half = {None: None, "+": ("+", 1), "-": ("-", 1)}
+        accepted = {
+            kinds for kinds in product(half, repeat=2)
+            if tableaux._legal_pair((half[kinds[0]], half[kinds[1]]), step_set)
+        }
+        assert accepted == documented
+
+    def test_unknown_step_set_is_refused(self):
+        with pytest.raises(ValueError, match="unknown step set 'tangled'"):
+            tableaux._legal_pair((None, None), "tangled")
+
     def test_examples(self):
         assert step_pairs(VacillatingTableau(((), (), ()), P)) == ((None, None),)
         assert step_pairs(VacillatingTableau(((), (1,), ()), B)) == (
