@@ -115,8 +115,9 @@ def _cmd_count(ns: argparse.Namespace) -> tuple[dict, int]:
 
 
 def _cmd_enum(ns: argparse.Namespace) -> tuple[dict, int]:
-    enumeration.require_brute_budget(ns.n)
-    gen = enumeration.GENERATORS[_CLASS_TAGS[ns.class_name]]
+    class_tag = _CLASS_TAGS[ns.class_name]
+    enumeration.require_brute_budget(class_tag, ns.n)
+    gen = enumeration.GENERATORS[class_tag]
     lines = [diagrams.format_diagram(d) for d in gen(ns.n, ns.k)]
     if ns.format == "text":
         return {"text": "\n".join(lines)}, 0

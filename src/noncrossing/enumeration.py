@@ -138,13 +138,17 @@ def count_class(class_tag: str, k: int, n: int) -> int:
     return sum(1 for _ in gen(n, k))
 
 
-def require_brute_budget(n: int) -> None:
-    """Refuse brute force over [n] when its Bell(n) set partitions exceed
-    BRUTE_FORCE_LIMIT, before any of them is generated."""
-    if bell_number(n) > BRUTE_FORCE_LIMIT:
+def require_brute_budget(class_tag: str, n: int) -> None:
+    """Refuse brute force over the diagrams of class_tag over [n] when
+    their bound exceeds BRUTE_FORCE_LIMIT, before any is generated.  The
+    bound is Bell(n), the set partitions of [n], except for B_k: its
+    braids over [n] are as many as the partitions over [n + 1] that
+    contract to them, up to Bell(n + 1)."""
+    m = n + 1 if class_tag == "B_k" else n
+    if bell_number(m) > BRUTE_FORCE_LIMIT:
         raise RangeGuardError(
-            f"Bell({n}) = {bell_number(n)} exceeds the brute-force "
-            f"budget of {BRUTE_FORCE_LIMIT}"
+            f"{class_tag} over [{n}] is charged Bell({m}) = {bell_number(m)}, "
+            f"over the brute-force budget of {BRUTE_FORCE_LIMIT}"
         )
 
 

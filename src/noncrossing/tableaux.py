@@ -11,7 +11,11 @@ disciplines are used:
   (add, remove), (do nothing, add) and (remove, do nothing).
 
 Both are stated once, as the table ``_LEGAL_KINDS`` of legal (odd, even)
-kinds, which validation and the right-to-left scan both read.
+kinds, which validation and the right-to-left scan both read.  The rule
+for one half-step is stated once, in ``add_square`` and ``remove_square``,
+and ``half_step`` asks them.  Every step they accept keeps a shape a
+shape, so only ``tableau_violations`` calls ``is_shape``, to vet shapes
+from outside.
 
 The translation to diagrams scans vertices left to right while
 maintaining a filling (a partial standard Young tableau whose entries
@@ -34,11 +38,12 @@ downward), a placement by deleting the entry i, which at that moment is
 maximal and therefore sits at a removable corner.  Because insertion and
 reverse bumping are mutually inverse, the two scans are exact inverses,
 and the maximal number of rows used equals the diagram's crossing number.
+So the row bound is ``max_rows()``: a diagram is k-noncrossing iff
+``max_rows() < k`` for its tableau.
 
-Each tableau handed to ``step_pairs`` or ``tableau_to_diagram`` is
-validated once, by one scan that checks every shape and derives every
-half-step once; the left-to-right scan then reads the pairs that
-validation derived.
+``step_pairs`` is the one validating entry: it checks every shape and
+derives every half-step once, and ``tableau_to_diagram`` reads the pairs
+it returns.
 """
 
 from __future__ import annotations
@@ -71,35 +76,36 @@ def is_shape(rows: Sequence[int]) -> bool:
 
 
 def add_square(shape: Shape, row: int) -> Shape:
-    """Shape with one more square in the given 1-indexed row."""
+    """Shape with one more square in the given 1-indexed row: legal iff
+    row is 1 or row - 1 is longer than row, a row past the end counting
+    as 0."""
     if row < 1 or row > len(shape) + 1:
         raise MalformedTableauError(f"cannot add at row {row} of {shape}")
-    rows = list(shape) + [0] * (row - len(shape))
-    rows[row - 1] += 1
-    if not is_shape(rows):
+    length = shape[row - 1] if row <= len(shape) else 0
+    if row > 1 and shape[row - 2] <= length:
         raise MalformedTableauError(f"adding at row {row} of {shape} is illegal")
-    return tuple(rows)
+    return shape[:row - 1] + (length + 1,) + shape[row:]
 
 
 def remove_square(shape: Shape, row: int) -> Shape:
+    """Shape with one square fewer in the given 1-indexed row: legal iff
+    row is longer than row + 1, a row past the end counting as 0."""
     if row < 1 or row > len(shape):
         raise MalformedTableauError(f"cannot remove at row {row} of {shape}")
-    rows = list(shape)
-    rows[row - 1] -= 1
-    if rows[-1] == 0:
-        rows.pop()
-    if not is_shape(rows):
+    length = shape[row - 1]
+    if row < len(shape) and shape[row] >= length:
         raise MalformedTableauError(f"removing at row {row} of {shape} is illegal")
-    return tuple(rows)
+    # a row that empties is the last one, since the next row is shorter
+    return shape[:row - 1] + ((length - 1,) if length > 1 else ()) + shape[row:]
 
 
 def half_step(prev: Shape, nxt: Shape) -> HalfStep:
-    """The half-step turning shape prev into nxt, or raise if they
-    differ by more than one square.
+    """The half-step turning shape prev into nxt, or raise if it is
+    illegal or the two differ by more than one square.
 
-    Only the first row where the two differ can carry the step: it must
-    gain or lose one square, stay legal against its neighbouring row,
-    and leave every other row as it was.
+    Only the first row where the two differ can carry the step, as an
+    add if it gains one square and a remove if it loses one; add_square
+    or remove_square decides whether that step is legal.
     """
     if prev == nxt:
         return None
@@ -108,19 +114,11 @@ def half_step(prev: Shape, nxt: Shape) -> HalfStep:
         h += 1
     a = prev[h] if h < len(prev) else 0
     b = nxt[h] if h < len(nxt) else 0
-    if b == a + 1:
-        if h and prev[h - 1] <= a:
-            raise MalformedTableauError(f"adding at row {h + 1} of {prev} is illegal")
-        step = ("+", h + 1)
-    elif b == a - 1:
-        if h + 1 < len(prev) and prev[h + 1] >= a:
-            raise MalformedTableauError(f"removing at row {h + 1} of {prev} is illegal")
-        step = ("-", h + 1)
-    else:
-        step = None
-    if step is None or nxt != prev[:h] + ((b,) if b else ()) + prev[h + 1:]:
-        raise MalformedTableauError(f"shapes {prev} -> {nxt} differ by more than one square")
-    return step
+    if b == a + 1 and add_square(prev, h + 1) == nxt:
+        return ("+", h + 1)
+    if b == a - 1 and remove_square(prev, h + 1) == nxt:
+        return ("-", h + 1)
+    raise MalformedTableauError(f"shapes {prev} -> {nxt} differ by more than one square")
 
 
 #: step set -> the legal (odd, even) kinds of a vertex's pair, where a
@@ -145,13 +143,13 @@ def _legal_pair(pair: StepPair, step_set: str) -> bool:
 class VacillatingTableau:
     """Shape sequence of length 2n+1 with a declared step discipline.
 
-    k_bound, when set, additionally demands fewer than k rows in every
-    shape.  Construction does not validate; see validate_tableau.
+    Construction does not validate; see validate_tableau.  The row bound
+    is max_rows(): the diagram of a valid tableau is k-noncrossing iff
+    max_rows() < k.
     """
 
     shapes: tuple[Shape, ...]
     step_set: str
-    k_bound: int | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "shapes", tuple(tuple(s) for s in self.shapes))
@@ -206,11 +204,6 @@ def tableau_violations(t: VacillatingTableau) -> TableauReport:
         if not _legal_pair(pair, t.step_set):
             out.append(f"vertex {i}: pair {pair} not allowed for {t.step_set} steps")
         pairs.append(pair)
-    if t.k_bound is not None:
-        for pos, s in enumerate(t.shapes):
-            if len(s) >= t.k_bound:
-                out.append(f"entry {pos} has {len(s)} rows, bound is < {t.k_bound}")
-                break
     return TableauReport(out, pairs)
 
 
@@ -219,16 +212,17 @@ def validate_tableau(t: VacillatingTableau) -> bool:
 
 
 def step_pairs(t: VacillatingTableau) -> tuple[StepPair, ...]:
-    """The n half-step pairs of a valid tableau."""
-    return _require_valid(t)
+    """The n half-step pairs of a valid tableau, or raise with every
+    violation."""
+    report = tableau_violations(t)
+    if report:
+        raise MalformedTableauError("; ".join(report))
+    return report.pairs
 
 
-def tableau_from_step_pairs(
-    pairs: Iterable[StepPair],
-    step_set: str,
-    k_bound: int | None = None,
-) -> VacillatingTableau:
-    """Rebuild the shape sequence from pairs; inverse of step_pairs."""
+def tableau_from_step_pairs(pairs: Iterable[StepPair], step_set: str) -> VacillatingTableau:
+    """Rebuild the shape sequence from pairs; inverse of step_pairs.
+    add_square and remove_square check each step, so no shape is rescanned."""
     shapes: list[Shape] = [()]
     for idx, pair in enumerate(pairs, 1):
         if not _legal_pair(pair, step_set):
@@ -245,7 +239,7 @@ def tableau_from_step_pairs(
                 shapes.append(remove_square(cur, half[1]))
     if shapes[-1] != ():
         raise MalformedTableauError("pair sequence does not return to the empty shape")
-    return VacillatingTableau(tuple(shapes), step_set, k_bound)
+    return VacillatingTableau(tuple(shapes), step_set)
 
 
 # -- fillings ---------------------------------------------------------------------
@@ -315,7 +309,7 @@ def tableau_to_diagram(t: VacillatingTableau) -> PartitionDiagram | BraidDiagram
     """Left-to-right scan turning a valid tableau into its diagram."""
     filling: list[list[int]] = []
     arcs: list[tuple[int, int]] = []
-    for i, (odd, even) in enumerate(_require_valid(t), 1):
+    for i, (odd, even) in enumerate(step_pairs(t), 1):
         for half in (odd, even):
             if half is None:
                 continue
@@ -330,10 +324,7 @@ def tableau_to_diagram(t: VacillatingTableau) -> PartitionDiagram | BraidDiagram
     return cls(t.n, tuple(arcs))
 
 
-def diagram_to_tableau(
-    d: PartitionDiagram | BraidDiagram,
-    k_bound: int | None = None,
-) -> VacillatingTableau:
+def diagram_to_tableau(d: PartitionDiagram | BraidDiagram) -> VacillatingTableau:
     """Right-to-left scan building the unique tableau of a diagram.
 
     Exact inverse of tableau_to_diagram; the maximal row count of the
@@ -364,7 +355,7 @@ def diagram_to_tableau(
             rev.append(tuple(map(len, filling)))
     if filling:
         raise MalformedTableauError("the right-to-left scan left entries in the filling")
-    return VacillatingTableau(tuple(reversed(rev)), step_set, k_bound)
+    return VacillatingTableau(tuple(reversed(rev)), step_set)
 
 
 # -- text format ----------------------------------------------------------------------
@@ -376,19 +367,9 @@ def format_tableau(t: VacillatingTableau) -> str:
     return "|".join(",".join(str(r) for r in s) for s in t.shapes)
 
 
-def parse_tableau(
-    text: str, step_set: str, k_bound: int | None = None
-) -> VacillatingTableau:
+def parse_tableau(text: str, step_set: str) -> VacillatingTableau:
     shapes = tuple(
         tuple(int(r) for r in field.split(",")) if field else ()
         for field in text.split("|")
     )
-    return VacillatingTableau(shapes, step_set, k_bound)
-
-
-def _require_valid(t: VacillatingTableau) -> tuple[StepPair, ...]:
-    """The step pairs of t, or raise with every violation."""
-    report = tableau_violations(t)
-    if report:
-        raise MalformedTableauError("; ".join(report))
-    return report.pairs
+    return VacillatingTableau(shapes, step_set)

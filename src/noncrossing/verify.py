@@ -77,11 +77,12 @@ def routes(class_tag: str, k: int) -> tuple[str, ...]:
 def count(class_tag: str, k: int, route: str, sizes, jobs: int = 1) -> dict[int, int]:
     """{n: count} for each n in sizes by the named route.  Brute force is
     refused up front over budget, and jobs > 1 shards it over at most one
-    worker process per size and per CPU; the formula routes ignore jobs."""
-    sizes, entry = _admit(class_tag, k, route, sizes)
+    worker process per size and per CPU; the formula routes ignore jobs,
+    but every route refuses jobs < 1."""
+    sizes, entry = _admit(class_tag, k, route, sizes, jobs)
     if entry:
         return entry.count(sizes)
-    enumeration.require_brute_budget(max(sizes))
+    enumeration.require_brute_budget(class_tag, max(sizes))
     work = [(class_tag, k, n) for n in sizes]
     workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers > 1:
@@ -96,7 +97,7 @@ def count_text(class_tag: str, k: int, route: str, sizes, jobs: int = 1) -> dict
     their digits; the others are converted with str().  Either way a
     value of more than sys.get_int_max_str_digits() digits is refused
     with the ValueError that str() of an int raises."""
-    sizes, entry = _admit(class_tag, k, route, sizes)
+    sizes, entry = _admit(class_tag, k, route, sizes, jobs)
     if not (entry and entry.decimal):
         return {n: str(v) for n, v in count(class_tag, k, route, sizes, jobs).items()}
     values = entry.count(sizes, Decimal)
@@ -109,9 +110,12 @@ def count_text(class_tag: str, k: int, route: str, sizes, jobs: int = 1) -> dict
     return {n: str(v) for n, v in values.items()}
 
 
-def _admit(class_tag: str, k: int, route: str, sizes) -> tuple[list[int], _Route | None]:
+def _admit(class_tag: str, k: int, route: str, sizes,
+           jobs: int) -> tuple[list[int], _Route | None]:
     """The sizes as a list and the route's entry (None for brute force),
-    once the class, route and size cap admit them."""
+    once the class, route, job count and size cap admit them."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if class_tag not in enumeration.GENERATORS:
         raise ValueError(f"unknown class tag {class_tag!r}")
     available = routes(class_tag, k)
@@ -164,7 +168,7 @@ def rho3_agreement(n_max: int) -> tuple[dict[str, dict[int, str]], dict]:
 
 def _suite_duality(k: int, n_max: int) -> dict:
     """Cardinality, injectivity, image and arc property of the contraction."""
-    enumeration.require_brute_budget(n_max)
+    enumeration.require_brute_budget("P_k", n_max)
     cardinalities = {}
     for n in range(2, n_max + 1):
         braids = set(enumeration.gen_braids(n - 1, k))
@@ -190,7 +194,7 @@ def _suite_duality(k: int, n_max: int) -> dict:
 
 def _suite_restriction(k: int, n_max: int) -> dict:
     """Restricted map lands exactly on braids without isolated points."""
-    enumeration.require_brute_budget(n_max)
+    enumeration.require_brute_budget("P_k", n_max)
     checked = {}
     for n in range(2, n_max + 1):
         image = set()
@@ -211,7 +215,7 @@ def _suite_restriction(k: int, n_max: int) -> dict:
 
 def _suite_routes(k: int, n_max: int) -> dict:
     """The tableau route computes the same map as the direct route."""
-    enumeration.require_brute_budget(n_max)
+    enumeration.require_brute_budget("P_k", n_max)
     total = 0
     for n in range(1, n_max + 1):
         for p in enumeration.gen_partitions_k(n, k):
@@ -225,7 +229,7 @@ def _suite_routes(k: int, n_max: int) -> dict:
 
 def _suite_tableau(k: int, n_max: int) -> dict:
     """Round trips and the row bound for both diagram classes."""
-    enumeration.require_brute_budget(n_max)
+    enumeration.require_brute_budget("B_k", n_max)  # every braid over [n_max]
     total = 0
     for n in range(0, n_max + 1):
         braids = enumeration.gen_braids(n, n + 2) if n else ()

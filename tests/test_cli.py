@@ -125,6 +125,21 @@ class TestCount:
         assert status == 0 and len(report["counts"]) == n_max
         assert started == ([workers] if workers else [])
 
+    @pytest.mark.parametrize("route", ["brute", "recurrence"])
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_1_are_refused(self, capsys, monkeypatch, jobs, route):
+        # refused before any work, on every route
+        monkeypatch.setattr(enumeration, "restricted_growth_strings", _unreachable)
+        routes = verify._FORMULA_ROUTES["B_k_dagger", 3]
+        recurrence = routes["recurrence"]._replace(count=_unreachable)
+        monkeypatch.setitem(routes, "recurrence", recurrence)
+        argv = ["count", "--class", "braids-noiso", "--n", "5", "--route", route, "--jobs", jobs]
+        assert cli.run(argv) == 1
+        assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
+            "error": "ValueError",
+            "message": f"jobs must be at least 1, got {jobs}",
+        }
+
     def test_empty_range_rejected(self, capsys):
         assert cli.run(["count", "--class", "partitions", "--n-max", "0"]) == 1
         assert cli.run(["rho3", "--n-max", "0"]) == 1
@@ -382,6 +397,28 @@ class TestBudgets:
         assert cli.run(argv.split()) == 1
         err = capsys.readouterr().err
         assert json.loads(err.splitlines()[-1])["error"] == "RangeGuardError"
+
+    @pytest.mark.parametrize("argv", [
+        "count --class braids --k 3 --n 12",
+        "enum --class braids --n 12",
+        "verify --suite tableau --n-max 12",
+    ])
+    def test_braids_are_charged_bell_of_n_plus_1(self, capsys, monkeypatch, argv):
+        # the braids over [12] number up to Bell(13) > 10^7 although
+        # Bell(12) is within the budget; every generator draws from
+        # restricted_growth_strings, so none runs before the refusal
+        monkeypatch.setattr(enumeration, "restricted_growth_strings", _unreachable)
+        assert cli.run(argv.split()) == 1
+        assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
+            "error": "RangeGuardError",
+            "message": "B_k over [12] is charged Bell(13) = 27644437, "
+                       "over the brute-force budget of 10000000",
+        }
+
+    def test_braids_over_11_are_admitted(self, monkeypatch):
+        monkeypatch.setattr(enumeration, "restricted_growth_strings", _unreachable)
+        with pytest.raises(AssertionError, match="work started"):
+            cli.run(["count", "--class", "braids", "--k", "3", "--n", "11"])
 
     @pytest.mark.parametrize("suite", ["all", *sorted(verify.SUITES)])
     def test_verify_rejects_an_empty_range(self, capsys, suite):

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 
 import noncrossing
+from noncrossing import enumeration, verify
 
 _PACKAGE = Path(noncrossing.__file__).resolve().parent
 
@@ -106,3 +107,39 @@ def test_integrity_checks_fire_under_python_O():
     assert run.returncode == 0, run.stdout[-2000:] + run.stderr[-2000:]
     passed = re.search(r"(\d+) passed", run.stdout)
     assert passed and int(passed.group(1)) >= 10, run.stdout[-2000:]
+
+
+def _first_refused(class_tag):
+    n = 0
+    while True:
+        try:
+            enumeration.require_brute_budget(class_tag, n)
+        except enumeration.RangeGuardError:
+            return n
+        n += 1
+
+
+def test_readme_states_the_caps():
+    # the README quotes every cap as the code has it: plain digits inside
+    # code spans, groups of three digits split by spaces in prose
+    readme = " ".join((_PACKAGE.parent.parent / "README.md").read_text().split())
+    routes = {name: r.cap for name, r in verify._FORMULA_ROUTES["B_k_dagger", 3].items()}
+    assert set(routes) == {"kernel", "closed", "recurrence"}
+
+    def prose(value):
+        return f"{value:,}".replace(",", " ")
+
+    phrases = [
+        f"`--route kernel` up to `n = {routes['kernel']}`",
+        f"`--route closed` up to `n = {routes['closed']}`",
+        f"`--route recurrence` is capped at `n = {routes['recurrence']}`",
+        f"`verify --suite walks` up to `--n-max {verify._WALKS_CAP}`",
+        f"`asympt` is capped at `--n {verify.ASYMPT_CAP}`",
+        f"more than {prose(verify.DIAGRAM_CAP)} vertices (`verify.DIAGRAM_CAP`",
+        f"`rho3 --route all` stops brute force at `n = {verify._BRUTE_CAP}`",
+        f"Bell(n) above {prose(enumeration.BRUTE_FORCE_LIMIT)} (`n >= {_first_refused('P_k')}`)",
+        f"charged Bell(n + 1) and refuse `n >= {_first_refused('B_k')}`",
+    ]
+    assert (_first_refused("P_k"), _first_refused("B_k")) == (13, 12)
+    missing = [phrase for phrase in phrases if phrase not in readme]
+    assert not missing, f"README does not quote: {missing}"

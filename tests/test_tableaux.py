@@ -108,13 +108,39 @@ def shapes_up_to(size):
     return [s for total in range(size + 1) for s in parts(total, total)]
 
 
+def defined_add(shape, row):
+    """add_square by its definition: one more square in the row, legal
+    iff the result is a shape."""
+    if not 1 <= row <= len(shape) + 1:
+        raise MalformedTableauError(f"cannot add at row {row} of {shape}")
+    rows = list(shape) + [0] * (row - len(shape))
+    rows[row - 1] += 1
+    if not defined_is_shape(rows):
+        raise MalformedTableauError(f"adding at row {row} of {shape} is illegal")
+    return tuple(rows)
+
+
+def defined_remove(shape, row):
+    """remove_square by its definition: one square fewer in the row, an
+    emptied last row dropped, legal iff the result is a shape."""
+    if not 1 <= row <= len(shape):
+        raise MalformedTableauError(f"cannot remove at row {row} of {shape}")
+    rows = list(shape)
+    rows[row - 1] -= 1
+    if rows[-1] == 0:
+        rows.pop()
+    if not defined_is_shape(rows):
+        raise MalformedTableauError(f"removing at row {row} of {shape} is illegal")
+    return tuple(rows)
+
+
 def defined_half_step(prev, nxt):
     """half_step by its definition: the add or remove that turns prev
     into nxt."""
     if prev == nxt:
         return None
     for row in range(1, len(prev) + 2):
-        for op, sign in ((add_square, "+"), (remove_square, "-")):
+        for op, sign in ((defined_add, "+"), (defined_remove, "-")):
             try:
                 if op(prev, row) == nxt:
                     return (sign, row)
@@ -174,6 +200,26 @@ class TestShapes:
         assert half_step((2, 1), (1, 1)) == ("-", 1)
         with pytest.raises(MalformedTableauError):
             half_step((), (2,))
+
+    def test_add_and_remove_match_their_definition(self):
+        shapes = shapes_up_to(6)
+        assert len(shapes) == 30
+        moves = 0
+        for shape in shapes:
+            for row in range(0, len(shape) + 3):
+                for op, defined in ((add_square, defined_add), (remove_square, defined_remove)):
+                    try:
+                        expect = defined(shape, row)
+                    except MalformedTableauError as err:
+                        with pytest.raises(MalformedTableauError) as raised:
+                            op(shape, row)
+                        assert str(raised.value) == str(err)
+                        continue
+                    assert op(shape, row) == expect, (op.__name__, shape, row)
+                    moves += 1
+        # a shape with c distinct row lengths has c + 1 addable corners
+        # and c removable ones
+        assert moves == sum(2 * len(set(s)) + 1 for s in shapes)
 
     def test_half_step_matches_its_definition(self):
         shapes = shapes_up_to(6)
@@ -238,13 +284,6 @@ class TestValidation:
     def test_endpoint_conditions(self):
         assert not validate_tableau(VacillatingTableau(((1,), (), ()), P))
         assert not validate_tableau(VacillatingTableau(((), (), (1,)), P))
-
-    def test_k_bound(self):
-        t = diagram_to_tableau(PartitionDiagram(4, ((1, 3), (2, 4))), k_bound=3)
-        assert validate_tableau(t)
-        assert not validate_tableau(
-            VacillatingTableau(t.shapes, t.step_set, k_bound=2)
-        )
 
     def test_bad_shape_entry(self):
         assert not validate_tableau(VacillatingTableau(((), (0,), ()), B))
@@ -319,6 +358,28 @@ class TestConversion:
         assert len(calls) == 1
         step_pairs(t)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("d", [
+        PartitionDiagram(7, ((1, 3), (2, 5), (3, 4), (5, 7))),
+        BraidDiagram(6, ((1, 3), (2, 5), (3, 4), (6, 6))),
+    ], ids=["partition", "braid"])
+    def test_each_shape_is_checked_once(self, monkeypatch, d):
+        # validation checks every shape of a tableau from outside; the
+        # shapes that add_square and remove_square build are not checked
+        calls = []
+
+        def counted(rows):
+            calls.append(rows)
+            return is_shape(rows)
+
+        monkeypatch.setattr(tableaux, "is_shape", counted)
+        t = diagram_to_tableau(d)
+        calls.clear()
+        pairs = step_pairs(t)
+        assert len(calls) == len(t.shapes)
+        calls.clear()
+        assert tableau_from_step_pairs(pairs, t.step_set) == t
+        assert calls == []
 
     def test_witness_route_scans_each_tableau_once(self, monkeypatch):
         import noncrossing.tableaux as tableaux_module
