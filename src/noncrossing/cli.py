@@ -152,6 +152,8 @@ def _cmd_verify(ns: argparse.Namespace) -> tuple[dict, int]:
 def _cmd_rho3(ns: argparse.Namespace) -> tuple[dict, int]:
     sizes = _one_to(ns.n_max)
     if ns.route == "all":
+        if ns.format == "csv":  # the agreement report has no CSV form
+            raise ValueError("rho3 --route all has no --format csv; name one --route")
         tables, report = verify.rho3_agreement(ns.n_max)
         agreement = report["passed"]
         routes = {name: _by_size(table) for name, table in tables.items()}
@@ -166,7 +168,7 @@ def _cmd_asympt(ns: argparse.Namespace) -> tuple[dict, int]:
     verify.require_cap("asympt", ns.n, verify.ASYMPT_CAP)
     estimate = walks.asymptotic_estimate(ns.n)
     payload = {"n": ns.n, "estimate": str(estimate)}
-    if ns.n <= 2000:
+    if ns.n <= verify.ASYMPT_EXACT_CAP:
         [exact] = verify.count_text("B_k_dagger", 3, "recurrence", [ns.n]).values()
         rel = abs(estimate / Decimal(exact) - 1)
         payload["exact"] = exact

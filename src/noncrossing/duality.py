@@ -54,8 +54,10 @@ def contract_partition(p: PartitionDiagram) -> BraidDiagram:
     return BraidDiagram(p.n - 1, tuple((i, j - 1) for i, j in p.arcs))
 
 
-def expand_braid(b: BraidDiagram) -> PartitionDiagram:
-    """Inverse of contract_partition: arcs (i, j) become (i, j+1)."""
+def expand_braid(b: BraidDiagram | PartitionDiagram) -> PartitionDiagram:
+    """Inverse of contract_partition: arcs (i, j) become (i, j+1).  Also
+    takes a braid's loop-free part (strip_loops), which is how
+    expand_braid_no_isolated inverts contract_two_regular."""
     return PartitionDiagram(b.n + 1, tuple((i, j + 1) for i, j in b.arcs))
 
 
@@ -124,8 +126,6 @@ def contract_two_regular(p: PartitionDiagram, k: int) -> BraidDiagram:
     if not is_k_noncrossing(p, k):
         raise RestrictedDomainError(f"partition is not {k}-noncrossing")
     contracted = contract_partition(p)
-    if contracted.loops():
-        raise RestrictedDomainError("2-regular input cannot contract to loops")
     return loop_isolated_vertices(PartitionDiagram(contracted.n, contracted.arcs))
 
 
@@ -135,5 +135,4 @@ def expand_braid_no_isolated(b: BraidDiagram, k: int) -> PartitionDiagram:
         raise RestrictedDomainError("braid has isolated points")
     if not is_k_noncrossing(b, k):
         raise RestrictedDomainError(f"braid is not {k}-noncrossing")
-    flat = strip_loops(b)
-    return PartitionDiagram(b.n + 1, tuple((i, j + 1) for i, j in flat.arcs))
+    return expand_braid(strip_loops(b))

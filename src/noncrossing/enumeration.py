@@ -14,7 +14,7 @@ against; they are deliberately simple.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import count
 from typing import Iterator
 
 from .diagrams import (
@@ -33,7 +33,6 @@ class RangeGuardError(RuntimeError):
     """Brute-force range would exceed the configuration budget."""
 
 
-@lru_cache(maxsize=None)
 def bell_number(n: int) -> int:
     """Number of set partitions of [n], by the Bell triangle."""
     if n < 0:
@@ -138,17 +137,23 @@ def count_class(class_tag: str, k: int, n: int) -> int:
     return sum(1 for _ in gen(n, k))
 
 
+#: the least m with Bell(m) > BRUTE_FORCE_LIMIT
+_REFUSED_SIZE = next(m for m in count() if bell_number(m) > BRUTE_FORCE_LIMIT)
+
+
 def require_brute_budget(class_tag: str, n: int) -> None:
     """Refuse brute force over the diagrams of class_tag over [n] when
     their bound exceeds BRUTE_FORCE_LIMIT, before any is generated.  The
-    bound is Bell(n), the set partitions of [n], except for B_k: its
-    braids over [n] are as many as the partitions over [n + 1] that
-    contract to them, up to Bell(n + 1)."""
+    bound is Bell(m), m = n, the set partitions of [n], except for B_k:
+    its braids over [n] are as many as the partitions over [n + 1] that
+    contract to them, up to Bell(n + 1).  Only m is compared, with
+    _REFUSED_SIZE, so that refusal costs the same at every n."""
     m = n + 1 if class_tag == "B_k" else n
-    if bell_number(m) > BRUTE_FORCE_LIMIT:
+    if m >= _REFUSED_SIZE:
+        relation = "=" if m == _REFUSED_SIZE else ">"
         raise RangeGuardError(
-            f"{class_tag} over [{n}] is charged Bell({m}) = {bell_number(m)}, "
-            f"over the brute-force budget of {BRUTE_FORCE_LIMIT}"
+            f"{class_tag} over [{n}] is charged Bell({m}) {relation} "
+            f"{bell_number(_REFUSED_SIZE)}, over the brute-force budget of {BRUTE_FORCE_LIMIT}"
         )
 
 

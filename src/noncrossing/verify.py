@@ -24,8 +24,7 @@ _BRUTE_CAP = 8
 def _recurrence_route(sizes: list[int], number: type = int) -> dict:
     """One recurrence table over 1..max(sizes), carried in int or, with
     number=Decimal, in decimal radix."""
-    seeds = tuple(number(walks.rho3_closed_form(n)) for n in (1, 2, 3))
-    table = walks.rho3_recurrence(max(sizes), seeds)
+    table = walks.rho3_recurrence(max(sizes), number)
     return {n: table[n] for n in sizes}
 
 
@@ -56,6 +55,8 @@ _FORMULA_ROUTES = {
 _WALKS_CAP = 210
 #: the largest --n of asympt
 ASYMPT_CAP = 800_000
+#: the largest --n at which asympt also reports the exact value
+ASYMPT_EXACT_CAP = 2000
 #: the largest n of a diagram given to map or render
 DIAGRAM_CAP = 100_000
 
@@ -82,7 +83,6 @@ def count(class_tag: str, k: int, route: str, sizes, jobs: int = 1) -> dict[int,
     sizes, entry = _admit(class_tag, k, route, sizes, jobs)
     if entry:
         return entry.count(sizes)
-    enumeration.require_brute_budget(class_tag, max(sizes))
     work = [(class_tag, k, n) for n in sizes]
     workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers > 1:
@@ -111,9 +111,10 @@ def count_text(class_tag: str, k: int, route: str, sizes, jobs: int = 1) -> dict
 
 
 def _admit(class_tag: str, k: int, route: str, sizes,
-           jobs: int) -> tuple[list[int], _Route | None]:
-    """The sizes as a list and the route's entry (None for brute force),
-    once the class, route, job count and size cap admit them."""
+           jobs: int) -> tuple[range | list[int], _Route | None]:
+    """The sizes (a range kept as it is, bounded by its ends at any
+    length; anything else as a list) and the route's entry (None for
+    brute force), once the class, route, job count and cap admit them."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if class_tag not in enumeration.GENERATORS:
@@ -124,15 +125,18 @@ def _admit(class_tag: str, k: int, route: str, sizes,
             f"route {route!r} does not count {class_tag} at k={k}; "
             f"available: {', '.join(available)}"
         )
-    sizes = list(sizes)
+    sizes = sizes if isinstance(sizes, range) else list(sizes)
     if not sizes:
         raise ValueError("no sizes to count")
+    ends = (sizes[0], sizes[-1]) if isinstance(sizes, range) else sizes
+    low, high = min(ends), max(ends)
     if route == "brute":
+        enumeration.require_brute_budget(class_tag, high)
         return sizes, None
-    if min(sizes) < 1:
-        raise ValueError(f"route {route!r} counts from n = 1, got n = {min(sizes)}")
+    if low < 1:
+        raise ValueError(f"route {route!r} counts from n = 1, got n = {low}")
     entry = _FORMULA_ROUTES[class_tag, k][route]
-    require_cap(f"route {route!r}", max(sizes), entry.cap)
+    require_cap(f"route {route!r}", high, entry.cap)
     return sizes, entry
 
 

@@ -23,9 +23,10 @@ combination of Y0, Y0^2, Y0^3 yields rho3, as does a twelve-term
 signed sum of coefficients of Y0^k (binomial sums, by Lagrange
 inversion) and a four-term P-recurrence, stated once as a table of
 integer polynomial coefficients (_RHO3_RECURRENCE), whose divisions
-must come out exact.  Given Decimal seeds it runs in decimal radix
-under an exact context, so that its table prints in time linear in its
-digits (str() of a long int is quadratic).  The asymptotic law
+must come out exact.  Seeded from the closed form, it runs on int or,
+asked for Decimal, in decimal radix under an exact context, so that
+its table prints in time linear in its digits (str() of a long int is
+quadratic).  The asymptotic law
 rho3(n) ~ K * 8^n * n^-7 * (1 + c1/n + c2/n^2 + c3/n^3) is the formal
 series solution of that table (series_solution, in exact rationals).
 Its constant K = 327680*sqrt(3)/(27*pi) (EXACT_K) comes from a
@@ -393,25 +394,18 @@ _EXACT = Context(
 )
 
 
-def rho3_recurrence(
-    n_max: int, seeds: tuple[int, int, int] | tuple[Decimal, Decimal, Decimal] | None = None
-) -> dict[int, int]:
+def rho3_recurrence(n_max: int, number: type = int) -> dict[int, int]:
     """{n: rho3(n)} for 1 <= n <= n_max by the recurrence of _RHO3_RECURRENCE.
 
-    Seeds default to the closed form at n = 1, 2, 3 and are checked
-    against it when supplied.  The entries take the seeds' type: int, or
-    Decimal, in which case the loop runs in decimal radix under an exact
-    context, so that str() of an entry costs time linear in its digits.
-    Every division must be exact; a remainder raises RecurrenceError.
+    The seeds are the closed form at n = 1, 2, 3, converted to number:
+    int, or Decimal, in which case every entry is a Decimal and the loop
+    runs in decimal radix under an exact context, so that str() of an
+    entry costs time linear in its digits.  Every division must be
+    exact; a remainder raises RecurrenceError.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    expected = tuple(rho3_closed_form(n) for n in (1, 2, 3))
-    if seeds is None:
-        seeds = expected
-    elif tuple(seeds) != expected:
-        raise ValueError(f"seeds {seeds} disagree with the closed form {expected}")
-    entries = {n: seeds[n - 1] for n in range(1, min(3, n_max) + 1)}
+    entries = {n: number(rho3_closed_form(n)) for n in range(1, min(3, n_max) + 1)}
     with localcontext(_EXACT):
         for n in range(1, n_max - 2):
             a1, a2, a3, a4 = recurrence_weights(n)
@@ -472,14 +466,6 @@ class AsymptoticParams:
     c2: Fraction
     c3: Fraction
     leading_constant: Decimal
-
-
-def characteristic_polynomial() -> tuple[Fraction, ...]:
-    """Coefficients (constant term first) of the growth polynomial
-    1 + (15/8)X + (3/4)X^2 - (1/8)X^3: the recurrence table's leading
-    column, a4's entry negated, scaled to constant term 1."""
-    *column, top = (row[-1] for row in _RHO3_RECURRENCE)
-    return tuple(Fraction(c, column[0]) for c in (*column, -top))
 
 
 def _dominant_root(coeffs: list[int]) -> Fraction:

@@ -370,6 +370,17 @@ class TestRho3:
         assert status == 0
         assert out.splitlines() == ["route,n,value", "closed,1,1", "closed,2,2", "closed,3,5"]
 
+    def test_all_routes_have_no_csv(self, capsys, monkeypatch):
+        # the agreement report has no CSV form; refused before any route runs
+        monkeypatch.setattr(verify, "rho3_agreement", _unreachable)
+        assert cli.run(["rho3", "--route", "all", "--n-max", "6", "--format", "csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        diagnostic = json.loads(captured.err.splitlines()[-1])
+        assert diagnostic["error"] == "ValueError"
+        assert "--route all" in diagnostic["message"]
+        assert "--format csv" in diagnostic["message"]
+
 
 class TestAsympt:
     def test_payload(self, capsys):
@@ -419,6 +430,28 @@ class TestBudgets:
         monkeypatch.setattr(enumeration, "restricted_growth_strings", _unreachable)
         with pytest.raises(AssertionError, match="work started"):
             cli.run(["count", "--class", "braids", "--k", "3", "--n", "11"])
+
+    @pytest.mark.parametrize("argv", [
+        *(f"count --class {name} --n" for name in ("partitions", "2regular",
+                                                   "braids", "braids-noiso")),
+        "enum --class partitions --n",
+        *(f"verify --suite {suite} --n-max"
+          for suite in ("duality", "restriction", "routes", "tableau")),
+        "rho3 --route brute --n-max",
+    ])
+    def test_refusal_does_not_depend_on_the_size(self, capsys, monkeypatch, argv):
+        # only the least Bell number over the budget is ever formed
+        bell_number = enumeration.bell_number
+
+        def bounded_bell(m):
+            if m > 20:
+                raise AssertionError(f"Bell({m}) was computed")
+            return bell_number(m)
+
+        monkeypatch.setattr(enumeration, "bell_number", bounded_bell)
+        monkeypatch.setattr(enumeration, "restricted_growth_strings", _unreachable)
+        assert cli.run([*argv.split(), str(10**6)]) == 1
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "RangeGuardError"
 
     @pytest.mark.parametrize("suite", ["all", *sorted(verify.SUITES)])
     def test_verify_rejects_an_empty_range(self, capsys, suite):
@@ -534,6 +567,25 @@ class TestFormulaCaps:
         monkeypatch.setattr(walks, "asymptotic_estimate", _unreachable)
         assert cli.run(["asympt", "--n", str(verify.ASYMPT_CAP + 1)]) == 1
         assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "RangeGuardError"
+
+    @pytest.mark.parametrize("argv", [
+        "count --class braids-noiso --route kernel --n-max",
+        "rho3 --route kernel --n-max",
+        "rho3 --route closed --n-max",
+        "rho3 --route recurrence --n-max",
+        "rho3 --route all --n-max",
+    ])
+    def test_a_range_is_refused_without_listing_it(self, capsys, monkeypatch, argv):
+        # 10**18 sizes do not fit in memory: the cap must be checked on
+        # the range's ends, not on a list of its elements
+        routes = verify._FORMULA_ROUTES["B_k_dagger", 3]
+        for route in routes:
+            monkeypatch.setitem(routes, route, routes[route]._replace(count=_unreachable))
+        monkeypatch.setattr(verify, "_BRUTE_CAP", 1)  # rho3 --route all starts by brute force
+        assert cli.run([*argv.split(), str(10**18)]) == 1
+        message = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert message["error"] == "RangeGuardError"
+        assert message["message"].endswith(f"got {10**18}")
 
     @pytest.mark.parametrize("route", ["kernel", "closed", "recurrence"])
     def test_route_below_n_1_is_refused(self, route):

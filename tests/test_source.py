@@ -3,12 +3,13 @@
 import ast
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import noncrossing
-from noncrossing import enumeration, verify
+from noncrossing import cli, enumeration, verify
 
 _PACKAGE = Path(noncrossing.__file__).resolve().parent
 
@@ -135,6 +136,7 @@ def test_readme_states_the_caps():
         f"`--route recurrence` is capped at `n = {routes['recurrence']}`",
         f"`verify --suite walks` up to `--n-max {verify._WALKS_CAP}`",
         f"`asympt` is capped at `--n {verify.ASYMPT_CAP}`",
+        f"up to `--n {verify.ASYMPT_EXACT_CAP}` (`verify.ASYMPT_EXACT_CAP`)",
         f"more than {prose(verify.DIAGRAM_CAP)} vertices (`verify.DIAGRAM_CAP`",
         f"`rho3 --route all` stops brute force at `n = {verify._BRUTE_CAP}`",
         f"Bell(n) above {prose(enumeration.BRUTE_FORCE_LIMIT)} (`n >= {_first_refused('P_k')}`)",
@@ -143,3 +145,32 @@ def test_readme_states_the_caps():
     assert (_first_refused("P_k"), _first_refused("B_k")) == (13, 12)
     missing = [phrase for phrase in phrases if phrase not in readme]
     assert not missing, f"README does not quote: {missing}"
+
+
+def _readme_blocks(language):
+    readme = (_PACKAGE.parent.parent / "README.md").read_text()
+    return re.findall(rf"^```{language}\n(.*?)^```", readme, re.M | re.S)
+
+
+def test_readme_examples_run(capsys):
+    # every noncrossing command of the README exits 0, and the outputs it
+    # quotes in comments are what the library prints
+    commands = [line for block in _readme_blocks("sh") for line in block.splitlines()
+                if line.startswith("noncrossing ")]
+    assert len(commands) >= 8
+    for line in commands:
+        argv = shlex.split(line, comments=True)[1:]
+        if ">" in argv:  # the shell's redirect, not an argument
+            argv = argv[: argv.index(">")]
+        assert cli.run(argv) == 0, line
+        out = capsys.readouterr().out
+        quoted = re.search(r"# -> (.*)$", line)
+        if quoted:
+            assert out.strip() == quoted.group(1), line
+
+    [example] = _readme_blocks("python")
+    exec(compile(example, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert re.search(r"^print\(rho3_closed_form\(10\)\) +# (\d+)$", example, re.M).group(1) \
+        == printed[1]
+    assert re.search(r"^# (\{.*\});", example, re.M).group(1) == printed[2]

@@ -14,7 +14,6 @@ from noncrossing.walks import (
     AsymptoticParams,
     RecurrenceError,
     asymptotic_estimate,
-    characteristic_polynomial,
     fit_leading_constant,
     kernel_residual,
     kernel_root_series,
@@ -180,13 +179,6 @@ class TestRecurrence:
                 (n + 7) * (n + 8) * (n + 9),
             ), n
 
-    def test_seed_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            rho3_recurrence(5, seeds=(1, 2, 6))
-
-    def test_explicit_seeds_accepted(self):
-        assert rho3_recurrence(5, seeds=(1, 2, 5))[5] == 51
-
     def test_exactness_guard_is_live(self, monkeypatch):
         import noncrossing.walks as walks_module
 
@@ -197,7 +189,7 @@ class TestRecurrence:
 
     def test_decimal_seeds_carry_the_table_in_decimal_radix(self):
         ints = rho3_recurrence(300)
-        decimals = rho3_recurrence(300, tuple(map(Decimal, (1, 2, 5))))
+        decimals = rho3_recurrence(300, Decimal)
         assert all(type(v) is Decimal for v in decimals.values())
         assert decimals == ints
         assert [str(v) for v in decimals.values()] == [str(v) for v in ints.values()]
@@ -217,9 +209,8 @@ class TestRecurrence:
         rem = (a1 * table[4785] + a2 * table[4786] + a3 * table[4787]) % a4
         assert rem
         monkeypatch.setattr(walks_module, "recurrence_weights", broken)
-        seeds = tuple(map(number, (1, 2, 5)))
         with pytest.raises(RecurrenceError) as caught:
-            walks_module.rho3_recurrence(4800, seeds)
+            walks_module.rho3_recurrence(4800, number)
         assert str(caught.value) == (
             f"non-exact division at n=4785: remainder {rem} modulo {a4}"
         )
@@ -238,12 +229,6 @@ class TestQuadrantWalks:
 
 
 class TestAsymptotics:
-    def test_characteristic_polynomial(self):
-        coeffs = characteristic_polynomial()
-        assert coeffs == (Fraction(1), Fraction(15, 8), Fraction(3, 4), Fraction(-1, 8))
-        assert sum(c * Fraction(8) ** e for e, c in enumerate(coeffs)) == 0
-        assert sum(c * Fraction(-1) ** e for e, c in enumerate(coeffs)) == 0
-
     def test_double_root_guard_is_live(self):
         # r(n+2) = 4r(n+1) - 4r(n): characteristic -(X - 2)^2
         with pytest.raises(ArithmeticError):
