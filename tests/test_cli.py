@@ -581,7 +581,6 @@ class TestFormulaCaps:
         routes = verify._FORMULA_ROUTES["B_k_dagger", 3]
         for route in routes:
             monkeypatch.setitem(routes, route, routes[route]._replace(count=_unreachable))
-        monkeypatch.setattr(verify, "_BRUTE_CAP", 1)  # rho3 --route all starts by brute force
         assert cli.run([*argv.split(), str(10**18)]) == 1
         message = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert message["error"] == "RangeGuardError"
