@@ -101,12 +101,12 @@ def _by_size(table: dict[int, str]) -> dict[str, str]:
     return {str(n): v for n, v in table.items()}
 
 
-def _csv(header: str, prefix: str, table: dict[int, str]) -> tuple[dict, int]:
+def _csv(header: str, prefix: str, table: dict[int, str]) -> tuple[str, int]:
     lines = [header] + [f"{prefix},{n},{table[n]}" for n in sorted(table)]
-    return {"csv": "\n".join(lines)}, 0
+    return "\n".join(lines), 0
 
 
-def _cmd_count(ns: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_count(ns: argparse.Namespace) -> tuple[dict | str, int]:
     sizes = [ns.n] if ns.n is not None else _one_to(ns.n_max)
     counts = verify.count_text(_CLASS_TAGS[ns.class_name], ns.k, ns.route, sizes, ns.jobs)
     if ns.format == "csv":
@@ -114,17 +114,17 @@ def _cmd_count(ns: argparse.Namespace) -> tuple[dict, int]:
     return {"class": ns.class_name, "k": ns.k, "route": ns.route, "counts": _by_size(counts)}, 0
 
 
-def _cmd_enum(ns: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_enum(ns: argparse.Namespace) -> tuple[dict | str, int]:
     class_tag = _CLASS_TAGS[ns.class_name]
     enumeration.require_brute_budget(class_tag, ns.n)
     gen = enumeration.GENERATORS[class_tag]
     lines = [diagrams.format_diagram(d) for d in gen(ns.n, ns.k)]
     if ns.format == "text":
-        return {"text": "\n".join(lines)}, 0
+        return "\n".join(lines), 0
     return {"class": ns.class_name, "k": ns.k, "n": ns.n, "diagrams": lines}, 0
 
 
-def _cmd_map(ns: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_map(ns: argparse.Namespace) -> tuple[dict | str, int]:
     n, arcs = diagrams.parse_diagram(ns.text)
     verify.require_cap("a diagram", n, verify.DIAGRAM_CAP)
     if ns.inverse:
@@ -133,7 +133,7 @@ def _cmd_map(ns: argparse.Namespace) -> tuple[dict, int]:
         out = duality.contract_partition(diagrams.PartitionDiagram(n, arcs))
     line = diagrams.format_diagram(out)
     if ns.format == "text":
-        return {"text": line}, 0
+        return line, 0
     return {"input": ns.text.strip(), "output": line}, 0
 
 
@@ -142,14 +142,14 @@ def _cmd_verify(ns: argparse.Namespace) -> tuple[dict, int]:
     if ns.suite in verify.K3_SUITES and ns.k != 3:
         raise ValueError(f"the {ns.suite} suite checks k = 3 only, not k = {ns.k}")
     names = sorted(verify.SUITES) if ns.suite == "all" else [ns.suite]
-    reports = [verify.SUITES[name](ns.k, ns.n_max) for name in names]
+    reports = verify.run_suites(names, ns.k, ns.n_max)
     passed = all(r["passed"] for r in reports)
     return {"k": ns.k, "n_max": ns.n_max, "suites": reports, "passed": passed}, (
         0 if passed else 2
     )
 
 
-def _cmd_rho3(ns: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_rho3(ns: argparse.Namespace) -> tuple[dict | str, int]:
     sizes = _one_to(ns.n_max)
     if ns.route == "all":
         if ns.format == "csv":  # the agreement report has no CSV form
@@ -176,10 +176,10 @@ def _cmd_asympt(ns: argparse.Namespace) -> tuple[dict, int]:
     return payload, 0
 
 
-def _cmd_render(ns: argparse.Namespace) -> tuple[dict, int]:
+def _cmd_render(ns: argparse.Namespace) -> tuple[str, int]:
     n, arcs = diagrams.parse_diagram(ns.text)
     verify.require_cap("a diagram", n, verify.DIAGRAM_CAP)
-    return {"svg": diagrams.diagram_svg(diagrams.ArcDiagram(n, arcs))}, 0
+    return diagrams.diagram_svg(diagrams.ArcDiagram(n, arcs)), 0
 
 
 _HANDLERS = {
@@ -191,9 +191,6 @@ _HANDLERS = {
     "asympt": _cmd_asympt,
     "render": _cmd_render,
 }
-
-#: keys whose values are emitted raw instead of wrapped in the report
-_RAW_KEYS = ("csv", "svg", "text")
 
 
 def run(argv: list[str] | None = None) -> int:
@@ -208,19 +205,17 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError, enumeration.RangeGuardError) as err:
         _diag(type(err).__name__, str(err))
         return 1
-    for key in _RAW_KEYS:
-        if key in payload:
-            print(payload[key])
-            break
-    else:
-        report = {
-            "command": ns.command,
-            "args": {k: v for k, v in vars(ns).items() if k != "command"},
-            "version": __version__,
-            "elapsed_seconds": round(time.perf_counter() - started, 6),
-            **payload,
-        }
-        print(json.dumps(report, sort_keys=True, indent=2))
+    if isinstance(payload, str):  # csv, text or svg, printed as it is
+        print(payload)
+        return status
+    report = {
+        "command": ns.command,
+        "args": {k: v for k, v in vars(ns).items() if k != "command"},
+        "version": __version__,
+        "elapsed_seconds": round(time.perf_counter() - started, 6),
+        **payload,
+    }
+    print(json.dumps(report, sort_keys=True, indent=2))
     return status
 
 

@@ -1,10 +1,11 @@
 """The counting-route registry, with count() its one way in, and the
-cross-validation suites.  Every class counts by brute force at every k;
-rho3 (B_k_dagger at k = 3) also by three formula routes, which
-rho3_agreement checks against each other.  Every entry point has a size
-cap, refused with RangeGuardError before any work.  A failed suite names
-its route, n and k and a counterexample: a diagram, the disagreeing
-values, or the ArithmeticError a route raised."""
+cross-validation suites, with run_suites() theirs.  Every class counts
+by brute force at every k; rho3 (B_k_dagger at k = 3) also by three
+formula routes, which rho3_agreement checks against each other.  The
+paper's two theorems share one check, _bijection.  Every entry point
+has a size cap, refused with RangeGuardError before any work.  A failed
+suite names its route, n and k and a counterexample: a diagram, the
+disagreeing values, or the ArithmeticError a route raised."""
 
 from __future__ import annotations
 
@@ -97,9 +98,10 @@ def count_text(class_tag: str, k: int, route: str, sizes, jobs: int = 1) -> dict
     their digits; the others are converted with str().  Either way a
     value of more than sys.get_int_max_str_digits() digits is refused
     with the ValueError that str() of an int raises."""
-    sizes, entry = _admit(class_tag, k, route, sizes, jobs)
+    entry = _FORMULA_ROUTES.get((class_tag, k), {}).get(route)
     if not (entry and entry.decimal):
         return {n: str(v) for n, v in count(class_tag, k, route, sizes, jobs).items()}
+    sizes, entry = _admit(class_tag, k, route, sizes, jobs)
     values = entry.count(sizes, Decimal)
     limit = sys.get_int_max_str_digits()
     if limit and any(v.adjusted() >= limit for v in values.values()):
@@ -150,13 +152,16 @@ def rho3_agreement(n_max: int) -> tuple[dict[str, dict[int, str]], dict]:
     brute force only up to _BRUTE_CAP, and the rho3 suite's report that
     each agrees with the closed form.  A route that raises ArithmeticError
     fails it at the largest n asked for, with the tables built so far."""
+    spans = {route: range(1, (min(n_max, _BRUTE_CAP) if route == "brute" else n_max) + 1)
+             for route in routes("B_k_dagger", 3)}
+    for route, span in spans.items():  # every cap, before the first table
+        _admit("B_k_dagger", 3, route, span, 1)
     tables = {}
-    for route in routes("B_k_dagger", 3):
-        top = min(n_max, _BRUTE_CAP) if route == "brute" else n_max
+    for route, span in spans.items():
         try:
-            tables[route] = count_text("B_k_dagger", 3, route, range(1, top + 1))
+            tables[route] = count_text("B_k_dagger", 3, route, span)
         except ArithmeticError as err:
-            return tables, _raised("rho3", err, route=route, n=top, k=3)
+            return tables, _raised("rho3", err, route=route, n=span[-1], k=3)
     reference = tables["closed"]
     for route, table in tables.items():
         for n, value in table.items():
@@ -170,56 +175,44 @@ def rho3_agreement(n_max: int) -> tuple[dict[str, dict[int, str]], dict]:
 # -- the suites -------------------------------------------------------------------
 
 
-def _suite_duality(k: int, n_max: int) -> dict:
-    """Cardinality, injectivity, image and arc property of the contraction."""
-    enumeration.require_brute_budget("P_k", n_max)
+def _bijection(name: str, k: int, n_max: int, domain: Callable, image_class: Callable,
+               forward: Callable, inverse: Callable) -> dict:
+    """For each n in 2..n_max: inverse(forward(p)) == p for every p in
+    domain(n, k) (so forward is one-to-one), and the images are exactly
+    image_class(n - 1, k)."""
     cardinalities = {}
     for n in range(2, n_max + 1):
-        braids = set(enumeration.gen_braids(n - 1, k))
         images = set()
-        for p in enumeration.gen_partitions_k(n, k):
-            image = duality.contract_partition(p)
-            if image in images:
-                return _failure("duality", "image collision", p, n=n, k=k)
-            if image not in braids:
-                return _failure("duality", "image outside the braid class", p, n=n, k=k)
-            if set(image.arcs) != {(i, j - 1) for i, j in p.arcs}:
-                return _failure("duality", "arc property broken", p, n=n, k=k)
+        for p in domain(n, k):
+            image = forward(p)
+            if inverse(image) != p:
+                return _failure(name, "round trip broken", p, n=n, k=k)
             images.add(image)
-        if images != braids:
-            # the map is injective into the braids, so one is missed
-            return _failure(
-                "duality", f"|partitions({n})| != |braids({n - 1})|",
-                min(braids - images, key=lambda d: d.arcs), n=n, k=k,
-            )
+        target = set(image_class(n - 1, k))
+        if images != target:
+            return _failure(name, f"the images are not {image_class.__name__}({n - 1}, {k})",
+                            min(images ^ target, key=lambda d: d.arcs), n=n, k=k)
         cardinalities[n] = len(images)
-    return {"name": "duality", "passed": True, "details": {"cardinalities": cardinalities}}
+    return {"name": name, "passed": True, "details": {"cardinalities": cardinalities}}
+
+
+def _suite_duality(k: int, n_max: int) -> dict:
+    """Contraction maps P_k over [n] onto B_k over [n-1], and expand_braid
+    (map --inverse) inverts it."""
+    return _bijection("duality", k, n_max, enumeration.gen_partitions_k, enumeration.gen_braids,
+                      duality.contract_partition, duality.expand_braid)
 
 
 def _suite_restriction(k: int, n_max: int) -> dict:
-    """Restricted map lands exactly on braids without isolated points."""
-    enumeration.require_brute_budget("P_k", n_max)
-    checked = {}
-    for n in range(2, n_max + 1):
-        image = set()
-        for p in enumeration.gen_2regular_k(n, k):
-            b = duality.contract_two_regular(p, k)
-            if duality.expand_braid_no_isolated(b, k) != p:
-                return _failure("restriction", "round trip broken", p, n=n, k=k)
-            image.add(b)
-        target = set(enumeration.gen_braids_no_isolated(n - 1, k))
-        if image != target:
-            return _failure(
-                "restriction", "image is not the braids without isolated points",
-                min(image ^ target, key=lambda d: d.arcs), n=n, k=k,
-            )
-        checked[n] = len(image)
-    return {"name": "restriction", "passed": True, "details": {"cardinalities": checked}}
+    """Restricted to P_k2 over [n], it maps onto B_k_dagger over [n-1]."""
+    return _bijection("restriction", k, n_max, enumeration.gen_2regular_k,
+                      enumeration.gen_braids_no_isolated,
+                      lambda p: duality.contract_two_regular(p, k),
+                      lambda b: duality.expand_braid_no_isolated(b, k))
 
 
 def _suite_routes(k: int, n_max: int) -> dict:
     """The tableau route computes the same map as the direct route."""
-    enumeration.require_brute_budget("P_k", n_max)
     total = 0
     for n in range(1, n_max + 1):
         for p in enumeration.gen_partitions_k(n, k):
@@ -233,7 +226,6 @@ def _suite_routes(k: int, n_max: int) -> dict:
 
 def _suite_tableau(k: int, n_max: int) -> dict:
     """Round trips and the row bound for both diagram classes."""
-    enumeration.require_brute_budget("B_k", n_max)  # every braid over [n_max]
     total = 0
     for n in range(0, n_max + 1):
         braids = enumeration.gen_braids(n, n + 2) if n else ()
@@ -338,3 +330,15 @@ SUITES = {
     "walks": _suite_walks,
     "series": _suite_series,
 }
+
+#: suite -> the class it is charged for at n_max (tableau: every braid)
+_SUITE_BUDGETS = {"duality": "P_k", "restriction": "P_k", "routes": "P_k", "tableau": "B_k"}
+
+
+def run_suites(names, k: int, n_max: int) -> list[dict]:
+    """The reports of the named suites, in order.  Every suite that
+    enumerates is charged its budget before the first one runs, so that
+    a refusal comes before any work."""
+    for class_tag in filter(None, map(_SUITE_BUDGETS.get, names)):
+        enumeration.require_brute_budget(class_tag, n_max)
+    return [SUITES[name](k, n_max) for name in names]

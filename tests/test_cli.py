@@ -268,6 +268,20 @@ class TestSuiteFailures:
         assert (failed["details"]["n"], failed["details"]["k"]) == (4, 3)
         assert failed["counterexample"] == "n=3; arcs=(1,1)(2,2)(3,3)"
 
+    def test_duality_checks_the_inverse(self, capsys, monkeypatch):
+        # an inverse that drops the first loop passes every other check
+        expand = duality.expand_braid
+
+        def drop_first_loop(b):
+            first = [(i, j) for i, j in b.arcs if i == j][:1]
+            return expand(type(b)(b.n, tuple(a for a in b.arcs if a not in first)))
+
+        monkeypatch.setattr(duality, "expand_braid", drop_first_loop)
+        failed = self._run(capsys, "duality")
+        assert (failed["details"]["n"], failed["details"]["k"]) == (2, 3)
+        assert failed["details"]["reason"] == "round trip broken"
+        assert failed["counterexample"] == "n=2; arcs=(1,2)"
+
     def test_restriction(self, capsys, monkeypatch):
         monkeypatch.setattr(duality, "expand_braid_no_isolated", lambda b, k: None)
         failed = self._run(capsys, "restriction")
@@ -413,6 +427,7 @@ class TestBudgets:
         "count --class braids --k 3 --n 12",
         "enum --class braids --n 12",
         "verify --suite tableau --n-max 12",
+        "verify --suite all --n-max 12",
     ])
     def test_braids_are_charged_bell_of_n_plus_1(self, capsys, monkeypatch, argv):
         # the braids over [12] number up to Bell(13) > 10^7 although
@@ -435,8 +450,10 @@ class TestBudgets:
         *(f"count --class {name} --n" for name in ("partitions", "2regular",
                                                    "braids", "braids-noiso")),
         "enum --class partitions --n",
+        # every suite, and all; series is left out, as its cost is fixed
+        # (order 40, n <= 10) whatever --n-max says
         *(f"verify --suite {suite} --n-max"
-          for suite in ("duality", "restriction", "routes", "tableau")),
+          for suite in ("all", *sorted(verify.SUITES)) if suite != "series"),
         "rho3 --route brute --n-max",
     ])
     def test_refusal_does_not_depend_on_the_size(self, capsys, monkeypatch, argv):
@@ -458,6 +475,28 @@ class TestBudgets:
         assert cli.run(["verify", "--suite", suite, "--n-max", "-3"]) == 1
         diagnostic = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert diagnostic == {"error": "ValueError", "message": "--n-max must be at least 1"}
+
+    @pytest.mark.parametrize("argv", [
+        "rho3 --route all --n-max 121",
+        f"rho3 --route all --n-max {10**18}",
+        "verify --suite rho3 --n-max 121",
+    ])
+    def test_every_rho3_route_is_admitted_before_brute_force(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(enumeration, "restricted_growth_strings", _unreachable)
+        assert cli.run(argv.split()) == 1
+        diagnostic = json.loads(capsys.readouterr().err.splitlines()[-1])
+        assert diagnostic["error"] == "RangeGuardError"
+        assert "'kernel'" in diagnostic["message"]
+
+    @pytest.mark.parametrize("route", ["brute", "kernel", "closed", "recurrence"])
+    def test_count_admits_once(self, capsys, monkeypatch, route):
+        calls = []
+        admit = verify._admit
+        monkeypatch.setattr(verify, "_admit", lambda *a: calls.append(a) or admit(*a))
+        argv = f"count --class braids-noiso --k 3 --n-max 5 --route {route}"
+        assert cli.run(argv.split()) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
 
     def test_unknown_route_names_the_routes(self, capsys):
         assert cli.run(["count", "--class", "braids-noiso", "--n", "4", "--route", "x"]) == 1
