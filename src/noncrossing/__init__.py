@@ -19,12 +19,10 @@ from .diagrams import (
     braid_crossing_number,
     diagram_svg,
     format_diagram,
-    has_isolated_points,
     is_k_noncrossing,
     is_two_regular,
     loop_isolated_vertices,
     parse_diagram,
-    partition_blocks,
     partition_crossing_number,
     partition_from_blocks,
     strip_loops,
@@ -52,8 +50,6 @@ from .tableaux import (
     MalformedTableauError,
     VacillatingTableau,
     diagram_to_tableau,
-    format_tableau,
-    parse_tableau,
     step_pairs,
     tableau_from_step_pairs,
     tableau_to_diagram,

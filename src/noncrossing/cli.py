@@ -69,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     mapper.add_argument("--format", choices=("text", "json"), default="text")
 
     suites = sub.add_parser("verify", help="run cross-validation suites")
-    suites.add_argument("--suite", default="all", choices=("all", *sorted(verify.SUITES)))
+    suites.add_argument("--suite", default="all", choices=("all", *verify.SUITE_NAMES))
     suites.add_argument("--k", type=int, default=3)
     suites.add_argument("--n-max", type=int, default=6)
 
@@ -141,7 +141,7 @@ def _cmd_verify(ns: argparse.Namespace) -> tuple[dict, int]:
     _one_to(ns.n_max)
     if ns.suite in verify.K3_SUITES and ns.k != 3:
         raise ValueError(f"the {ns.suite} suite checks k = 3 only, not k = {ns.k}")
-    names = sorted(verify.SUITES) if ns.suite == "all" else [ns.suite]
+    names = verify.SUITE_NAMES if ns.suite == "all" else [ns.suite]
     reports = verify.run_suites(names, ns.k, ns.n_max)
     passed = all(r["passed"] for r in reports)
     return {"k": ns.k, "n_max": ns.n_max, "suites": reports, "passed": passed}, (

@@ -65,9 +65,6 @@ class ArcDiagram:
             if d > 2:
                 raise InvalidDiagramError(f"vertex {v} has degree {d} > 2")
 
-    def degree(self, v: int) -> int:
-        return sum((i == v) + (j == v) for i, j in self.arcs)
-
     def origins(self) -> set[int]:
         """Vertices that start an arc; a loop makes its vertex an origin."""
         return {i for i, _ in self.arcs}
@@ -79,9 +76,6 @@ class ArcDiagram:
     def isolated_vertices(self) -> tuple[int, ...]:
         touched = self.origins() | self.endpoints()
         return tuple(v for v in range(1, self.n + 1) if v not in touched)
-
-    def loops(self) -> tuple[int, ...]:
-        return tuple(i for i, j in self.arcs if i == j)
 
 
 def _check_endpoints(arcs: Iterable[Arc]) -> None:
@@ -146,25 +140,6 @@ def partition_from_blocks(blocks: Iterable[Iterable[int]]) -> PartitionDiagram:
     return PartitionDiagram(n, tuple(arcs))
 
 
-def partition_blocks(p: PartitionDiagram) -> tuple[tuple[int, ...], ...]:
-    """Blocks of the set partition, as the connected components of the arcs.
-
-    Canonical form: each block ascending, blocks ordered by least element.
-    Round-trips with :func:`partition_from_blocks`.
-    """
-    succ = {i: j for i, j in p.arcs}
-    has_pred = {j for _, j in p.arcs}
-    blocks = []
-    for v in range(1, p.n + 1):
-        if v in has_pred:
-            continue
-        block = [v]
-        while block[-1] in succ:
-            block.append(succ[block[-1]])
-        blocks.append(tuple(block))
-    return tuple(blocks)
-
-
 # -- crossing statistics -------------------------------------------------------
 
 
@@ -222,10 +197,6 @@ def is_k_noncrossing(d: PartitionDiagram | BraidDiagram, k: int) -> bool:
 def is_two_regular(p: PartitionDiagram) -> bool:
     """True when no arc joins adjacent vertices (i, i+1)."""
     return all(j != i + 1 for i, j in p.arcs)
-
-
-def has_isolated_points(b: BraidDiagram) -> bool:
-    return bool(b.isolated_vertices())
 
 
 # -- braids as loop-decorated partitions ---------------------------------------

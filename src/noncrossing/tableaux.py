@@ -356,20 +356,3 @@ def diagram_to_tableau(d: PartitionDiagram | BraidDiagram) -> VacillatingTableau
     if filling:
         raise MalformedTableauError("the right-to-left scan left entries in the filling")
     return VacillatingTableau(tuple(reversed(rev)), step_set)
-
-
-# -- text format ----------------------------------------------------------------------
-
-
-def format_tableau(t: VacillatingTableau) -> str:
-    """Shapes as comma-separated row vectors joined by '|'; empty shape
-    is an empty field, so (empty, [1], empty) reads ``|1|``."""
-    return "|".join(",".join(str(r) for r in s) for s in t.shapes)
-
-
-def parse_tableau(text: str, step_set: str) -> VacillatingTableau:
-    shapes = tuple(
-        tuple(int(r) for r in field.split(",")) if field else ()
-        for field in text.split("|")
-    )
-    return VacillatingTableau(shapes, step_set)

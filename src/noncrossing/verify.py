@@ -321,7 +321,7 @@ def _raised(name: str, err: ArithmeticError, **where) -> dict:
     return _failure(name, f"the route raised {type(err).__name__}", error, **where)
 
 
-SUITES = {
+_SUITES = {
     "duality": _suite_duality,
     "restriction": _suite_restriction,
     "routes": _suite_routes,
@@ -330,6 +330,8 @@ SUITES = {
     "walks": _suite_walks,
     "series": _suite_series,
 }
+#: the suite names, in the order that --suite all runs them
+SUITE_NAMES = tuple(sorted(_SUITES))
 
 #: suite -> the class it is charged for at n_max (tableau: every braid)
 _SUITE_BUDGETS = {"duality": "P_k", "restriction": "P_k", "routes": "P_k", "tableau": "B_k"}
@@ -341,4 +343,4 @@ def run_suites(names, k: int, n_max: int) -> list[dict]:
     a refusal comes before any work."""
     for class_tag in filter(None, map(_SUITE_BUDGETS.get, names)):
         enumeration.require_brute_budget(class_tag, n_max)
-    return [SUITES[name](k, n_max) for name in names]
+    return [_SUITES[name](k, n_max) for name in names]

@@ -21,12 +21,12 @@ computes it from the rows before it (the online, or relaxed, scheme of
 van der Hoeven).  Constant-term extraction of a fixed x-Laurent
 combination of Y0, Y0^2, Y0^3 yields rho3, as does a twelve-term
 signed sum of coefficients of Y0^k (binomial sums, by Lagrange
-inversion) and a four-term P-recurrence, stated once as a table of
-integer polynomial coefficients (_RHO3_RECURRENCE), whose divisions
-must come out exact.  Seeded from the closed form, it runs on int or,
-asked for Decimal, in decimal radix under an exact context, so that
-its table prints in time linear in its digits (str() of a long int is
-quadratic).  The asymptotic law
+inversion) and a three-term P-recurrence of order 2, stated once as a
+table of integer polynomial coefficients (_RHO3_RECURRENCE), whose
+divisions must come out exact.  Seeded from the closed form, it runs
+on int or, asked for Decimal, in decimal radix under an exact context,
+so that its table prints in time linear in its digits (str() of a
+long int is quadratic).  The asymptotic law
 rho3(n) ~ K * 8^n * n^-7 * (1 + c1/n + c2/n^2 + c3/n^3) is the formal
 series solution of that table (series_solution, in exact rationals).
 Its constant K = 327680*sqrt(3)/(27*pi) (EXACT_K) comes from a
@@ -370,20 +370,20 @@ def rho3_closed_form(n: int) -> int:
     )
 
 
-#: The P-recurrence of rho3 (Bousquet-Mélou and Xin),
-#: a4(n) rho3(n+3) = a1(n) rho3(n) + a2(n) rho3(n+1) + a3(n) rho3(n+2),
-#: one row of integer coefficients per weight a1 .. a4, constant term first.
+#: The order-2 P-recurrence of rho3, a3(n) r(n+2) = a1(n) r(n) + a2(n) r(n+1)
+#: with a1 = 8(n+1)(n+3), a2 = 7n^2+53n+88, a3 = (n+7)(n+8), one row of
+#: integer coefficients per weight, constant term first.  Found from the terms
+#: of rho3, and checked in tests/test_walks.py against an order-3 recurrence.
 _RHO3_RECURRENCE = (
-    (48, 88, 48, 8),
-    (624, 594, 171, 15),
-    (924, 531, 99, 6),
-    (504, 191, 24, 1),
+    (24, 32, 8),
+    (88, 53, 7),
+    (56, 15, 1),
 )
 
 
-def recurrence_weights(n: int) -> tuple[int, int, int, int]:
-    """The four polynomial weights of the rho3 recurrence at index n."""
-    return tuple([((d * n + c) * n + b) * n + a for a, b, c, d in _RHO3_RECURRENCE])
+def recurrence_weights(n: int) -> tuple[int, int, int]:
+    """The three polynomial weights of the rho3 recurrence at index n."""
+    return tuple([(c * n + b) * n + a for a, b, c in _RHO3_RECURRENCE])
 
 
 #: Exact decimal arithmetic: integers of any length are represented
@@ -397,7 +397,7 @@ _EXACT = Context(
 def rho3_recurrence(n_max: int, number: type = int) -> dict[int, int]:
     """{n: rho3(n)} for 1 <= n <= n_max by the recurrence of _RHO3_RECURRENCE.
 
-    The seeds are the closed form at n = 1, 2, 3, converted to number:
+    The seeds are the closed form at n = 1, 2, converted to number:
     int, or Decimal, in which case every entry is a Decimal and the loop
     runs in decimal radix under an exact context, so that str() of an
     entry costs time linear in its digits.  Every division must be
@@ -405,15 +405,15 @@ def rho3_recurrence(n_max: int, number: type = int) -> dict[int, int]:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    entries = {n: number(rho3_closed_form(n)) for n in range(1, min(3, n_max) + 1)}
+    entries = {n: number(rho3_closed_form(n)) for n in range(1, min(2, n_max) + 1)}
     with localcontext(_EXACT):
-        for n in range(1, n_max - 2):
-            a1, a2, a3, a4 = recurrence_weights(n)
-            numerator = a1 * entries[n] + a2 * entries[n + 1] + a3 * entries[n + 2]
-            value, rem = divmod(numerator, a4)
+        for n in range(1, n_max - 1):
+            a1, a2, a3 = recurrence_weights(n)
+            numerator = a1 * entries[n] + a2 * entries[n + 1]
+            value, rem = divmod(numerator, a3)
             if rem:  # the numerator itself may be too long to print
-                raise RecurrenceError(f"non-exact division at n={n}: remainder {rem} modulo {a4}")
-            entries[n + 3] = value
+                raise RecurrenceError(f"non-exact division at n={n}: remainder {rem} modulo {a3}")
+            entries[n + 2] = value
     return entries
 
 

@@ -58,20 +58,24 @@ def test_module_layering():
     assert {name for name, used in imports.items() if "verify" in used} == {"cli"}
 
 
-def test_private_names_are_used():
-    # a private module-level name that no other statement of the library
-    # reads is a helper left behind by a refactor
-    defined, used = [], []
+def _names_read(tree):
+    """The identifiers an AST reads: names, attributes, imported names."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def _statements():
+    """(file name, statement, the names it defines, the names it reads)
+    for each top-level statement of the library."""
     for path in sorted(_PACKAGE.glob("*.py")):
         for stmt in ast.parse(path.read_text(), filename=str(path)).body:
-            names = set()
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.alias):
-                    names.add(node.name)
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 own = {stmt.name}
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
@@ -79,15 +83,44 @@ def test_private_names_are_used():
                 own = {t.id for t in targets if isinstance(t, ast.Name)}
             else:
                 own = set()
-            defined += [(path.name, name, stmt) for name in own
-                        if name.startswith("_") and not name.startswith("__")]
-            used.append((stmt, names))
+            yield path.name, stmt, own, _names_read(stmt)
+
+
+def test_private_names_are_used():
+    # a private module-level name that no other statement of the library
+    # reads is a helper left behind by a refactor
+    statements = list(_statements())
+    defined = [(module, name, stmt) for module, stmt, own, _ in statements
+               for name in own if name.startswith("_") and not name.startswith("__")]
     assert len(defined) > 20
     unused = [
         f"{module}:{name}" for module, name, stmt in defined
-        if not any(name in names for other, names in used if other is not stmt)
+        if not any(name in names for _, other, _, names in statements if other is not stmt)
     ]
     assert not unused, f"private names nothing reads: {', '.join(unused)}"
+
+
+def test_exported_names_are_used():
+    # a name the package exports is read by the library outside its own
+    # definition, by the benchmark or by the README; one that only the
+    # tests call is surface the system does not use
+    root = _PACKAGE.parent.parent
+    outside = set(re.findall(r"\w+", (root / "README.md").read_text()))
+    for path in (root / "bench").glob("*.py"):
+        outside |= _names_read(ast.parse(path.read_text(), filename=str(path)))
+    inside = [(own, names) for module, _, own, names in _statements() if module != "__init__.py"]
+    exported = [
+        alias.name
+        for node in ast.parse((_PACKAGE / "__init__.py").read_text()).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert len(exported) > 40
+    unused = [
+        name for name in exported
+        if name not in outside and not any(name in names - own for own, names in inside)
+    ]
+    assert not unused, f"exported names only the tests read: {', '.join(unused)}"
 
 
 def test_integrity_checks_fire_under_python_O():

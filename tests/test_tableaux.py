@@ -22,10 +22,8 @@ from noncrossing.tableaux import (
     VacillatingTableau,
     add_square,
     diagram_to_tableau,
-    format_tableau,
     half_step,
     is_shape,
-    parse_tableau,
     remove_square,
     step_pairs,
     tableau_from_step_pairs,
@@ -472,14 +470,3 @@ class TestCounting:
         for n in range(0, 6):
             count = sum(1 for _ in enumerate_tableaux(n, B))
             assert count == len(braids_over(n)), n
-
-
-class TestTextFormat:
-    def test_example(self):
-        assert format_tableau(VacillatingTableau(((), (1,), ()), B)) == "|1|"
-        assert parse_tableau("|1|", B).shapes == ((), (1,), ())
-
-    def test_round_trip(self):
-        for p in partitions_of(5):
-            t = diagram_to_tableau(p)
-            assert parse_tableau(format_tableau(t), P).shapes == t.shapes

@@ -9,6 +9,7 @@ import pytest
 from noncrossing.enumeration import gen_braids_no_isolated
 from noncrossing.walks import (
     _CLOSED_FORM_TERMS,
+    _RHO3_RECURRENCE,
     EXACT_K,
     REFERENCE_K,
     AsymptoticParams,
@@ -168,21 +169,41 @@ class TestCountingRoutes:
 
 class TestRecurrence:
     def test_weights_at_zero(self):
-        assert recurrence_weights(0) == (48, 624, 924, 504)
+        assert recurrence_weights(0) == (24, 88, 56)
 
     def test_weights_match_their_factored_form(self):
         for n in range(0, 201):
             assert recurrence_weights(n) == (
-                8 * (n + 1) * (n + 2) * (n + 3),
-                3 * (n + 2) * (5 * n * n + 47 * n + 104),
-                3 * (n + 4) * (2 * n + 11) * (n + 7),
-                (n + 7) * (n + 8) * (n + 9),
+                8 * (n + 1) * (n + 3),
+                7 * n * n + 53 * n + 88,
+                (n + 7) * (n + 8),
             ), n
+
+    def test_the_retired_cubic_recurrence_agrees(self):
+        # the order-3 recurrence that the table replaced, kept as
+        # reference data: it holds on the table, and its formal series
+        # solution is the same to order 6
+        cubic = (
+            (48, 88, 48, 8),
+            (624, 594, 171, 15),
+            (924, 531, 99, 6),
+            (504, 191, 24, 1),
+        )
+        table = rho3_recurrence(3000)
+        for n in range(1, 2998):
+            *weights, lead = (((d * n + c) * n + b) * n + a for a, b, c, d in cubic)
+            assert lead * table[n + 3] == sum(
+                w * table[n + j] for j, w in enumerate(weights)
+            ), n
+        assert series_solution(cubic, 6) == series_solution(_RHO3_RECURRENCE, 6)
 
     def test_exactness_guard_is_live(self, monkeypatch):
         import noncrossing.walks as walks_module
 
-        broken = lambda n: (1, 1, 1, recurrence_weights(n)[3])
+        def broken(n):
+            *weights, lead = recurrence_weights(n)
+            return (*[1] * len(weights), lead)
+
         monkeypatch.setattr(walks_module, "recurrence_weights", broken)
         with pytest.raises(RecurrenceError):
             walks_module.rho3_recurrence(10)
@@ -198,21 +219,21 @@ class TestRecurrence:
     def test_exactness_guard_names_n_divisor_and_remainder(self, monkeypatch, number):
         import noncrossing.walks as walks_module
 
-        # past n = 4783 the numerator has more than 4300 digits, more than
+        # past n = 4775 the numerator has more than 4300 digits, more than
         # str() of an int prints; the message must not need it
         def broken(n):
-            a1, a2, a3, a4 = recurrence_weights(n)
-            return (a1 + (n >= 4785), a2, a3, a4)
+            first, *rest = recurrence_weights(n)
+            return (first + (n >= 4785), *rest)
 
         table = rho3_recurrence(4787)
-        a1, a2, a3, a4 = broken(4785)
-        rem = (a1 * table[4785] + a2 * table[4786] + a3 * table[4787]) % a4
+        *weights, lead = broken(4785)
+        rem = sum(w * table[4785 + j] for j, w in enumerate(weights)) % lead
         assert rem
         monkeypatch.setattr(walks_module, "recurrence_weights", broken)
         with pytest.raises(RecurrenceError) as caught:
             walks_module.rho3_recurrence(4800, number)
         assert str(caught.value) == (
-            f"non-exact division at n=4785: remainder {rem} modulo {a4}"
+            f"non-exact division at n=4785: remainder {rem} modulo {lead}"
         )
 
 
