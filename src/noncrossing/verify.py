@@ -36,9 +36,13 @@ class _Route(NamedTuple):
 
 
 # The size caps of the entry points that do not enumerate (brute force has
-# enumeration.require_brute_budget).  Each is set where the call takes
+# enumeration.require_brute_budget).  Each was set where the call took
 # about ten seconds on a 2-core x86 VM under Python 3.11: a formula
-# route's table over 1..cap, the walks suite at --n-max cap.  The
+# route's table over 1..cap, the walks suite at --n-max cap.  With the
+# kernel and walk rows packed into single integers, the kernel table
+# over 1..120 takes 4.3-4.4 s there (8.1-9.1 s before) and the walks
+# suite at --n-max 210 4.3-4.8 s (7.8-8.8 s before); the two caps stay
+# where they were, as raising a cap is a change of its own.  The
 # recurrence is cheap in time but holds about 1.5 n^2 bits of table; at
 # 20 000 that is 75 MB, which sets its cap instead.  asympt takes about
 # 0.05 s at --n cap, and render about 0.2 s and 55 MB at DIAGRAM_CAP;

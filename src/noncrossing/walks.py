@@ -16,17 +16,19 @@ t^2 with Laurent-polynomial coefficients in x, fixed point of
 Y = t^2*(1/x + 1)*(x + Y)*(1 + Y).  With s = t^2/x and Y0 = x*W(s)
 that relation becomes W = s*(1 + x)*(1 + (1 + x)*W + x*W^2), whose
 coefficient W_i = [s^i] W is an ordinary polynomial of degree 2i - 1.
-The code keeps each W_i as a dense row of integers (RowSeries) and
-computes it from the rows before it (the online, or relaxed, scheme of
-van der Hoeven).  Constant-term extraction of a fixed x-Laurent
+The code computes each W_i from the rows before it (the online, or
+relaxed, scheme of van der Hoeven) and hands the rows out as lists
+(RowSeries).  Both routes pack a row of integers into one integer,
+coefficient e in slot e (Kronecker substitution), so that a row
+product is one multiplication.  A slot holds the largest value at
+x = 1 of a kernel row, which bounds its coefficients; the walks keep
+one anti-diagonal per integer, in slots of 3n + 2 bits, as no count
+exceeds 8^n.  Constant-term extraction of a fixed x-Laurent
 combination of Y0, Y0^2, Y0^3 yields rho3, as does a twelve-term
 signed sum of coefficients of Y0^k (binomial sums, by Lagrange
 inversion) and a three-term P-recurrence of order 2, stated once as a
 table of integer polynomial coefficients (_RHO3_RECURRENCE), whose
-divisions must come out exact.  Seeded from the closed form, it runs
-on int or, asked for Decimal, in decimal radix under an exact context,
-so that its table prints in time linear in its digits (str() of a
-long int is quadratic).  The asymptotic law
+divisions must come out exact (rho3_recurrence).  The asymptotic law
 rho3(n) ~ K * 8^n * n^-7 * (1 + c1/n + c2/n^2 + c3/n^3) is the formal
 series solution of that table (series_solution, in exact rationals).
 Its constant K = 327680*sqrt(3)/(27*pi) (EXACT_K) comes from a
@@ -105,27 +107,39 @@ class RecurrenceError(ArithmeticError):
     """A recurrence step required a non-exact division."""
 
 
-# -- dense integer rows -----------------------------------------------------------------
+# -- packed rows ------------------------------------------------------------------------
+
+def _slot_bytes(bound: int) -> int:
+    """Bytes per slot, so that |c| <= bound is below half a slot (_unpack)."""
+    return bound.bit_length() // 8 + 1
 
 
-def _mul_into(target: list[int], p: list[int], q: list[int], scale: int = 1) -> None:
-    """target += scale * p * q for dense rows (entry e is the coefficient
-    of x^e), growing target as needed."""
-    if not p or not q:
-        return
-    if len(p) > len(q):
-        p, q = q, p
-    width = len(p) + len(q) - 1
-    if len(target) < width:
-        target.extend([0] * (width - len(target)))
-    for i, a in enumerate(p):
-        if a:
-            a *= scale
-            target[i : i + len(q)] = [c + a * b for c, b in zip(target[i : i + len(q)], q)]
+def _bias(count: int, slot: int) -> int:  # half a slot in each of count slots
+    return int.from_bytes((1 << (8 * slot - 1)).to_bytes(slot, "little") * count, "little")
 
 
-def _one_plus_x_times(row: list[int]) -> list[int]:
-    return [a + b for a, b in zip(row + [0], [0] + row)]
+def _pack(row: list[int], slot: int) -> int:
+    """sum_e row[e] * 2^(8*slot*e).  Each entry is biased by half a slot
+    for to_bytes, which raises OverflowError on one that does not fit."""
+    half = 1 << (8 * slot - 1)
+    data = b"".join((c + half).to_bytes(slot, "little") for c in row)
+    return int.from_bytes(data, "little") - _bias(len(row), slot)
+
+
+def _unpack(value: int, slot: int) -> list[int]:
+    """The packed row up to its last nonzero entry, the inverse of _pack if
+    every |entry| is below half a slot: then value's bit length ends in that entry's slot."""
+    if not value:
+        return []
+    half, count = 1 << (8 * slot - 1), abs(value).bit_length() // (8 * slot) + 1
+    data = (value + _bias(count, slot)).to_bytes(count * slot, "little")
+    return [int.from_bytes(data[e : e + slot], "little") - half for e in range(0, len(data), slot)]
+
+
+def _convolve(p: list[int], q: list[int]) -> list[int]:
+    """The rows sum_i p[i] * q[r - i], r < min(len(p), len(q)), of a series
+    product, for packed rows and for their l1 norms alike."""
+    return [sum(p[i] * q[r - i] for i in range(r + 1)) for r in range(min(len(p), len(q)))]
 
 
 @dataclass(frozen=True)
@@ -135,7 +149,8 @@ class RowSeries:
     Each row lists the coefficients of an ordinary polynomial in x, from
     x^0 upward.  The kernel root Y0 = x*W(s) is stored with power 1 and
     rows W_0, W_1, ...; its k-th power, with power k and rows [s^i] W^k.
-    The rows stop at s^(order/2), that is at t^order.
+    The rows stop at s^(order/2), that is at t^order.  A product packs
+    every row once, in slots that hold the l1 norm of any row, in or out.
     """
 
     power: int
@@ -157,11 +172,10 @@ class RowSeries:
     def __mul__(self, other: "RowSeries") -> "RowSeries":
         """The product, truncated at the lower of the two orders."""
         size = min(len(self.rows), len(other.rows))
-        rows: list[list[int]] = [[] for _ in range(size)]
-        for i, p in enumerate(self.rows[:size]):
-            for j, q in enumerate(other.rows[: size - i]):
-                _mul_into(rows[i + j], p, q)
-        return RowSeries(self.power + other.power, rows)
+        p, q = ([sum(map(abs, row)) for row in f.rows[:size]] for f in (self, other))
+        slot = _slot_bytes(max([0, *p, *q, *_convolve(p, q)]))  # every entry, in and out
+        packed = _convolve(*([_pack(row, slot) for row in f.rows[:size]] for f in (self, other)))
+        return RowSeries(self.power + other.power, [_unpack(v, slot) for v in packed])
 
 
 # -- the kernel and its power-series root --------------------------------------------
@@ -172,99 +186,94 @@ _KERNEL_T0 = {(1, 1): 1}
 _KERNEL_T2 = {(2, 1): 1, (1, 2): 1, (0, 1): 1, (1, 0): 1, (2, 0): 1, (0, 2): 1, (1, 1): 2}
 
 
-def _substitute_monomials(
-    mono: dict[tuple[int, int], int],
-    x_image: tuple[int, int],
-    y_image: tuple[int, int],
-    shift: tuple[int, int],
-) -> dict[tuple[int, int], int]:
-    # x^i y^j -> x^(i*xi + j*yi + si) y^(i*xj + j*yj + sj)
-    out: dict[tuple[int, int], int] = {}
-    for (i, j), c in mono.items():
-        key = (
-            i * x_image[0] + j * y_image[0] + shift[0],
-            i * x_image[1] + j * y_image[1] + shift[1],
-        )
-        out[key] = out.get(key, 0) + c
-    return {k: c for k, c in out.items() if c}
-
-
 def kernel_symmetry_holds() -> bool:
     """Exact check of the two kernel symmetries: substituting
     (x, y) -> (y/x, y) and multiplying by x^2/y reproduces K, as does
     substituting (x, y) -> (y/x, 1/x) and multiplying by x^3."""
-    for x_img, y_img, shift in (
-        ((-1, 1), (0, 1), (2, -1)),  # x^2 y^-1 * K(x^-1 y, y)
-        ((-1, 1), (-1, 0), (3, 0)),  # x^3 * K(x^-1 y, x^-1)
-    ):
-        for level in (_KERNEL_T0, _KERNEL_T2):
-            if _substitute_monomials(level, x_img, y_img, shift) != level:
-                return False
-    return True
+    # x^i y^j -> x^(i*xi + j*yi + si) y^(i*xj + j*yj + sj), both one-to-one
+    return all(
+        {(i * xi + j * yi + si, i * xj + j * yj + sj): c for (i, j), c in level.items()} == level
+        for (xi, xj), (yi, yj), (si, sj) in (
+            ((-1, 1), (0, 1), (2, -1)),  # x^2 y^-1 * K(x^-1 y, y)
+            ((-1, 1), (-1, 0), (3, 0)),  # x^3 * K(x^-1 y, x^-1)
+        )
+        for level in (_KERNEL_T0, _KERNEL_T2)
+    )
 
 
 def kernel_root_series(order: int) -> RowSeries:
     """The power-series root Y0 = x*W(s) of the kernel, s = t^2/x, to the
     given even order in t.
 
-    W_i = [s^i] W is an ordinary polynomial of degree 2i - 1, stored as a
-    dense row, and [x^e t^(2i)] Y0^k = [x^(e-k+i)] [s^i] W^k.  Computed
-    online: with S_i = [s^i] W^2 the fixed-point relation reads
+    W_i = [s^i] W is an ordinary polynomial of degree 2i - 1, returned as
+    a dense row, and [x^e t^(2i)] Y0^k = [x^(e-k+i)] [s^i] W^k.  Computed
+    online, on packed rows, from the relation with S_i = [s^i] W^2
 
         W_i = (1 + x) * ([i = 1] + (1 + x)*W_(i-1) + x*S_(i-1)),
 
     and S_(i-1) needs only W_1 .. W_(i-2), so each row follows from
-    those already known and none depends on the order.  The result is
-    then checked against the kernel itself (kernel_residual), and a
+    those already known and none depends on the order; a slot holds the
+    largest row value at x = 1 (_online_root).  The result is then
+    checked against the kernel itself (kernel_residual), and a
     nonzero residual raises ArithmeticError.  Every coefficient is a
     positive integer; the rows start W_1 = 1 + x, W_2 = (1 + x)^3, so
     Y0 = (1 + x) t^2 + (1/x + 3 + 3x + x^2) t^4 + ...
     """
     if order < 2 or order % 2:
         raise ValueError(f"order must be even and at least 2, got {order}")
-    rows, _ = _online_root(order // 2)
-    return RowSeries(1, rows)
+    return RowSeries(1, _online_root(order // 2)[0])
 
 
-def _online_root(half_order: int) -> tuple[list[list[int]], list[list[int]]]:
-    """W_i for i = 0 .. half_order and S_i for i < half_order, by the
-    relation in kernel_root_series, checked against the kernel."""
-    rows: list[list[int]] = [[]]
-    squares: list[list[int]] = []
-    for i in range(1, half_order + 1):
-        squares.append(_square_row(rows, i - 1))
-        inner = _one_plus_x_times(rows[i - 1])
-        _mul_into(inner, squares[i - 1], [0, 1])
-        inner[0] += i == 1  # the [i = 1] term
-        rows.append(_one_plus_x_times(inner))
+def _online_root(half_order: int) -> tuple[list[list[int]], list[int], list[int], int]:
+    """W_i, i <= h = half_order, as rows and packed, S_i, i <= h + 1, packed,
+    and the slot width in bits, checked against the kernel.  No coefficient
+    of W_i, S_i or [s^i] W^3 is negative, so none exceeds its row's value at
+    x = 1: the pass with bits = 0 gives those, and [s^i] W^3 <= S_(i+1)/2 (_kernel_ct)."""
+    slot = _slot_bytes(max(max(values) for values in _online_pass(half_order, 0)))
+    bits = 8 * slot
+    packed, squares = _online_pass(half_order, bits)
+    rows = [_unpack(w, slot) for w in packed]
     if not kernel_residual(RowSeries(1, rows)).is_zero():
         raise ArithmeticError(f"kernel root is not a fixed point at order {2 * half_order}")
-    return rows, squares
+    return rows, packed, squares, bits
 
 
-def _square_row(rows: list[list[int]], i: int) -> list[int]:
-    # sum over a + b = i of W_a * W_b, each unordered pair once
-    out: list[int] = []
-    for a in range(1, (i + 1) // 2):
-        _mul_into(out, rows[a], rows[i - a], 2)
-    if i % 2 == 0:
-        _mul_into(out, rows[i // 2], rows[i // 2])
-    return out
+def _online_pass(half_order: int, bits: int) -> tuple[list[int], list[int]]:
+    """W_i for i <= half_order and S_i for i <= half_order + 1 (W_0 = 0, so
+    no W_(half_order+1) enters), packed at x = 2^bits, by the relation."""
+    packed, squares = [0], []
+    for i in range(1, half_order + 1):
+        squares.append(_square_row(packed, i - 1))
+        inner = packed[i - 1] + ((packed[i - 1] + squares[i - 1]) << bits) + (i == 1)
+        packed.append(inner + (inner << bits))  # (1 + x) * inner
+    return packed, squares + [_square_row(packed, half_order), _square_row(packed, half_order + 1)]
+
+
+def _square_row(w: list[int], i: int) -> int:
+    # [s^i] W^2 = sum of W_a * W_b over a + b = i, a, b >= 1, b < len(w) (W_0 = 0)
+    pairs = sum(w[a] * w[i - a] for a in range(max(1, i + 1 - len(w)), (i + 1) // 2))
+    return 2 * pairs + (w[i // 2] ** 2 if i % 2 == 0 else 0)
 
 
 def kernel_residual(y: RowSeries) -> RowSeries:
     """K(x, y(t); t) as a truncated series, summed monomial by monomial
-    over _KERNEL_T0 and _KERNEL_T2; zero exactly on the root."""
+    over _KERNEL_T0 and _KERNEL_T2; zero exactly on the root.  It packs
+    y.rows afresh and forms y^2 by _convolve, which the online pass does
+    not use, in slots that hold the sum of the |c| of K's monomials times
+    the largest l1 norm of a row of 1, y or y^2 (bounded by the norms of y)."""
     size = len(y.rows)
-    powers = (RowSeries(0, [[1]] + [[] for _ in range(size - 1)]), y, y * y)
-    rows: list[list[int]] = [[] for _ in range(size)]
+    norms = [sum(map(abs, row)) for row in y.rows]
+    weight = sum(_KERNEL_T0.values()) + sum(_KERNEL_T2.values())
+    slot = _slot_bytes(weight * max([1, *norms, *_convolve(norms, norms)]))
+    packed = [_pack(row, slot) for row in y.rows]
+    powers = ([1] + [0] * (size - 1), packed, _convolve(packed, packed))
+    rows = [0] * size
     for level, sign, monomials in ((0, 1, _KERNEL_T0), (1, -1, _KERNEL_T2)):
         for (i, j), c in monomials.items():
-            # x^i t^(2 level) y^j = x^(i + level + power) s^level * (rows of y^j)
-            monomial = [0] * (i + level + powers[j].power) + [sign * c]
-            for r, row in enumerate(powers[j].rows[: size - level]):
-                _mul_into(rows[r + level], row, monomial)
-    return RowSeries(0, rows)
+            # x^i t^(2 level) y^j = x^(i + level + j*power) s^level * (rows of y^j)
+            for r, row in enumerate(powers[j][: size - level]):
+                rows[r + level] += sign * c * row << 8 * slot * (i + level + j * y.power)
+    return RowSeries(0, [_unpack(v, slot) for v in rows])
 
 
 # -- counting routes ------------------------------------------------------------------
@@ -288,35 +297,24 @@ def _rho3_kernel_table(sizes: list[int] | range) -> dict[int, int]:
     """rho3(n) for each n in sizes, all read from one online root."""
     if min(sizes) < 1:
         raise ValueError("n must be >= 1")
-    rows, squares = _online_root(max(sizes) + 1)
-    return {n: _kernel_ct(rows, squares, n) for n in sizes}
+    _, packed, squares, bits = _online_root(max(sizes) + 1)
+    return {n: _kernel_ct(packed, squares, bits, n) for n in sizes}
 
 
-def _kernel_ct(rows: list[list[int]], squares: list[list[int]], n: int) -> int:
+def _kernel_ct(packed: list[int], squares: list[int], bits: int, n: int) -> int:
     # [t^(2n+2)] CT_x(A*Y0 + B*Y0^3 + C*Y0^2), reading only the x-coefficients
-    # the prefactors meet.  With top = n+1, [t^(2 top)] Y0^k is
-    # x^(k-top) [s^top] W^k, where [s^top] W^2 is the sum of W_i*W_(top-i)
-    # and [s^top] W^3 that of W_i*S_(top-i); neither is formed in full
-    top = n + 1
-    a, b, c = _CT_PREFACTORS
-    return (
-        _ct_of_products(a, [(rows[top], [1])], 1 - top)
-        + _ct_of_products(b, [(rows[i], squares[top - i]) for i in range(1, top)], 3 - top)
-        + _ct_of_products(c, [(rows[i], rows[top - i]) for i in range(1, top)], 2 - top)
+    # the prefactors meet: slot d of a packed row holds its x^d coefficient.
+    # With top = n+1, [t^(2 top)] Y0^k is x^(k-top) [s^top] W^k.  The relation
+    # times W, W^2 = s(1 + x)(W + (1 + x)W^2 + xW^3), gives [s^top] W^3 as
+    # (S_(top+1)/(1 + x) - W_top - (1 + x)S_top)/x, both divisions exact
+    top, one_plus_x, mask = n + 1, 1 + (1 << bits), (1 << bits) - 1
+    cube = (squares[top + 1] // one_plus_x - packed[top] - one_plus_x * squares[top]) >> bits
+    return sum(  # x^e meets the exponent d = top - k - e of [s^top] W^k
+        c * ((row >> bits * d) & mask)
+        for prefactor, k, row in zip(_CT_PREFACTORS, (1, 3, 2), (packed[top], cube, squares[top]))
+        for e, c in prefactor.items()
+        if (d := top - k - e) >= 0
     )
-
-
-def _ct_of_products(
-    prefactor: dict[int, int], pairs: list[tuple[list[int], list[int]]], shift: int
-) -> int:
-    """CT_x(prefactor * x^shift * sum of p*q over the row pairs)."""
-    total = 0
-    for e, c in prefactor.items():
-        d = -shift - e  # the exponent of p*q that meets x^e
-        for p, q in pairs:
-            low, high = max(0, d - len(q) + 1), min(len(p), d + 1)
-            total += c * sum(p[u] * q[d - u] for u in range(low, high))
-    return total
 
 
 def root_power_coefficient(k: int, m: int, n: int) -> int:
@@ -425,31 +423,33 @@ def quadrant_walk_counts(n: int) -> tuple[int, int]:
     barred from leaving the quadrant; the two stay steps are always
     legal and distinct, hence the weight 2.
 
-    The counts are kept as dense rows, one per anti-diagonal d = x + y,
-    entry x of row d counting the walks now at (x, d - x).  A step moves
-    d by at most one, so with h_d = (1 + X) * row_d the step reads
+    The counts are kept as one packed integer per anti-diagonal d = x + y,
+    slot x counting the walks now at (x, d - x), in slots of 3n + 2 bits,
+    as a slot adds at most two counts below 8^n.  A step moves d by at
+    most one, so with h_d = (1 + X) * row_d it reads
 
         new row_d[j] = h_(d-1)[j] + h_d[j] + h_d[j+1] + h_(d+1)[j+1]
 
-    (E and N from d - 1; stay, stay, (1,-1) and (-1,1) within d; W and
-    S from d + 1, the zero padding of h being the quadrant's walls).
-    After step t only the diagonals d <= 1 + min(t, n - t) are kept:
-    the others cannot get back to d = 1 in the steps left.
+    (E and N from d - 1; stay, stay, (1,-1) and (-1,1) within d; W and S
+    from d + 1), masked to j <= d: the mask and the zero slots past each
+    diagonal are the quadrant's walls.  After step t only the diagonals
+    d <= 1 + min(t, n - t) are kept: the others cannot get back to d = 1
+    in the steps left.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    rows = [[0], [0, 1]]
+    bits = 3 * n + 2
+    masks = [(1 << bits * (d + 1)) - 1 for d in range(n // 2 + 2)]
+    diagonals = [0, 1 << bits]
     for t in range(1, n + 1):
-        # h[d + 1] = h_d, h[0] = h_(-1); two zero rows stand for the
-        # diagonals not yet reached, and zip stops at h[d], of length d + 1
-        h = [[0]] + [[a + b for a, b in zip([0] + row, row + [0])] for row in rows]
-        zero = [0] * (len(rows) + 3)
-        h += [zero, zero]
-        rows = [
-            [a + b + c + e for a, b, c, e in zip(h[d], h[d + 1], h[d + 1][1:], h[d + 2][1:])]
+        # h[d + 1] = h_d, h[0] = h_(-1); two zeros for diagonals not yet reached
+        h = [0] + [row + (row << bits) for row in diagonals] + [0, 0]
+        down = [row >> bits for row in h]
+        diagonals = [
+            (h[d] + h[d + 1] + down[d + 1] + down[d + 2]) & masks[d]
             for d in range(2 + min(t, n - t))
         ]
-    return rows[1][1], rows[1][0]
+    return diagonals[1] >> bits, diagonals[1] & masks[0]
 
 
 # -- asymptotics -----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The kernel root and its dense rows, counting routes, asymptotics."""
 
+import random
 from decimal import Decimal
 from fractions import Fraction
 from math import comb, factorial, isclose, pi, sqrt
@@ -14,6 +15,10 @@ from noncrossing.walks import (
     REFERENCE_K,
     AsymptoticParams,
     RecurrenceError,
+    RowSeries,
+    _pack,
+    _slot_bytes,
+    _unpack,
     asymptotic_estimate,
     fit_leading_constant,
     kernel_residual,
@@ -72,13 +77,24 @@ class TestKernelRoot:
     def test_fixed_point_guard_is_live(self, monkeypatch):
         import noncrossing.walks as walks_module
 
-        # corrupts the online pass only, multiplying by 1 + 2x where the
-        # relation has 1 + x; the check evaluates the kernel itself
+        # corrupts the online pass only: the x = 1 pass that sizes its slots
+        # reads zero, so they shrink to one byte, too narrow for W_5 and W_6,
+        # and coefficients carry into their neighbours; the check packs with
+        # a width of its own
+        online = walks_module._online_pass
         monkeypatch.setattr(
-            walks_module,
-            "_one_plus_x_times",
-            lambda row: [a + 2 * b for a, b in zip(row + [0], [0] + row)],
+            walks_module, "_online_pass", lambda h, bits: online(h, bits) if bits else ([0], [0])
         )
+        with pytest.raises(ArithmeticError, match="fixed point"):
+            walks_module.kernel_root_series(12)
+
+    def test_check_does_not_share_the_squares(self, monkeypatch):
+        import noncrossing.walks as walks_module
+
+        # doubled squares in the online pass cannot cancel in the check,
+        # which forms y^2 by a product of its own
+        square = walks_module._square_row
+        monkeypatch.setattr(walks_module, "_square_row", lambda w, i: 2 * square(w, i))
         with pytest.raises(ArithmeticError, match="fixed point"):
             walks_module.kernel_root_series(6)
 
@@ -428,9 +444,80 @@ def _dict_walk_counts(n):
     return grid.get((1, 0), 0), grid.get((0, 1), 0)
 
 
+def _trimmed(row):
+    """The row without its trailing zeros."""
+    while row and not row[-1]:
+        row = row[:-1]
+    return row
+
+
+def _schoolbook(p, q):
+    """The product of two RowSeries, entry by entry: the reference for
+    the packed product."""
+    rows = [[] for _ in range(min(len(p.rows), len(q.rows)))]
+    for i, a in enumerate(p.rows[: len(rows)]):
+        for j, b in enumerate(q.rows[: len(rows) - i]):
+            out = rows[i + j]
+            out.extend([0] * (len(a) + len(b) - 1 - len(out)))
+            for u, c in enumerate(a):
+                for v, d in enumerate(b):
+                    out[u + v] += c * d
+    return [_trimmed(row) for row in rows]
+
+
+class TestPackedRows:
+    def test_round_trip(self):
+        rng = random.Random(1717)
+        for slot in (1, 2, 3, 8, 46):
+            top = (1 << (8 * slot - 1)) - 1  # the largest entry below half a slot
+            rows = [[], [0], [0, 0, 0], [top], [-top], [top, -top, 0, -top, top], [5, 0, 0]]
+            rows += [
+                [rng.randint(-top, top) for _ in range(rng.randrange(1, 40))]
+                for _ in range(200)
+            ]
+            for row in rows:
+                assert _unpack(_pack(row, slot), slot) == _trimmed(row), (slot, row)
+
+    def test_slot_holds_its_bound(self):
+        for bound in (0, 1, 127, 128, 255, 256, 2**15 - 1, 2**15, 8**121, 8**121 + 1):
+            slot = _slot_bytes(bound)
+            assert bound < 1 << (8 * slot - 1), bound
+            assert _unpack(_pack([-bound, bound], slot), slot) == _trimmed([-bound, bound])
+
+    def test_entry_wider_than_its_slot_is_refused(self):
+        for slot in (1, 3):
+            half = 1 << (8 * slot - 1)
+            for row in ([half], [0, -half - 1]):
+                with pytest.raises(OverflowError):
+                    _pack(row, slot)
+
+    def test_product_matches_schoolbook(self):
+        rng = random.Random(2024)
+        for _ in range(60):
+            size = rng.randrange(0, 9)
+            spread = rng.choice((1, 9, 10**6, 10**40))
+
+            def series(power):
+                rows = [
+                    [rng.randint(-spread, spread) for _ in range(rng.randrange(0, 7))]
+                    for _ in range(size + rng.randrange(0, 3))
+                ]
+                return RowSeries(power, rows)
+
+            p, q = series(rng.randrange(-2, 3)), series(rng.randrange(-2, 3))
+            product = p * q
+            assert product.power == p.power + q.power
+            assert product.rows == _schoolbook(p, q)
+
+
 class TestDenseRoutes:
     def test_diagonal_rows_match_the_dict_walk(self):
         for n in range(0, 41):
+            assert quadrant_walk_counts(n) == _dict_walk_counts(n), n
+
+    def test_packed_diagonals_match_the_dict_walk_at_64(self):
+        # slots of 3 * 64 + 2 = 194 bits, past the range checked above
+        for n in (63, 64):
             assert quadrant_walk_counts(n) == _dict_walk_counts(n), n
 
     def test_reflection_difference_to_120(self):
