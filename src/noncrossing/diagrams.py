@@ -241,15 +241,14 @@ def parse_diagram(text: str) -> tuple[int, tuple[Arc, ...]]:
         n = int(head[2:])
     except ValueError:
         raise ValueError(f"bad diagram syntax: {text!r}") from None
-    arcs: list[Arc] = []
-    rest = body
-    while rest:
-        if not rest.startswith("(") or ")" not in rest:
-            raise ValueError(f"bad arc list: {body!r}")
-        item, rest = rest[1:].split(")", 1)
-        i, _, j = item.partition(",")
-        arcs.append((int(i), int(j)))
-    return n, tuple(arcs)
+    if not body:
+        return n, ()
+    if not (body.startswith("(") and body.endswith(")")):
+        raise ValueError(f"bad arc list: {body!r}")
+    # int() refuses a parenthesis, so every item of an accepted body is
+    # free of them and splitting at ")(" cuts exactly between arcs
+    items = (item.partition(",") for item in body[1:-1].split(")("))
+    return n, tuple((int(i), int(j)) for i, _, j in items)
 
 
 # -- svg rendering ---------------------------------------------------------------

@@ -14,8 +14,8 @@ Both are stated once, as the table ``_LEGAL_KINDS`` of legal (odd, even)
 kinds, which validation and the right-to-left scan both read.  The rule
 for one half-step is stated once, in ``add_square`` and ``remove_square``,
 and ``half_step`` asks them.  Every step they accept keeps a shape a
-shape, so only ``tableau_violations`` calls ``is_shape``, to vet shapes
-from outside.
+shape, so only the validating scan ``_scan`` calls ``is_shape``, to vet
+shapes from outside.
 
 The translation to diagrams scans vertices left to right while
 maintaining a filling (a partial standard Young tableau whose entries
@@ -162,30 +162,17 @@ class VacillatingTableau:
         return max((len(s) for s in self.shapes), default=0)
 
 
-class TableauReport(list):
-    """The rule violations of a tableau, as a list of strings, together
-    with the step pairs its scan derived; the pairs are complete exactly
-    when the list is empty."""
-
-    def __init__(self, problems: Iterable[str] = (), pairs: Iterable[StepPair] = ()):
-        super().__init__(problems)
-        self.pairs = tuple(pairs)
-
-
-def tableau_violations(t: VacillatingTableau) -> TableauReport:
-    """All rule violations, empty when the tableau is valid.
-
-    One scan checks every shape and derives every half-step once; the
-    report carries the derived pairs for the callers that go on to use
-    them.
-    """
+def _scan(t: VacillatingTableau) -> tuple[list[str], tuple[StepPair, ...]]:
+    """(violations, pairs): every rule violation, and the step pairs the
+    scan derived, complete exactly when there is no violation.  One scan
+    checks every shape and derives every half-step once."""
     if t.step_set not in _LEGAL_KINDS:
-        return TableauReport([f"unknown step set {t.step_set!r}"])
+        return [f"unknown step set {t.step_set!r}"], ()
     if len(t.shapes) % 2 == 0 or not t.shapes:
-        return TableauReport([f"length {len(t.shapes)} is not 2n+1"])
+        return [f"length {len(t.shapes)} is not 2n+1"], ()
     for pos, s in enumerate(t.shapes):
         if not is_shape(s):
-            return TableauReport([f"entry {pos} is not a shape: {s}"])
+            return [f"entry {pos} is not a shape: {s}"], ()
     out: list[str] = []
     if t.shapes[0] != ():
         out.append("first shape is not empty")
@@ -204,20 +191,25 @@ def tableau_violations(t: VacillatingTableau) -> TableauReport:
         if not _legal_pair(pair, t.step_set):
             out.append(f"vertex {i}: pair {pair} not allowed for {t.step_set} steps")
         pairs.append(pair)
-    return TableauReport(out, pairs)
+    return out, tuple(pairs)
+
+
+def tableau_violations(t: VacillatingTableau) -> list[str]:
+    """All rule violations, empty when the tableau is valid."""
+    return _scan(t)[0]
 
 
 def validate_tableau(t: VacillatingTableau) -> bool:
-    return not tableau_violations(t)
+    return not _scan(t)[0]
 
 
 def step_pairs(t: VacillatingTableau) -> tuple[StepPair, ...]:
     """The n half-step pairs of a valid tableau, or raise with every
     violation."""
-    report = tableau_violations(t)
-    if report:
-        raise MalformedTableauError("; ".join(report))
-    return report.pairs
+    problems, pairs = _scan(t)
+    if problems:
+        raise MalformedTableauError("; ".join(problems))
+    return pairs
 
 
 def tableau_from_step_pairs(pairs: Iterable[StepPair], step_set: str) -> VacillatingTableau:

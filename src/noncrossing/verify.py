@@ -22,13 +22,6 @@ from . import diagrams, duality, enumeration, tableaux, walks
 _BRUTE_CAP = 8
 
 
-def _recurrence_route(sizes: list[int], number: type = int) -> dict:
-    """One recurrence table over 1..max(sizes), carried in int or, with
-    number=Decimal, in decimal radix."""
-    table = walks.rho3_recurrence(max(sizes), number)
-    return {n: table[n] for n in sizes}
-
-
 class _Route(NamedTuple):
     count: Callable  # sizes -> {n: count}, for 1 <= n <= cap
     cap: int
@@ -39,21 +32,22 @@ class _Route(NamedTuple):
 # enumeration.require_brute_budget).  Each was set where the call took
 # about ten seconds on a 2-core x86 VM under Python 3.11: a formula
 # route's table over 1..cap, the walks suite at --n-max cap.  With the
-# kernel and walk rows packed into single integers, the kernel table
-# over 1..120 takes 4.3-4.4 s there (8.1-9.1 s before) and the walks
-# suite at --n-max 210 4.3-4.8 s (7.8-8.8 s before); the two caps stay
-# where they were, as raising a cap is a change of its own.  The
-# recurrence is cheap in time but holds about 1.5 n^2 bits of table; at
-# 20 000 that is 75 MB, which sets its cap instead.  asympt takes about
-# 0.05 s at --n cap, and render about 0.2 s and 55 MB at DIAGRAM_CAP;
-# those caps stay so that every entry point has one.
+# kernel rows packed into single integers, the kernel table over 1..120
+# takes 4.3-4.4 s there (8.1-9.1 s before); the walks suite, one walk to
+# --n-max, takes 0.12-0.23 s at 210 (4.3-4.8 s with a walk per n).  The
+# two caps stay where they were, as raising a cap is a change of its own.
+# The recurrence is cheap in time, and one size keeps two terms, but a
+# table over 1..n holds about 1.5 n^2 bits; at 20 000 that is 75 MB,
+# which sets its cap instead.  asympt takes about 0.05 s at --n cap, and
+# render about 0.2 s and 55 MB at DIAGRAM_CAP; those caps stay so that
+# every entry point has one.
 
 #: (class, k) -> route -> its _Route
 _FORMULA_ROUTES = {
     ("B_k_dagger", 3): {
         "kernel": _Route(walks._rho3_kernel_table, 120),
         "closed": _Route(lambda sizes: {n: walks.rho3_closed_form(n) for n in sizes}, 800),
-        "recurrence": _Route(_recurrence_route, 20_000, decimal=True),
+        "recurrence": _Route(walks._rho3_terms, 20_000, decimal=True),
     },
 }
 #: the largest --n-max of the walks suite
@@ -251,8 +245,7 @@ def _suite_rho3(k: int, n_max: int) -> dict:
 def _suite_walks(k: int, n_max: int) -> dict:
     """Reflection principle: a_n - b_n equals the closed form."""
     require_cap("the walks suite", n_max, _WALKS_CAP)
-    for n in range(0, n_max + 1):
-        a, b = walks.quadrant_walk_counts(n)
+    for n, (a, b) in enumerate(walks._quadrant_walk_table(n_max)):
         try:
             expect = 1 if n == 0 else walks.rho3_closed_form(n)
         except ArithmeticError as err:

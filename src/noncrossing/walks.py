@@ -23,12 +23,12 @@ coefficient e in slot e (Kronecker substitution), so that a row
 product is one multiplication.  A slot holds the largest value at
 x = 1 of a kernel row, which bounds its coefficients; the walks keep
 one anti-diagonal per integer, in slots of 3n + 2 bits, as no count
-exceeds 8^n.  Constant-term extraction of a fixed x-Laurent
-combination of Y0, Y0^2, Y0^3 yields rho3, as does a twelve-term
-signed sum of coefficients of Y0^k (binomial sums, by Lagrange
-inversion) and a three-term P-recurrence of order 2, stated once as a
-table of integer polynomial coefficients (_RHO3_RECURRENCE), whose
-divisions must come out exact (rho3_recurrence).  The asymptotic law
+exceeds 8^n; one walk gives (a_t, b_t) for every t up to its length.
+Constant-term extraction of a fixed x-Laurent combination of Y0, Y0^2,
+Y0^3 yields rho3, as does a twelve-term signed sum of coefficients of
+Y0^k (binomial sums, by Lagrange inversion) and a three-term
+P-recurrence of order 2 (_RHO3_RECURRENCE), stepped once per request
+with exact divisions (_rho3_terms).  The asymptotic law
 rho3(n) ~ K * 8^n * n^-7 * (1 + c1/n + c2/n^2 + c3/n^3) is the formal
 series solution of that table (series_solution, in exact rationals).
 Its constant K = 327680*sqrt(3)/(27*pi) (EXACT_K) comes from a
@@ -393,63 +393,80 @@ _EXACT = Context(
 
 
 def rho3_recurrence(n_max: int, number: type = int) -> dict[int, int]:
-    """{n: rho3(n)} for 1 <= n <= n_max by the recurrence of _RHO3_RECURRENCE.
+    """{n: rho3(n)} for 1 <= n <= n_max, by _rho3_terms over that range."""
+    return _rho3_terms(range(1, n_max + 1), number)
+
+
+def _rho3_terms(sizes: list[int] | range, number: type = int) -> dict[int, int]:
+    """{n: rho3(n)} for each n in sizes, by one pass of _RHO3_RECURRENCE
+    that keeps the two latest terms and the sizes asked for.
 
     The seeds are the closed form at n = 1, 2, converted to number:
-    int, or Decimal, in which case every entry is a Decimal and the loop
-    runs in decimal radix under an exact context, so that str() of an
-    entry costs time linear in its digits.  Every division must be
+    int, or Decimal, in which case every term is a Decimal and the loop
+    runs in decimal radix under an exact context, so that str() of a
+    term costs time linear in its digits.  Every division must be
     exact; a remainder raises RecurrenceError.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    entries = {n: number(rho3_closed_form(n)) for n in range(1, min(2, n_max) + 1)}
+    wanted = set(sizes)
+    if min(wanted, default=0) < 1:
+        raise ValueError("n must be >= 1")
+    prev, cur = (number(rho3_closed_form(n)) for n in (1, 2))
+    terms = {n: v for n, v in ((1, prev), (2, cur)) if n in wanted}
     with localcontext(_EXACT):
-        for n in range(1, n_max - 1):
+        for n in range(1, max(wanted) - 1):
             a1, a2, a3 = recurrence_weights(n)
-            numerator = a1 * entries[n] + a2 * entries[n + 1]
-            value, rem = divmod(numerator, a3)
+            value, rem = divmod(a1 * prev + a2 * cur, a3)
             if rem:  # the numerator itself may be too long to print
                 raise RecurrenceError(f"non-exact division at n={n}: remainder {rem} modulo {a3}")
-            entries[n + 2] = value
-    return entries
+            prev, cur = cur, value
+            if n + 2 in wanted:
+                terms[n + 2] = value
+    return terms
 
 
 # -- quadrant walks -------------------------------------------------------------------
 
 def quadrant_walk_counts(n: int) -> tuple[int, int]:
-    """(a_n, b_n): n-compound-step walks from (1,0) staying in the first
-    quadrant, ending at (1,0) and at (0,1).  The six unit moves are
-    barred from leaving the quadrant; the two stay steps are always
-    legal and distinct, hence the weight 2.
+    """(a_n, b_n), the last entry of _quadrant_walk_table(n)."""
+    return _quadrant_walk_table(n)[-1]
+
+
+def _quadrant_walk_table(n_max: int) -> list[tuple[int, int]]:
+    """[(a_t, b_t) for t = 0..n_max], read after each step of one walk:
+    a_t and b_t count the t-compound-step walks from (1,0) staying in the
+    first quadrant, ending at (1,0) and at (0,1).  The six unit moves are
+    barred from leaving the quadrant; the two stay steps are always legal
+    and distinct, hence the weight 2.
 
     The counts are kept as one packed integer per anti-diagonal d = x + y,
-    slot x counting the walks now at (x, d - x), in slots of 3n + 2 bits,
-    as a slot adds at most two counts below 8^n.  A step moves d by at
-    most one, so with h_d = (1 + X) * row_d it reads
+    slot x counting the walks now at (x, d - x), in slots of 3n_max + 2
+    bits, as a slot adds at most two counts below 8^n_max.  A step moves d
+    by at most one, so with h_d = (1 + X) * row_d it reads
 
         new row_d[j] = h_(d-1)[j] + h_d[j] + h_d[j+1] + h_(d+1)[j+1]
 
     (E and N from d - 1; stay, stay, (1,-1) and (-1,1) within d; W and S
     from d + 1), masked to j <= d: the mask and the zero slots past each
     diagonal are the quadrant's walls.  After step t only the diagonals
-    d <= 1 + min(t, n - t) are kept: the others cannot get back to d = 1
-    in the steps left.
+    d <= 1 + min(t, n_max - t) are kept: the others cannot get back to
+    d = 1 in the steps left, so the cut is exact for every t <= n_max.
     """
-    if n < 0:
+    if n_max < 0:
         raise ValueError("n must be >= 0")
-    bits = 3 * n + 2
-    masks = [(1 << bits * (d + 1)) - 1 for d in range(n // 2 + 2)]
+    bits = 3 * n_max + 2
+    masks = [(1 << bits * (d + 1)) - 1 for d in range(n_max // 2 + 2)]
     diagonals = [0, 1 << bits]
-    for t in range(1, n + 1):
+    table = [(1, 0)]
+    for t in range(1, n_max + 1):
         # h[d + 1] = h_d, h[0] = h_(-1); two zeros for diagonals not yet reached
         h = [0] + [row + (row << bits) for row in diagonals] + [0, 0]
         down = [row >> bits for row in h]
         diagonals = [
             (h[d] + h[d + 1] + down[d + 1] + down[d + 2]) & masks[d]
-            for d in range(2 + min(t, n - t))
+            for d in range(2 + min(t, n_max - t))
         ]
-    return diagonals[1] >> bits, diagonals[1] & masks[0]
+        table.append((diagonals[1] >> bits, diagonals[1] & masks[0]))
+    return table
 
 
 # -- asymptotics -----------------------------------------------------------------------
@@ -542,7 +559,7 @@ def _shape(params: AsymptoticParams, n: int) -> Fraction:
     return Fraction(n) ** params.exponent * correction
 
 
-def asymptotic_estimate(n: int, params: AsymptoticParams | None = None) -> Decimal:
+def asymptotic_estimate(n: int) -> Decimal:
     """K * base^n * n^exponent * (1 + c1/n + c2/n^2 + c3/n^3) at 60 digits.
 
     With base = p/q and a/b = n^exponent * correction, the factor after K
@@ -552,7 +569,7 @@ def asymptotic_estimate(n: int, params: AsymptoticParams | None = None) -> Decim
     by the second."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    params = params or solve_asymptotics()
+    params = solve_asymptotics()
     p, q = params.base.numerator, params.base.denominator
     a, b = _shape(params, n).as_integer_ratio()
     g = gcd(pow(p, n, b), b)
@@ -564,17 +581,13 @@ def asymptotic_estimate(n: int, params: AsymptoticParams | None = None) -> Decim
         return params.leading_constant * numerator / denominator
 
 
-def fit_leading_constant(n_probe: int, table: dict[int, int] | None = None) -> Decimal:
+def fit_leading_constant(n_probe: int) -> Decimal:
     """The leading constant estimated as rho3(n) / (8^n * n^-7 * correction),
-    rho3(n) read from table ({n: rho3(n)}); tends to EXACT_K as n grows."""
+    rho3(n) the one term _rho3_terms keeps; tends to EXACT_K as n grows."""
     if n_probe < 1:
         raise ValueError("n_probe must be >= 1")
     params = solve_asymptotics()
-    if table is None:
-        table = rho3_recurrence(n_probe)
-    if n_probe not in table:
-        raise ValueError(f"table does not cover n={n_probe}")
-    ratio = table[n_probe] / (params.base**n_probe * _shape(params, n_probe))
+    ratio = _rho3_terms([n_probe])[n_probe] / (params.base**n_probe * _shape(params, n_probe))
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_DIGITS
         return Decimal(ratio.numerator) / Decimal(ratio.denominator)

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import tracemalloc
 from itertools import islice
 from pathlib import Path
 
@@ -209,6 +210,19 @@ class TestVerify:
         assert status == 0
         assert report["suites"][0]["details"]["cardinalities"]["7"] == 859
 
+    def test_walks_suite_walks_once(self, capsys, monkeypatch):
+        calls = []
+        table = walks._quadrant_walk_table
+
+        def counted(n_max):
+            calls.append(n_max)
+            return table(n_max)
+
+        monkeypatch.setattr(walks, "_quadrant_walk_table", counted)
+        status, report = run_json(capsys, "verify", "--suite", "walks", "--n-max", "40")
+        assert status == 0 and report["passed"] is True
+        assert calls == [40]
+
     def test_failure_exit_code_and_counterexample(self, capsys, monkeypatch):
         def broken(k, n_max):
             return {
@@ -302,9 +316,10 @@ class TestSuiteFailures:
         assert failed["counterexample"] == "n=0; arcs="
 
     def test_walks(self, capsys, monkeypatch):
-        counts = walks.quadrant_walk_counts
+        table = walks._quadrant_walk_table
         monkeypatch.setattr(
-            walks, "quadrant_walk_counts", lambda n: (counts(n)[0] + (n == 3), counts(n)[1])
+            walks, "_quadrant_walk_table",
+            lambda n_max: [(a + (n == 3), b) for n, (a, b) in enumerate(table(n_max))],
         )
         failed = self._run(capsys, "walks")
         assert (failed["details"]["n"], failed["details"]["k"]) == (3, 3)
@@ -598,7 +613,7 @@ class TestFormulaCaps:
             }
 
     def test_walks_suite_over_its_cap_is_refused(self, capsys, monkeypatch):
-        monkeypatch.setattr(walks, "quadrant_walk_counts", _unreachable)
+        monkeypatch.setattr(walks, "_quadrant_walk_table", _unreachable)
         argv = ["verify", "--suite", "walks", "--n-max", str(verify._WALKS_CAP + 1)]
         assert cli.run(argv) == 1
         assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "RangeGuardError"
@@ -634,6 +649,17 @@ class TestFormulaCaps:
     def test_recurrence_reaches_10000(self):
         [value] = verify.count("B_k_dagger", 3, "recurrence", [10_000]).values()
         assert value.bit_length() > 29_000
+
+    def test_one_size_at_the_recurrence_cap_keeps_one_term(self):
+        # the table over 1..20 000 peaks at about 82 MB of traced memory
+        tracemalloc.start()
+        try:
+            [value] = verify.count("B_k_dagger", 3, "recurrence", [20_000]).values()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+        assert value == walks.rho3_recurrence(20_000)[20_000]
 
 
 class TestDiagramCap:

@@ -1,6 +1,7 @@
 """Diagram model: invariants, block view, crossing statistics, formats."""
 
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -310,10 +311,39 @@ class TestTextFormat:
                 n2, arcs = parse_diagram(format_diagram(b))
                 assert BraidDiagram(n2, arcs) == b
 
-    @pytest.mark.parametrize("text", ["", "n=x; arcs=", "n=2 arcs=", "n=2; arcs=(1,2"])
+    @pytest.mark.parametrize("text", [
+        "", "n=x; arcs=", "n=2 arcs=", "n=2; arcs=(1,2", "n=2; arcs=()", "n=4; arcs=(1,2)(3,4",
+        "n=4; arcs=(1,2)x(3,4)", "n=4; arcs=(1,2)()(3,4)", "n=4; arcs=((1,2))",
+        "n=4; arcs=(1,2))(3,4)", "n=4; arcs=(1,2,3)", "n=4; arcs= (1,2)",
+    ])
     def test_parse_errors(self, text):
         with pytest.raises(ValueError):
             parse_diagram(text)
+
+    @pytest.mark.parametrize("cls", [PartitionDiagram, BraidDiagram])
+    @pytest.mark.parametrize("text", [
+        "n=5; arcs=(1,3)(2,4)(1,6)",   # arc past vertex n
+        "n=5; arcs=(1,3)(1,3)(2,4)",   # repeated arc
+        "n=5; arcs=(1,3)(2,4)(3,3)",   # loop on a vertex of degree >= 1
+        "n=x5; arcs=(1,3)(2,4)",       # bad vertex count
+        "n=5; arcs=(1,3)(2,4",         # unclosed arc
+        "n=5; arcs=(1,3)(2,4)(3,1)",   # arc with i > j
+        "n=-5; arcs=",                 # negative vertex count
+        "n=5; arcs=(a,3)(1,3)(2,4)",   # non-integer endpoint
+    ])
+    def test_corrupt_text_is_refused(self, cls, text):
+        with pytest.raises(ValueError):
+            cls(*parse_diagram(text))
+
+    def test_parse_is_linear_at_the_diagram_cap(self):
+        # 100 000 loops, the most arcs a diagram under the vertex cap can have;
+        # a parse that copies the rest of the text per arc took 6 s here
+        n = 100_000
+        text = f"n={n}; arcs=" + "".join(f"({v},{v})" for v in range(1, n + 1))
+        started = time.perf_counter()
+        parsed = parse_diagram(text)
+        assert time.perf_counter() - started < 1.0
+        assert parsed == (n, tuple((v, v) for v in range(1, n + 1)))
 
 
 class TestSvg:

@@ -345,12 +345,13 @@ class TestConversion:
         import noncrossing.tableaux as tableaux_module
 
         calls = []
+        scan = tableaux_module._scan
 
         def counted(t):
             calls.append(t)
-            return tableau_violations(t)
+            return scan(t)
 
-        monkeypatch.setattr(tableaux_module, "tableau_violations", counted)
+        monkeypatch.setattr(tableaux_module, "_scan", counted)
         t = diagram_to_tableau(PartitionDiagram(4, ((1, 3), (2, 4))))
         assert tableau_to_diagram(t) == PartitionDiagram(4, ((1, 3), (2, 4)))
         assert len(calls) == 1
@@ -384,16 +385,17 @@ class TestConversion:
         from noncrossing.duality import contract_partition, contract_partition_via_tableaux
 
         counts = {"validations": 0, "half_steps": 0}
+        scan = tableaux_module._scan
 
-        def counted_violations(t):
+        def counted_scan(t):
             counts["validations"] += 1
-            return tableau_violations(t)
+            return scan(t)
 
         def counted_half_step(prev, nxt):
             counts["half_steps"] += 1
             return half_step(prev, nxt)
 
-        monkeypatch.setattr(tableaux_module, "tableau_violations", counted_violations)
+        monkeypatch.setattr(tableaux_module, "_scan", counted_scan)
         monkeypatch.setattr(tableaux_module, "half_step", counted_half_step)
         n = 7
         p = PartitionDiagram(n, ((1, 3), (2, 5), (3, 4), (5, 7)))

@@ -1,7 +1,7 @@
 """The kernel root and its dense rows, counting routes, asymptotics."""
 
 import random
-from decimal import Decimal
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import comb, factorial, isclose, pi, sqrt
 
@@ -13,10 +13,10 @@ from noncrossing.walks import (
     _RHO3_RECURRENCE,
     EXACT_K,
     REFERENCE_K,
-    AsymptoticParams,
     RecurrenceError,
     RowSeries,
     _pack,
+    _rho3_terms,
     _slot_bytes,
     _unpack,
     asymptotic_estimate,
@@ -224,6 +224,18 @@ class TestRecurrence:
         with pytest.raises(RecurrenceError):
             walks_module.rho3_recurrence(10)
 
+    def test_terms_keep_exactly_the_sizes_asked_for(self):
+        table = rho3_recurrence(300)
+        sizes = [300, 7, 1, 150, 7, 2]
+        assert _rho3_terms(sizes) == {n: table[n] for n in sizes}
+        assert _rho3_terms(range(1, 301)) == table
+        assert _rho3_terms([1]) == {1: table[1]}
+        decimals = _rho3_terms([2, 40], Decimal)
+        assert all(type(v) is Decimal for v in decimals.values())
+        assert decimals == {2: table[2], 40: table[40]}
+        with pytest.raises(ValueError):
+            _rho3_terms([0, 5])
+
     def test_decimal_seeds_carry_the_table_in_decimal_radix(self):
         ints = rho3_recurrence(300)
         decimals = rho3_recurrence(300, Decimal)
@@ -300,20 +312,15 @@ class TestAsymptotics:
         assert -32547 * p.c1 + 729 * p.c2 + 129654 + 243 * p.c3 == 0
 
     def test_corrections_help(self):
-        table = rho3_recurrence(50)
-        exact = Decimal(table[50])
+        exact = Decimal(rho3_recurrence(50)[50])
         with_c = asymptotic_estimate(50)
-        params = solve_asymptotics()
-        flat = AsymptoticParams(
-            params.base, params.exponent, Fraction(0), Fraction(0), Fraction(0),
-            params.leading_constant,
-        )
-        without_c = asymptotic_estimate(50, flat)
+        with localcontext() as ctx:
+            ctx.prec = 60
+            without_c = EXACT_K * Decimal(8) ** 50 / Decimal(50) ** 7
         assert abs(with_c / exact - 1) < abs(without_c / exact - 1)
 
     def test_fit_stabilises(self, golden):
-        table = rho3_recurrence(1000)
-        fits = {n: fit_leading_constant(n, table) for n in (50, 100, 200, 1000)}
+        fits = {n: fit_leading_constant(n) for n in (50, 100, 200, 1000)}
         for n, value in fits.items():
             assert str(value).startswith(golden["asymptotics"][f"fit_n{n}"][:12])
         assert abs(fits[200] - fits[1000]) < abs(fits[100] - fits[1000])
@@ -348,8 +355,6 @@ class TestAsymptotics:
             asymptotic_estimate(0)
         with pytest.raises(ValueError):
             fit_leading_constant(0)
-        with pytest.raises(ValueError):
-            fit_leading_constant(60, rho3_recurrence(50))
 
 
 def _saddle_point_alphas(order):
