@@ -240,15 +240,33 @@ def parse_diagram(text: str) -> tuple[int, tuple[Arc, ...]]:
             raise ValueError
         n = int(head[2:])
     except ValueError:
-        raise ValueError(f"bad diagram syntax: {text!r}") from None
+        raise ValueError(f"bad diagram syntax: {_excerpt(text)}") from None
     if not body:
         return n, ()
     if not (body.startswith("(") and body.endswith(")")):
-        raise ValueError(f"bad arc list: {body!r}")
+        # quote the end that is wrong
+        raise ValueError(f"bad arc list: {_excerpt(body, end=body.startswith('('))}")
     # int() refuses a parenthesis, so every item of an accepted body is
     # free of them and splitting at ")(" cuts exactly between arcs
-    items = (item.partition(",") for item in body[1:-1].split(")("))
-    return n, tuple((int(i), int(j)) for i, _, j in items)
+    arcs = []
+    for t, item in enumerate(body[1:-1].split(")("), 1):
+        i, _, j = item.partition(",")
+        try:
+            arcs.append((int(i), int(j)))
+        except ValueError:
+            raise ValueError(f"bad arc {t}: {_excerpt(f'({item})')}") from None
+    return n, tuple(arcs)
+
+
+#: the most characters of a refused text that its diagnostic quotes
+_EXCERPT = 40
+
+
+def _excerpt(text: str, end: bool = False) -> str:
+    """repr(text), cut to its first (end: last) _EXCERPT characters."""
+    if len(text) <= _EXCERPT:
+        return repr(text)
+    return f"...{text[-_EXCERPT:]!r}" if end else f"{text[:_EXCERPT]!r}..."
 
 
 # -- svg rendering ---------------------------------------------------------------

@@ -1,12 +1,23 @@
 """Exhaustive generators and counting oracles for the diagram classes.
 
-Set partitions are produced from restricted growth strings in
-lexicographic order, which is canonical and duplicate-free.  Braids are
-produced through their loop-stripped skeletons: every braid is a
-partition diagram (the non-loop arcs) plus a choice of loop-or-isolated
-for each untouched vertex, so enumerating skeletons whose shared-endpoint
-crossing number stays below k and expanding the isolated vertices covers
-each braid exactly once.
+One stream feeds both.  Set partitions come from restricted growth
+strings in lexicographic order, which is canonical and duplicate-free,
+and each word becomes its arcs by one rule: a label's previous
+occurrence closes an arc.  Each class keeps the words that pass its
+filter: the 2-regular test first, where the class asks for it, then the
+crossing number in the class's convention (_FILTERS).  The generators
+wrap the surviving arcs in validated diagrams; count_class counts them
+and builds no diagram.
+
+Braids are produced through their loop-stripped skeletons: every braid
+is a partition diagram (the non-loop arcs) plus a choice of
+loop-or-isolated for each untouched vertex, so enumerating skeletons
+whose shared-endpoint crossing number stays below k and expanding the
+isolated vertices covers each braid exactly once.  A loop joins no
+crossing set of two or more arcs, so every one of the 2^f choices at a
+skeleton with f isolated vertices keeps its crossing number, and
+count_class weighs such a B_k skeleton 2^f; a B_k_dagger skeleton loops
+every isolated vertex and counts 1.
 
 These streams are the ground truth that every formula route is checked
 against; they are deliberately simple.
@@ -18,11 +29,10 @@ from itertools import count
 from typing import Iterator
 
 from .diagrams import (
+    Arc,
     BraidDiagram,
     PartitionDiagram,
     crossing_number_of_arcs,
-    is_two_regular,
-    partition_from_blocks,
 )
 
 #: Hard ceiling on brute-force configuration counts.
@@ -71,56 +81,75 @@ def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
             return
 
 
+def _partition_arcs(n: int) -> Iterator[list[Arc]]:
+    """The arcs of every set partition of [n], in growth-string order:
+    each label's previous occurrence closes an arc."""
+    for word in restricted_growth_strings(n):
+        last: dict[int, int] = {}
+        arcs = []
+        for v, label in enumerate(word, 1):
+            if label in last:
+                arcs.append((last[label], v))
+            last[label] = v
+        yield arcs
+
+
+#: class tag -> (its partitions are 2-regular, its crossing convention is
+#: shared-endpoint); the braid classes filter their skeletons
+_FILTERS = {
+    "P_k": (False, False),
+    "P_k2": (True, False),
+    "B_k": (False, True),
+    "B_k_dagger": (False, True),
+}
+
+
+def _class_arcs(class_tag: str, n: int, k: int) -> Iterator[list[Arc]]:
+    """The arcs of each partition of [n] that passes class_tag's filter at k."""
+    _require_k(k)
+    two_regular, shared_endpoint = _FILTERS[class_tag]
+    for arcs in _partition_arcs(n):
+        # the cheap test first: only Bell(n-1) of Bell(n) partitions pass it
+        if two_regular and any(j == i + 1 for i, j in arcs):
+            continue
+        if crossing_number_of_arcs(arcs, shared_endpoint) < k:
+            yield arcs
+
+
+def _isolated(n: int, arcs: list[Arc]) -> list[int]:
+    touched = {v for arc in arcs for v in arc}
+    return [v for v in range(1, n + 1) if v not in touched]
+
+
 def gen_set_partitions(n: int) -> Iterator[PartitionDiagram]:
     """Every set partition of [n] exactly once, as a canonical diagram."""
-    for word in restricted_growth_strings(n):
-        blocks: dict[int, list[int]] = {}
-        for v, label in enumerate(word, 1):
-            blocks.setdefault(label, []).append(v)
-        yield partition_from_blocks(blocks.values())
+    for arcs in _partition_arcs(n):
+        yield PartitionDiagram(n, arcs)
 
 
 def gen_partitions_k(n: int, k: int) -> Iterator[PartitionDiagram]:
-    _require_k(k)
-    for p in gen_set_partitions(n):
-        if crossing_number_of_arcs(p.arcs, shared_endpoint=False) < k:
-            yield p
+    for arcs in _class_arcs("P_k", n, k):
+        yield PartitionDiagram(n, arcs)
 
 
 def gen_2regular_k(n: int, k: int) -> Iterator[PartitionDiagram]:
-    _require_k(k)
-    for p in gen_set_partitions(n):
-        # the cheap test first: only Bell(n-1) of Bell(n) partitions pass it
-        if is_two_regular(p) and crossing_number_of_arcs(p.arcs, shared_endpoint=False) < k:
-            yield p
-
-
-def _gen_braid_skeletons(n: int, k: int) -> Iterator[PartitionDiagram]:
-    # The filter uses the shared-endpoint convention: chains through a
-    # common vertex i_m = j_1 also block the skeleton.
-    for p in gen_set_partitions(n):
-        if crossing_number_of_arcs(p.arcs, shared_endpoint=True) < k:
-            yield p
+    for arcs in _class_arcs("P_k2", n, k):
+        yield PartitionDiagram(n, arcs)
 
 
 def gen_braids(n: int, k: int) -> Iterator[BraidDiagram]:
     """Every k-noncrossing braid over [n], via loop expansion of skeletons."""
-    _require_k(k)
-    for skel in _gen_braid_skeletons(n, k):
-        free = skel.isolated_vertices()
+    for arcs in _class_arcs("B_k", n, k):
+        free = _isolated(n, arcs)
         for mask in range(1 << len(free)):
-            loops = tuple(
-                (v, v) for t, v in enumerate(free) if mask >> t & 1
-            )
-            yield BraidDiagram(n, skel.arcs + loops)
+            loops = [(v, v) for t, v in enumerate(free) if mask >> t & 1]
+            yield BraidDiagram(n, arcs + loops)
 
 
 def gen_braids_no_isolated(n: int, k: int) -> Iterator[BraidDiagram]:
     """k-noncrossing braids over [n] in which every vertex is covered."""
-    _require_k(k)
-    for skel in _gen_braid_skeletons(n, k):
-        loops = tuple((v, v) for v in skel.isolated_vertices())
-        yield BraidDiagram(n, skel.arcs + loops)
+    for arcs in _class_arcs("B_k_dagger", n, k):
+        yield BraidDiagram(n, arcs + [(v, v) for v in _isolated(n, arcs)])
 
 
 #: class tag -> generator of its diagrams over [n] at k
@@ -133,8 +162,13 @@ GENERATORS = {
 
 
 def count_class(class_tag: str, k: int, n: int) -> int:
-    gen = GENERATORS[class_tag]
-    return sum(1 for _ in gen(n, k))
+    """The number of diagrams GENERATORS[class_tag](n, k) yields, counted
+    from the arc stream without building one: a B_k skeleton with f
+    isolated vertices counts 2^f, every other member 1."""
+    members = _class_arcs(class_tag, n, k)
+    if class_tag == "B_k":
+        return sum(1 << len(_isolated(n, arcs)) for arcs in members)
+    return sum(1 for _ in members)
 
 
 #: the least m with Bell(m) > BRUTE_FORCE_LIMIT

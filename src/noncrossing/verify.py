@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from decimal import Decimal
 from itertools import chain
 from typing import Callable, NamedTuple
@@ -85,6 +84,9 @@ def count(class_tag: str, k: int, route: str, sizes, jobs: int = 1) -> dict[int,
     work = [(class_tag, k, n) for n in sizes]
     workers = min(jobs, len(work), os.cpu_count() or 1)
     if workers > 1:
+        # imported here, as multiprocessing is loaded only for --jobs
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return dict(pool.map(_count_one, work))
     return dict(map(_count_one, work))

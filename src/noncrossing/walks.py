@@ -258,15 +258,21 @@ def _square_row(w: list[int], i: int) -> int:
 def kernel_residual(y: RowSeries) -> RowSeries:
     """K(x, y(t); t) as a truncated series, summed monomial by monomial
     over _KERNEL_T0 and _KERNEL_T2; zero exactly on the root.  It packs
-    y.rows afresh and forms y^2 by _convolve, which the online pass does
-    not use, in slots that hold the sum of the |c| of K's monomials times
-    the largest l1 norm of a row of 1, y or y^2 (bounded by the norms of y)."""
+    y.rows afresh and forms y^2 by a symmetric product of its own, not the
+    online pass's _square_row, in slots that hold the sum of the |c| of K's
+    monomials times the largest l1 norm of a row of 1, y or y^2 (bounded
+    by the norms of y)."""
+
+    def square(p: list[int]) -> list[int]:  # rows of p^2: each a < b once, doubled
+        return [2 * sum(p[a] * p[r - a] for a in range((r + 1) // 2))
+                + (p[r // 2] ** 2 if r % 2 == 0 else 0) for r in range(len(p))]
+
     size = len(y.rows)
     norms = [sum(map(abs, row)) for row in y.rows]
     weight = sum(_KERNEL_T0.values()) + sum(_KERNEL_T2.values())
-    slot = _slot_bytes(weight * max([1, *norms, *_convolve(norms, norms)]))
+    slot = _slot_bytes(weight * max([1, *norms, *square(norms)]))
     packed = [_pack(row, slot) for row in y.rows]
-    powers = ([1] + [0] * (size - 1), packed, _convolve(packed, packed))
+    powers = ([1] + [0] * (size - 1), packed, square(packed))
     rows = [0] * size
     for level, sign, monomials in ((0, 1, _KERNEL_T0), (1, -1, _KERNEL_T2)):
         for (i, j), c in monomials.items():

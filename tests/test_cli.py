@@ -117,7 +117,7 @@ class TestCount:
 
             map = staticmethod(map)
 
-        monkeypatch.setattr(verify, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
         status, report = run_json(
             capsys, "count", "--class", "partitions", "--n-max", str(n_max),
@@ -185,6 +185,26 @@ class TestMap:
         status = cli.run(["map", "--in", "n=2; arcs=(1,1)"])
         captured = capsys.readouterr()
         assert status == 1 and "error" in captured.err
+
+    @pytest.mark.parametrize("text", [
+        "n=5; arcs=" + "(1,2)" * 20_000 + "x",       # unclosed at the end
+        "n=5; arcs=x" + "(1,2)" * 20_000,            # unopened at the start
+        "n=5; arcs=" + "(1,2)" * 20_000 + "(1,x)",   # the last arc
+        "n=5; arcs=(1," + "2" * 100_000 + ")",        # an endpoint past int()'s digit limit
+        "m=5; arcs=" + "(1,2)" * 20_000,             # the head
+    ], ids=["end", "start", "last-arc", "long-endpoint", "head"])
+    def test_malformed_text_is_not_echoed(self, capsys, text):
+        # the diagnostic quotes a short excerpt, never the whole input
+        assert cli.run(["map", "--in", text]) == 1
+        err = capsys.readouterr().err
+        assert json.loads(err.splitlines()[-1])["error"] == "ValueError"
+        assert len(err) < 200, err
+
+    def test_malformed_arc_is_named(self, capsys):
+        assert cli.run(["map", "--in", "n=4; arcs=(1,2)(3,x)"]) == 1
+        assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
+            "error": "ValueError", "message": "bad arc 2: '(3,x)'",
+        }
 
 
 class TestVerify:

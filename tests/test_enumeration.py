@@ -10,11 +10,14 @@ from noncrossing.diagrams import (
     InvalidDiagramError,
     PartitionDiagram,
     is_k_noncrossing,
+    partition_from_blocks,
 )
 from noncrossing.enumeration import (
     BRUTE_FORCE_LIMIT,
+    GENERATORS,
     RangeGuardError,
     bell_number,
+    count_class,
     gen_2regular_k,
     gen_braids,
     gen_braids_no_isolated,
@@ -145,6 +148,44 @@ class TestBraidStream:
             for k in (3, 4):
                 assert set(gen_braids(n, k)) == raw_braids(n, k, False), (n, k)
                 assert set(gen_braids_no_isolated(n, k)) == raw_braids(n, k, True), (n, k)
+
+
+class TestCountingStream:
+    # count_class reads the arc stream that the generators wrap in diagrams
+
+    @pytest.mark.parametrize("tag", sorted(GENERATORS))
+    def test_count_is_the_number_generated(self, tag):
+        # for B_k this checks each skeleton's weight 2^(isolated vertices)
+        # against the loop expansion itself
+        for k in range(2, 6):
+            for n in range(0, 9):
+                generated = sum(1 for _ in GENERATORS[tag](n, k))
+                assert count_class(tag, k, n) == generated, (tag, k, n)
+
+    def test_count_builds_no_diagram(self, monkeypatch):
+        import noncrossing.enumeration as enumeration_module
+
+        expected = {tag: count_class(tag, 3, 7) for tag in GENERATORS}
+
+        def unbuilt(*args):
+            raise AssertionError("a diagram was built")
+
+        for name in ("PartitionDiagram", "BraidDiagram"):
+            monkeypatch.setattr(enumeration_module, name, unbuilt)
+        assert {tag: count_class(tag, 3, 7) for tag in GENERATORS} == expected
+        with pytest.raises(AssertionError, match="built"):
+            next(gen_braids(7, 3))
+
+    def test_set_partitions_are_the_block_construction(self):
+        # each word's blocks, joined by consecutive elements, in word order
+        for n in range(0, 9):
+            expected = []
+            for word in restricted_growth_strings(n):
+                blocks = {}
+                for v, label in enumerate(word, 1):
+                    blocks.setdefault(label, []).append(v)
+                expected.append(partition_from_blocks(blocks.values()))
+            assert list(gen_set_partitions(n)) == expected, n
 
 
 class TestCountTable:

@@ -58,6 +58,18 @@ def test_module_layering():
     assert {name for name, used in imports.items() if "verify" in used} == {"cli"}
 
 
+def test_cli_import_leaves_out_multiprocessing():
+    # only count --jobs > 1 starts worker processes, so only it loads them
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(_PACKAGE.parent), env.get("PYTHONPATH")])
+    )
+    probe = "import sys, noncrossing.cli; print('multiprocessing' in sys.modules)"
+    run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert run.returncode == 0, run.stderr[-2000:]
+    assert run.stdout.strip() == "False"
+
+
 def _names_read(tree):
     """The identifiers an AST reads: names, attributes, imported names."""
     names = set()
