@@ -51,7 +51,6 @@ from .tableaux import (
     VacillatingTableau,
     diagram_to_tableau,
     step_pairs,
-    tableau_from_step_pairs,
     tableau_to_diagram,
     validate_tableau,
 )

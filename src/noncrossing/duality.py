@@ -7,12 +7,26 @@ is a bijection onto the braids over [n-1] and preserves the crossing
 number.
 
 An independently coded witness route computes the same map through
-vacillating tableaux: convert the partition to its tableau, re-bracket
-the 2n half-steps with an offset of one (dropping the leading and
-trailing do-nothings), swap each resulting pair into braid order unless
-it is (add, remove), and convert the braid tableau back to a diagram.
-The two routes share nothing beyond the shape type; their agreement is
-the module's central cross-validation contract.
+vacillating tableaux, by one rule on shapes.  Let s^0 .. s^2n be the
+partition tableau.  Its shapes s^1 .. s^(2n-1) form the braid tableau,
+except that for braid vertex i, with corners a = s^(2i-1) and
+c = s^(2i+1), the middle b = s^(2i) is kept only when it is larger than
+both a and c; otherwise it becomes the smaller of a and c.
+
+This is the half-step construction of Chen, Deng, Du, Stanley and Yan,
+stated on shapes.  Re-bracketing the 2n half-steps by one vertex makes
+braid vertex i the step a -> b -> c: the even half of partition vertex
+i (add or nothing), then the odd half of vertex i+1 (remove or
+nothing).  The first odd and the last even half-steps do nothing, so
+re-bracketing drops s^0 and s^2n, which repeat their neighbours.
+Swapping each pair into braid order keeps a and c and replaces b:
+(add, nothing) becomes (nothing, add), with middle a, and
+(nothing, remove) becomes (remove, nothing), with middle c; in each
+case the smaller corner.  Only (add, remove), whose middle exceeds both
+corners, keeps its order.  Shapes at most one square apart order as
+tuples as they do by size, so the rule compares tuples.  The two routes
+share nothing beyond the diagram types; their agreement is the module's
+central cross-validation contract.
 
 Restricted to partitions without adjacent-vertex arcs, contraction
 produces a loop-free image; looping every isolated image vertex then
@@ -30,14 +44,7 @@ from .diagrams import (
     loop_isolated_vertices,
     strip_loops,
 )
-from .tableaux import (
-    BRAID_STEPS,
-    StepPair,
-    diagram_to_tableau,
-    step_pairs,
-    tableau_from_step_pairs,
-    tableau_to_diagram,
-)
+from .tableaux import BRAID_STEPS, VacillatingTableau, diagram_to_tableau, tableau_to_diagram
 
 
 class RestrictedDomainError(ValueError):
@@ -64,50 +71,20 @@ def expand_braid(b: BraidDiagram | PartitionDiagram) -> PartitionDiagram:
 # -- tableau route --------------------------------------------------------------
 
 
-def shift_half_steps(pairs: tuple[StepPair, ...]) -> tuple[StepPair, ...]:
-    """Re-bracket a partition pair sequence with an offset of one vertex.
-
-    Output pair i is (even half of vertex i, odd half of vertex i+1);
-    requires the first odd and last even half-steps to be do-nothings,
-    which every partition tableau satisfies, so the map is invertible.
-    """
-    pairs = tuple(pairs)
-    if not pairs:
-        raise ValueError("need at least one pair")
-    if pairs[0][0] is not None or pairs[-1][1] is not None:
-        raise ValueError("sequence must start and end with a do-nothing half-step")
-    return tuple((pairs[i][1], pairs[i + 1][0]) for i in range(len(pairs) - 1))
-
-
-_SWAP_EXEMPT = ("+", "-")  # the (add, remove) pair keeps its order
-
-
-def reorder_pairs(pairs: tuple[StepPair, ...]) -> tuple[StepPair, ...]:
-    """Swap each pair into braid order, fixing (add, remove) pairs.
-
-    Admissible inputs are the re-bracketed pairs: (none, none),
-    (add, none), (none, remove), (add, remove).  Applying the swap twice
-    restores every swapped pair.
-    """
-    out = []
-    for a, b in pairs:
-        kinds = (a[0] if a else None, b[0] if b else None)
-        if kinds not in ((None, None), ("+", None), (None, "-"), _SWAP_EXEMPT):
-            raise ValueError(f"pair ({a}, {b}) is outside the admissible set")
-        out.append((a, b) if kinds == _SWAP_EXEMPT else (b, a))
-    return tuple(out)
-
-
 def contract_partition_via_tableaux(p: PartitionDiagram) -> BraidDiagram:
-    """Witness route: tableau, half-step surgery, tableau, diagram.
-
-    Equals contract_partition on every input; coded independently so the
-    two can be checked against each other.
+    """Witness route: partition tableau, the shape rule, braid tableau,
+    diagram.  tableau_to_diagram validates the braid tableau in its one
+    scan.  Equals contract_partition on every input; coded independently
+    so the two can be checked against each other.
     """
     if p.n < 1:
         raise ValueError("contraction needs at least one vertex")
-    braid_pairs = reorder_pairs(shift_half_steps(step_pairs(diagram_to_tableau(p))))
-    return tableau_to_diagram(tableau_from_step_pairs(braid_pairs, BRAID_STEPS))
+    shapes = list(diagram_to_tableau(p).shapes[1:-1])
+    for m in range(1, len(shapes) - 1, 2):
+        a, b, c = shapes[m - 1:m + 2]
+        if not b > max(a, c):
+            shapes[m] = min(a, c)
+    return tableau_to_diagram(VacillatingTableau(tuple(shapes), BRAID_STEPS))
 
 
 # -- restriction to 2-regular partitions -----------------------------------------

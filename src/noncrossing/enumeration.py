@@ -65,20 +65,20 @@ def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
         yield ()
         return
     word = [0] * n
+    peak = [0] * n  # peak[t] = max(word[:t]), kept as the prefix changes
     while True:
         yield tuple(word)
-        # advance to lexicographic successor
+        # advance to lexicographic successor: the last position below its cap
         pos = n - 1
-        while pos > 0:
-            cap = max(word[:pos]) + 1
-            if word[pos] < cap:
-                word[pos] += 1
-                for t in range(pos + 1, n):
-                    word[t] = 0
-                break
+        while pos > 0 and word[pos] > peak[pos]:
             pos -= 1
-        else:
+        if pos == 0:
             return
+        word[pos] += 1
+        top = word[pos] if word[pos] > peak[pos] else peak[pos]
+        for t in range(pos + 1, n):
+            word[t] = 0
+            peak[t] = top
 
 
 def _partition_arcs(n: int) -> Iterator[list[Arc]]:

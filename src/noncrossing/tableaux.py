@@ -41,6 +41,9 @@ and the maximal number of rows used equals the diagram's crossing number.
 So the row bound is ``max_rows()``: a diagram is k-noncrossing iff
 ``max_rows() < k`` for its tableau.
 
+Every tableau is built as a shape sequence, never from step pairs:
+``diagram_to_tableau`` reads the shapes off its filling, and the
+duality's witness route amends the shapes of a partition tableau.
 ``step_pairs`` is the one validating entry: it checks every shape and
 derives every half-step once, and ``tableau_to_diagram`` reads the pairs
 it returns.
@@ -51,7 +54,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import ge
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .diagrams import BraidDiagram, PartitionDiagram
 
@@ -194,11 +197,6 @@ def _scan(t: VacillatingTableau) -> tuple[list[str], tuple[StepPair, ...]]:
     return out, tuple(pairs)
 
 
-def tableau_violations(t: VacillatingTableau) -> list[str]:
-    """All rule violations, empty when the tableau is valid."""
-    return _scan(t)[0]
-
-
 def validate_tableau(t: VacillatingTableau) -> bool:
     return not _scan(t)[0]
 
@@ -210,28 +208,6 @@ def step_pairs(t: VacillatingTableau) -> tuple[StepPair, ...]:
     if problems:
         raise MalformedTableauError("; ".join(problems))
     return pairs
-
-
-def tableau_from_step_pairs(pairs: Iterable[StepPair], step_set: str) -> VacillatingTableau:
-    """Rebuild the shape sequence from pairs; inverse of step_pairs.
-    add_square and remove_square check each step, so no shape is rescanned."""
-    shapes: list[Shape] = [()]
-    for idx, pair in enumerate(pairs, 1):
-        if not _legal_pair(pair, step_set):
-            raise MalformedTableauError(
-                f"vertex {idx}: pair {pair} not allowed for {step_set} steps"
-            )
-        for half in pair:
-            cur = shapes[-1]
-            if half is None:
-                shapes.append(cur)
-            elif half[0] == "+":
-                shapes.append(add_square(cur, half[1]))
-            else:
-                shapes.append(remove_square(cur, half[1]))
-    if shapes[-1] != ():
-        raise MalformedTableauError("pair sequence does not return to the empty shape")
-    return VacillatingTableau(tuple(shapes), step_set)
 
 
 # -- fillings ---------------------------------------------------------------------

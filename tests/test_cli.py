@@ -345,7 +345,9 @@ class TestSuiteFailures:
         assert (failed["details"]["n"], failed["details"]["k"]) == (3, 3)
         assert failed["counterexample"]["closed"] == "5"
 
-    def test_series_kernel(self, capsys, monkeypatch):
+    def test_series_corrupted_root(self, capsys, monkeypatch):
+        # kernel_root_series checks its own residual (test_series_suite);
+        # a root corrupted after that check fails the coefficient check
         root = walks.kernel_root_series
 
         def corrupted(order):
@@ -355,9 +357,11 @@ class TestSuiteFailures:
 
         monkeypatch.setattr(walks, "kernel_root_series", corrupted)
         failed = self._run(capsys, "series")
-        assert failed["details"]["check"] == "kernel"
-        # Y gains x^-1 t^4, so K(x, Y; t) gains x * x^-1 t^4
-        assert failed["counterexample"] == {"t": 4, "x": 0, "value": "1"}
+        # Y gains x^-1 t^4, the coefficient of power 1 at m = -1, n = 1
+        assert failed["details"]["check"] == "coefficient"
+        assert (failed["details"]["power"], failed["details"]["m"], failed["details"]["n"]) \
+            == (1, -1, 1)
+        assert failed["counterexample"] == {"series": "2", "binomial_sum": "1"}
 
     def test_series_symmetry(self, capsys, monkeypatch):
         monkeypatch.setattr(walks, "kernel_symmetry_holds", lambda: False)

@@ -17,16 +17,9 @@ from noncrossing.duality import (
     contract_two_regular,
     expand_braid,
     expand_braid_no_isolated,
-    reorder_pairs,
-    shift_half_steps,
 )
 from noncrossing.enumeration import gen_2regular_k, gen_braids, gen_braids_no_isolated
-from noncrossing.tableaux import (
-    BRAID_STEPS,
-    diagram_to_tableau,
-    step_pairs,
-    tableau_from_step_pairs,
-)
+from noncrossing.tableaux import diagram_to_tableau
 
 
 class TestDirect:
@@ -84,52 +77,6 @@ class TestDirect:
                     assert (j + 1 in p.endpoints()) == (j in image.endpoints())
 
 
-class TestHalfStepSurgery:
-    def test_shift_examples(self):
-        assert shift_half_steps(((None, None),)) == ()
-        assert shift_half_steps(((None, ("+", 1)), (("-", 1), None))) == (
-            (("+", 1), ("-", 1)),
-        )
-        assert shift_half_steps(
-            ((None, ("+", 1)), (("-", 1), ("+", 1)), (("-", 1), None))
-        ) == ((("+", 1), ("-", 1)), (("+", 1), ("-", 1)))
-
-    def test_shift_requires_boundary_do_nothings(self):
-        with pytest.raises(ValueError):
-            shift_half_steps(((("-", 1), None),))
-        with pytest.raises(ValueError):
-            shift_half_steps(((None, ("+", 1)),))
-
-    def test_shift_invertible_information(self):
-        # the shifted sequence plus the boundary condition recovers the input
-        for p in partitions_of(5):
-            pairs = step_pairs(diagram_to_tableau(p))
-            shifted = shift_half_steps(pairs)
-            rebuilt = []
-            prev_even = None
-            for odd, even in shifted + ((None, None),):
-                rebuilt.append((prev_even, odd))
-                prev_even = even
-            assert tuple(rebuilt) == pairs
-
-    def test_reorder_examples(self):
-        assert reorder_pairs(((("+", 1), ("-", 1)),)) == ((("+", 1), ("-", 1)),)
-        assert reorder_pairs(((None, ("-", 2)),)) == ((("-", 2), None),)
-        assert reorder_pairs(((None, None),)) == ((None, None),)
-        assert reorder_pairs(((("+", 2), None),)) == ((None, ("+", 2)),)
-
-    def test_reorder_rejects_foreign_pairs(self):
-        with pytest.raises(ValueError):
-            reorder_pairs(((("-", 1), ("+", 1)),))
-
-    def test_reorder_twice_restores_swapped_pairs(self):
-        pairs = ((None, ("-", 1)), (("+", 2), None), (None, None))
-        transposed = reorder_pairs(pairs)
-        assert (
-            tuple((b, a) for a, b in transposed) == pairs
-        )
-
-
 class TestTableauRoute:
     def test_examples(self):
         assert contract_partition_via_tableaux(
@@ -143,15 +90,15 @@ class TestTableauRoute:
                 assert contract_partition_via_tableaux(p) == contract_partition(p), p
 
     def test_intermediate_shape_interleaving(self):
-        # the braid-tableau shapes interleave with the partition-tableau
-        # shapes: even positions repeat the odd source shapes, and odd
+        # the shapes of the braid tableau, reached by the direct route and
+        # not by the witness's shape rule, interleave with the partition
+        # tableau's: even positions repeat the odd source shapes, and odd
         # positions agree with a neighbouring source shape whenever they
         # differ from the one in between
         for n in range(2, 6):
             for p in partitions_of(n):
                 src = diagram_to_tableau(p).shapes
-                pairs = reorder_pairs(shift_half_steps(step_pairs(diagram_to_tableau(p))))
-                mid = tableau_from_step_pairs(pairs, BRAID_STEPS).shapes
+                mid = diagram_to_tableau(contract_partition(p)).shapes
                 assert mid[2 * (n - 1)] == src[2 * n - 1] == ()
                 for j in range(1, n):
                     assert mid[2 * j] == src[2 * j + 1]

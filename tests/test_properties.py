@@ -12,7 +12,11 @@ from noncrossing.diagrams import (
     parse_diagram,
     partition_crossing_number,
 )
-from noncrossing.duality import contract_partition, contract_partition_via_tableaux
+from noncrossing.duality import (
+    contract_partition,
+    contract_partition_via_tableaux,
+    expand_braid,
+)
 from noncrossing.tableaux import diagram_to_tableau, tableau_to_diagram
 
 _SETTINGS = settings(
@@ -90,3 +94,10 @@ def test_direct_route_equals_tableau_route(p):
     b = contract_partition(p)
     assert contract_partition_via_tableaux(p) == b
     assert b.n == p.n - 1
+
+
+@seed(20074)
+@_SETTINGS
+@given(braids())
+def test_tableau_route_inverts_expansion(b):
+    assert contract_partition_via_tableaux(expand_braid(b)) == b

@@ -112,14 +112,20 @@ def test_private_names_are_used():
     assert not unused, f"private names nothing reads: {', '.join(unused)}"
 
 
-def test_exported_names_are_used():
-    # a name the package exports is read by the library outside its own
-    # definition, by the benchmark or by the README; one that only the
-    # tests call is surface the system does not use
+def _names_outside():
+    """The names the benchmark reads and the words of the README."""
     root = _PACKAGE.parent.parent
     outside = set(re.findall(r"\w+", (root / "README.md").read_text()))
     for path in (root / "bench").glob("*.py"):
         outside |= _names_read(ast.parse(path.read_text(), filename=str(path)))
+    return outside
+
+
+def test_exported_names_are_used():
+    # a name the package exports is read by the library outside its own
+    # definition, by the benchmark or by the README; one that only the
+    # tests call is surface the system does not use
+    outside = _names_outside()
     inside = [(own, names) for module, _, own, names in _statements() if module != "__init__.py"]
     exported = [
         alias.name
@@ -133,6 +139,23 @@ def test_exported_names_are_used():
         if name not in outside and not any(name in names - own for own, names in inside)
     ]
     assert not unused, f"exported names only the tests read: {', '.join(unused)}"
+
+
+def test_public_names_are_used():
+    # the same rule for every public module-level name, exported or not:
+    # another library statement reads it, the package's re-export aside,
+    # or the benchmark or the README does
+    outside = _names_outside()
+    statements = [s for s in _statements() if s[0] != "__init__.py"]
+    defined = [(module, name, stmt) for module, stmt, own, _ in statements
+               for name in own if not name.startswith("_")]
+    assert len(defined) > 70
+    unused = [
+        f"{module}:{name}" for module, name, stmt in defined
+        if name not in outside
+        and not any(name in names for _, other, _, names in statements if other is not stmt)
+    ]
+    assert not unused, f"public names only the tests read: {', '.join(unused)}"
 
 
 def test_integrity_checks_fire_under_python_O():

@@ -26,9 +26,7 @@ from noncrossing.tableaux import (
     is_shape,
     remove_square,
     step_pairs,
-    tableau_from_step_pairs,
     tableau_to_diagram,
-    tableau_violations,
     validate_tableau,
 )
 
@@ -73,13 +71,6 @@ def enumerate_tableaux(n, step_set):
                 for j in _removable_rows(grown):
                     yield ("+", h), ("-", j)
 
-    def apply(shape, half):
-        if half is None:
-            return shape
-        if half[0] == "+":
-            return add_square(shape, half[1])
-        return remove_square(shape, half[1])
-
     def walk(shape, left, prefix):
         if sum(shape) > left:
             return
@@ -87,10 +78,28 @@ def enumerate_tableaux(n, step_set):
             yield tuple(prefix)
             return
         for pair in pairs_from(shape):
-            end = apply(apply(shape, pair[0]), pair[1])
+            end = _apply(_apply(shape, pair[0]), pair[1])
             yield from walk(end, left - 1, prefix + [pair])
 
     yield from walk((), n, [])
+
+
+def _apply(shape, half):
+    if half is None:
+        return shape
+    if half[0] == "+":
+        return add_square(shape, half[1])
+    return remove_square(shape, half[1])
+
+
+def tableau_of_pairs(pairs, step_set):
+    """The tableau whose half-steps are the given pairs, built one shape
+    at a time by add_square and remove_square."""
+    shapes = [()]
+    for pair in pairs:
+        for half in pair:
+            shapes.append(_apply(shapes[-1], half))
+    return VacillatingTableau(tuple(shapes), step_set)
 
 
 def shapes_up_to(size):
@@ -275,9 +284,15 @@ class TestValidation:
         assert not validate_tableau(VacillatingTableau(((), (1,), ()), P))
 
     def test_violation_report_is_machine_readable(self):
-        bad = VacillatingTableau(((), (1,), ()), P)
-        report = tableau_violations(bad)
-        assert report and all(isinstance(line, str) for line in report)
+        # step_pairs raises with every violation, joined by "; "
+        bad = VacillatingTableau(((1,), (), (1,), (2,), (1,)), P)
+        with pytest.raises(MalformedTableauError) as err:
+            step_pairs(bad)
+        assert str(err.value).split("; ") == [
+            "first shape is not empty",
+            "last shape is not empty",
+            "vertex 2: pair (('+', 1), ('-', 1)) not allowed for partition steps",
+        ]
 
     def test_endpoint_conditions(self):
         assert not validate_tableau(VacillatingTableau(((1,), (), ()), P))
@@ -310,18 +325,10 @@ class TestStepPairs:
         )
 
     def test_round_trip(self):
+        t = VacillatingTableau(((), (), (1,), (), ()), P)
         pairs = ((None, ("+", 1)), (("-", 1), None))
-        t = tableau_from_step_pairs(pairs, P)
-        assert t.shapes == ((), (), (1,), (), ())
         assert step_pairs(t) == pairs
-
-    def test_errors(self):
-        with pytest.raises(MalformedTableauError):
-            tableau_from_step_pairs([(("-", 1), None)], P)
-        with pytest.raises(MalformedTableauError):
-            tableau_from_step_pairs([(("+", 1), None)], B)
-        with pytest.raises(MalformedTableauError):
-            tableau_from_step_pairs([(None, ("+", 1))], P)  # does not drain
+        assert tableau_of_pairs(pairs, P) == t
 
 
 class TestConversion:
@@ -330,7 +337,7 @@ class TestConversion:
         assert tableau_to_diagram(VacillatingTableau(((), (1,), ()), B)) == BraidDiagram(
             1, ((1, 1),)
         )
-        t = tableau_from_step_pairs(((None, ("+", 1)), (("-", 1), None)), P)
+        t = VacillatingTableau(((), (), (1,), (), ()), P)
         assert tableau_to_diagram(t) == PartitionDiagram(2, ((1, 2),))
 
         assert diagram_to_tableau(PartitionDiagram(1)).shapes == ((), (), ())
@@ -363,8 +370,7 @@ class TestConversion:
         BraidDiagram(6, ((1, 3), (2, 5), (3, 4), (6, 6))),
     ], ids=["partition", "braid"])
     def test_each_shape_is_checked_once(self, monkeypatch, d):
-        # validation checks every shape of a tableau from outside; the
-        # shapes that add_square and remove_square build are not checked
+        # validation checks every shape of a tableau from outside once
         calls = []
 
         def counted(rows):
@@ -374,11 +380,8 @@ class TestConversion:
         monkeypatch.setattr(tableaux, "is_shape", counted)
         t = diagram_to_tableau(d)
         calls.clear()
-        pairs = step_pairs(t)
+        step_pairs(t)
         assert len(calls) == len(t.shapes)
-        calls.clear()
-        assert tableau_from_step_pairs(pairs, t.step_set) == t
-        assert calls == []
 
     def test_witness_route_scans_each_tableau_once(self, monkeypatch):
         import noncrossing.tableaux as tableaux_module
@@ -400,9 +403,10 @@ class TestConversion:
         n = 7
         p = PartitionDiagram(n, ((1, 3), (2, 5), (3, 4), (5, 7)))
         assert contract_partition_via_tableaux(p) == contract_partition(p)
-        # one partition tableau over [n] and one braid tableau over [n-1]:
-        # 2n + 2(n - 1) shape transitions
-        assert counts == {"validations": 2, "half_steps": 4 * n - 2}
+        # the partition tableau is built by the right-to-left scan and
+        # read as shapes, so only the braid tableau over [n-1] is scanned:
+        # 2(n - 1) shape transitions
+        assert counts == {"validations": 1, "half_steps": 2 * (n - 1)}
 
     def test_round_trips(self):
         for n in range(0, 8):
@@ -416,10 +420,10 @@ class TestConversion:
         # the other direction of the bijection, via the oracle enumerator
         for n in range(0, 5):
             for pairs in enumerate_tableaux(n, P):
-                t = tableau_from_step_pairs(pairs, P)
+                t = tableau_of_pairs(pairs, P)
                 assert diagram_to_tableau(tableau_to_diagram(t)) == t
             for pairs in enumerate_tableaux(n, B):
-                t = tableau_from_step_pairs(pairs, B)
+                t = tableau_of_pairs(pairs, B)
                 assert diagram_to_tableau(tableau_to_diagram(t)) == t
 
     def test_row_bound_equals_crossing_number(self):
