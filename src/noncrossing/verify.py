@@ -33,8 +33,10 @@ class _Route(NamedTuple):
 # route's table over 1..cap, the walks suite at --n-max cap.  With the
 # kernel rows packed into single integers, the kernel table over 1..120
 # takes 4.3-4.4 s there (8.1-9.1 s before); the walks suite, one walk to
-# --n-max, takes 0.12-0.23 s at 210 (4.3-4.8 s with a walk per n).  The
-# two caps stay where they were, as raising a cap is a change of its own.
+# --n-max, takes 0.12-0.23 s at 210 (4.3-4.8 s with a walk per n).  With
+# the closed form's twelve terms read from nine shared sums, its table over
+# 1..800 takes 5.4-5.7 s (10.0 s with twelve).  The three caps stay where
+# they were, as raising a cap is a change of its own.
 # The recurrence is cheap in time, and one size keeps two terms, but a
 # table over 1..n holds about 1.5 n^2 bits; at 20 000 that is 75 MB,
 # which sets its cap instead.  asympt takes about 0.05 s at --n cap, and

@@ -28,7 +28,12 @@ Constant-term extraction of a fixed x-Laurent combination of Y0, Y0^2,
 Y0^3 yields rho3, as does a twelve-term signed sum of coefficients of
 Y0^k (binomial sums, by Lagrange inversion) and a three-term
 P-recurrence of order 2 (_RHO3_RECURRENCE), stepped once per request
-with exact divisions (_rho3_terms).  The asymptotic law
+with exact divisions (_rho3_terms).  The twelve triple-binomial sums
+are nine: each depends only on the gaps between its three offsets,
+read in either order (a shift of the summation index, and the
+reflection C(N, j) = C(N, N - j)), and each is one pass of a pair row
+C(N,s) C(N,s+a), a <= 2, against a shifted binomial row
+(_triple_sums).  The asymptotic law
 rho3(n) ~ K * 8^n * n^-7 * (1 + c1/n + c2/n^2 + c3/n^3) is the formal
 series solution of that table (series_solution, in exact rationals).
 Its constant K = 327680*sqrt(3)/(27*pi) (EXACT_K) comes from a
@@ -54,6 +59,7 @@ from decimal import (
 from fractions import Fraction
 from functools import cache
 from math import comb, gcd, prod
+from operator import mul
 
 _DECIMAL_DIGITS = 60
 
@@ -325,28 +331,45 @@ def _kernel_ct(packed: list[int], squares: list[int], bits: int, n: int) -> int:
 
 def root_power_coefficient(k: int, m: int, n: int) -> int:
     """[x^m t^(2n+2)] Y0^k as the binomial sum
-    (k/(n+1)) * sum_s C(n+1,s) C(n+1,k+s) C(n+1,s+m),
-    which follows from Lagrange inversion of the fixed-point relation."""
+    (k/N) * sum_s C(N,s) C(N,s+k) C(N,s+m), N = n + 1,
+    which follows from Lagrange inversion of the fixed-point relation.
+    The sum depends only on the gaps between the sorted offsets {0, k, m},
+    read in either order (_gaps), and is _triple_sums at those gaps."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return _coefficient_from_row(_binomial_row(n + 1, max(k, m)), k, m, n)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    (total,) = _triple_sums(n + 1, [_gaps(k, m)])
+    return _coefficient(k, m, n, total)
 
 
-def _binomial_row(top: int, reach: int) -> list[int]:
-    """comb(top, j) for 0 <= j <= top + reach, zero past top."""
-    return [comb(top, j) for j in range(top + reach + 1)]
+def _gaps(k: int, m: int) -> tuple[int, int]:
+    """(a, b) with sum_s C(N,s) C(N,s+k) C(N,s+m) = S(a, b) for every N.
+
+    The sum runs over every integer s, so shifting s leaves it a function
+    of the gaps between the sorted offsets {0, k, m}, and reflecting it,
+    s -> N - s - a - b with C(N, x) = C(N, N - x), turns S(a, b) into
+    S(b, a).  So the gaps, smaller first."""
+    low, mid, high = sorted((0, k, m))
+    return min(mid - low, high - mid), max(mid - low, high - mid)
 
 
-def _coefficient_from_row(row: list[int], k: int, m: int, n: int) -> int:
-    # row is _binomial_row(n + 1, reach) with reach >= max(k, m), so the
-    # two shifted slices are at least as long as the first and zip drops
-    # nothing
-    top = n + 1
-    low = max(0, -m)
-    total = sum(
-        a * b * c for a, b, c in zip(row[low : top + 1], row[low + k :], row[low + m :])
-    )
-    value, rem = divmod(k * total, top)
+def _triple_sums(top: int, gaps) -> list[int]:
+    """S(a, b) = sum_s C(top,s) C(top,s+a) C(top,s+a+b) for each (a, b) in
+    gaps, in order.  The pair row C(top,s) C(top,s+a) is formed once per a,
+    and each sum is one pass over it against the binomial row shifted by
+    a + b.  The passes stop at the end of the shorter row: the terms they
+    drop read a binomial C(top, j) with j > top, which is zero.  The row
+    is symmetric, C(top, j) = C(top, top - j), so comb gives its first half."""
+    half = [comb(top, j) for j in range(top // 2 + 1)]
+    row = half + half[: (top + 1) // 2][::-1]
+    pairs = {a: list(map(mul, row, row[a:])) for a in {a for a, _ in gaps}}
+    return [sum(map(mul, pairs[a], row[a + b :])) for a, b in gaps]
+
+
+def _coefficient(k: int, m: int, n: int, total: int) -> int:
+    """k * total / (n + 1), which must divide exactly."""
+    value, rem = divmod(k * total, n + 1)
     if rem:
         raise ArithmeticError(
             f"coefficient sum for k={k}, m={m}, n={n} does not divide by n+1:"
@@ -360,17 +383,29 @@ def _coefficient_from_row(row: list[int], k: int, m: int, n: int) -> int:
 _CLOSED_FORM_TERMS = tuple(
     (k, -e, c) for k, prefactor in zip((1, 3, 2), _CT_PREFACTORS) for e, c in prefactor.items()
 )
-_CLOSED_FORM_REACH = max(max(k, m) for k, m, _ in _CLOSED_FORM_TERMS)
+#: gap pair -> the (k, m, sign) terms whose sum it is: nine pairs for the
+#: twelve terms, as (1, 1), (1, 3) and (0, 3) serve two each
+_CLOSED_FORM_GAPS = {
+    gap: [(k, m, sign) for k, m, sign in _CLOSED_FORM_TERMS if _gaps(k, m) == gap]
+    for gap in dict.fromkeys(_gaps(k, m) for k, m, _ in _CLOSED_FORM_TERMS)
+}
 
 
 def rho3_closed_form(n: int) -> int:
-    """rho3(n) as the twelve-term signed sum of root_power_coefficient,
-    every term read from one row of binomials C(n+1, j)."""
+    """rho3(n) as the twelve-term signed sum of root_power_coefficient.
+
+    The twelve binomial sums are nine: by the shift and the reflection
+    of _gaps, _CLOSED_FORM_GAPS groups the terms by the gaps of their
+    offsets, and _triple_sums reads the nine from the three pair rows
+    C(N,s) C(N,s+a), a = 0, 1, 2.  Each term's division by N = n + 1 is
+    checked on its own."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    row = _binomial_row(n + 1, _CLOSED_FORM_REACH)
+    sums = _triple_sums(n + 1, _CLOSED_FORM_GAPS)
     return sum(
-        sign * _coefficient_from_row(row, k, m, n) for k, m, sign in _CLOSED_FORM_TERMS
+        sign * _coefficient(k, m, n, total)
+        for total, terms in zip(sums, _CLOSED_FORM_GAPS.values())
+        for k, m, sign in terms
     )
 
 

@@ -121,12 +121,16 @@ def _names_outside():
     return outside
 
 
-def test_exported_names_are_used():
-    # a name the package exports is read by the library outside its own
-    # definition, by the benchmark or by the README; one that only the
-    # tests call is surface the system does not use
+def test_public_names_are_used():
+    # a public module-level name is read by another library statement, the
+    # package's re-export aside, or by the benchmark or the README; one that
+    # only the tests read is surface the system does not use.  Every name
+    # the package exports is such a definition, so the rule covers them too
     outside = _names_outside()
-    inside = [(own, names) for module, _, own, names in _statements() if module != "__init__.py"]
+    statements = [s for s in _statements() if s[0] != "__init__.py"]
+    defined = [(module, name, stmt) for module, stmt, own, _ in statements
+               for name in own if not name.startswith("_")]
+    assert len(defined) > 70
     exported = [
         alias.name
         for node in ast.parse((_PACKAGE / "__init__.py").read_text()).body
@@ -134,22 +138,8 @@ def test_exported_names_are_used():
         for alias in node.names
     ]
     assert len(exported) > 40
-    unused = [
-        name for name in exported
-        if name not in outside and not any(name in names - own for own, names in inside)
-    ]
-    assert not unused, f"exported names only the tests read: {', '.join(unused)}"
-
-
-def test_public_names_are_used():
-    # the same rule for every public module-level name, exported or not:
-    # another library statement reads it, the package's re-export aside,
-    # or the benchmark or the README does
-    outside = _names_outside()
-    statements = [s for s in _statements() if s[0] != "__init__.py"]
-    defined = [(module, name, stmt) for module, stmt, own, _ in statements
-               for name in own if not name.startswith("_")]
-    assert len(defined) > 70
+    foreign = set(exported) - {name for _, name, _ in defined}
+    assert not foreign, f"exports that no library module defines: {', '.join(sorted(foreign))}"
     unused = [
         f"{module}:{name}" for module, name, stmt in defined
         if name not in outside

@@ -9,6 +9,7 @@ import pytest
 
 from noncrossing.enumeration import gen_braids_no_isolated
 from noncrossing.walks import (
+    _CLOSED_FORM_GAPS,
     _CLOSED_FORM_TERMS,
     _RHO3_RECURRENCE,
     EXACT_K,
@@ -18,6 +19,7 @@ from noncrossing.walks import (
     _pack,
     _rho3_terms,
     _slot_bytes,
+    _triple_sums,
     _unpack,
     asymptotic_estimate,
     fit_leading_constant,
@@ -121,14 +123,44 @@ class TestCoefficientFormula:
     def test_k_validation(self):
         with pytest.raises(ValueError):
             root_power_coefficient(0, 0, 1)
+        for n in (-1, -2):
+            with pytest.raises(ValueError, match="n must be"):
+                root_power_coefficient(1, 0, n)
 
     def test_integrality_guard_is_live(self, monkeypatch):
         import noncrossing.walks as walks_module
 
-        # every binomial read as 1: the sum for k=1, m=0, n=1 is 3, odd
+        # every binomial C(2, j), j <= 2, read as 1: the sum for k=1, m=-1,
+        # n=1 has the one term s = 0, and 1 is odd
         monkeypatch.setattr(walks_module, "comb", lambda top, s: 1)
         with pytest.raises(ArithmeticError, match="divide"):
-            walks_module.root_power_coefficient(1, 0, 1)
+            walks_module.root_power_coefficient(1, -1, 1)
+
+    def test_triple_sums_depend_only_on_the_gaps(self):
+        # sum_s C(N,s) C(N,s+k) C(N,s+m) over every s, by a plain loop,
+        # equals the shared sums at the gaps of the sorted offsets {0, k, m},
+        # read in either order
+        for top in range(0, 41):
+            for k in range(-6, 7):
+                for m in range(-6, 7):
+                    low, mid, high = sorted((0, k, m))
+                    gaps = [(mid - low, high - mid), (high - mid, mid - low)]
+                    total = sum(
+                        comb(top, s) * comb(top, s + k) * comb(top, s + m)
+                        for s in range(max(0, -k, -m), top + 1)
+                    )
+                    assert _triple_sums(top, gaps) == [total, total], (top, k, m)
+
+    def test_twelve_terms_share_nine_sums(self):
+        terms = [term for group in _CLOSED_FORM_GAPS.values() for term in group]
+        assert sorted(terms) == sorted(_CLOSED_FORM_TERMS) and len(terms) == 12
+        assert len(_CLOSED_FORM_GAPS) == 9
+        shared = {gap for gap, group in _CLOSED_FORM_GAPS.items() if len(group) > 1}
+        assert shared == {(1, 1), (1, 3), (0, 3)}
+        for gap, group in _CLOSED_FORM_GAPS.items():
+            for k, m, _ in group:
+                low, mid, high = sorted((0, k, m))
+                assert gap == tuple(sorted((mid - low, high - mid))), (k, m)
 
 
 class TestCountingRoutes:
@@ -139,12 +171,11 @@ class TestCountingRoutes:
             assert rho3_closed_form(n) == brute
 
     def test_routes_agree_midrange(self):
-        table = rho3_recurrence(100)
-        for n in range(1, 17):
-            assert table[n] == rho3_closed_form(n)
+        table = rho3_recurrence(200)
+        for n in range(1, 201):
+            assert table[n] == rho3_closed_form(n), n
         for n in range(9, 13):
             assert rho3_kernel_ct(n) == table[n]
-        assert table[100] == rho3_closed_form(100)
 
     def test_golden_values(self, golden):
         table = rho3_recurrence(300)
@@ -169,15 +200,17 @@ class TestCountingRoutes:
         def unreachable(*args):
             raise AssertionError("the kernel route reached the closed form")
 
-        for name in ("root_power_coefficient", "rho3_closed_form", "comb"):
+        for name in ("root_power_coefficient", "rho3_closed_form", "_triple_sums", "comb"):
             monkeypatch.setattr(walks_module, name, unreachable)
         monkeypatch.setattr(walks_module, "_CLOSED_FORM_TERMS", ())
+        monkeypatch.setattr(walks_module, "_CLOSED_FORM_GAPS", {})
         assert walks_module.rho3_kernel_ct(12) == expected
 
     def test_closed_form_guard_is_live(self, monkeypatch):
         import noncrossing.walks as walks_module
 
-        # every binomial read as 1: the twelve terms sum to 1 at n=1, not even
+        # every binomial read as 1: at n=1 the sum at the gaps (1, 1) is 1,
+        # and the term k=1, m=-1 that reads it does not divide by 2
         monkeypatch.setattr(walks_module, "comb", lambda top, s: 1)
         with pytest.raises(ArithmeticError, match="integral"):
             walks_module.rho3_closed_form(1)
@@ -537,7 +570,7 @@ class TestDenseRoutes:
             assert rho3_closed_form(n) == table[n], n
 
     def test_coefficient_row_reaches_every_shift(self):
-        # the shared binomial row must be wide enough for any k and m,
+        # the passes over the binomial row stop at its end, for any k and m,
         # including shifts past n + 1 where every binomial vanishes
         for n in range(0, 8):
             top = n + 1
