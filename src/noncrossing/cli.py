@@ -3,12 +3,14 @@ verification, the rho3 routes, asymptotics, and SVG rendering.
 
 All big integers cross the boundary as decimal strings so arbitrary
 precision survives any consumer.  They come from verify.count_text,
-which computes the recurrence table in decimal radix, so that printing
-it costs time linear in its digits; a count of more than
-sys.get_int_max_str_digits() digits is still refused with exit 1, as
-str() of an int refuses it.  Reports are JSON on stdout with sorted keys
-(byte-identical for identical invocations, apart from the elapsed-time
-field); diagnostics go to stderr.  Exit codes: 0 success
+which computes the recurrence table in decimal radix and hands back its
+Decimal terms, so that printing it costs time linear in its digits; a
+count of more than sys.get_int_max_str_digits() digits is still refused
+with exit 1, as str() of an int refuses it.  Reports are JSON on stdout
+with sorted keys (byte-identical for identical invocations, apart from
+the elapsed-time field), and CSV tables are written row by row: either
+is written as it is encoded, from the one table of counts, after every
+refusal.  Diagnostics go to stderr.  Exit codes: 0 success
 or verification passed, 1 usage error, refused input or a library
 ArithmeticError, 2 verification failure (rho3 --route all also when a
 route raises ArithmeticError, as the rho3 suite fails then).
@@ -20,7 +22,9 @@ import argparse
 import json
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from decimal import Decimal
+from itertools import chain
 from typing import NoReturn
 
 from . import __version__, diagrams, duality, enumeration, verify, walks
@@ -97,16 +101,15 @@ def _one_to(n_max: int) -> range:
     return range(1, n_max + 1)
 
 
-def _by_size(table: dict[int, str]) -> dict[str, str]:
+def _by_size(table: dict[int, str | Decimal]) -> dict[str, str | Decimal]:
     return {str(n): v for n, v in table.items()}
 
 
-def _csv(header: str, prefix: str, table: dict[int, str]) -> tuple[str, int]:
-    lines = [header] + [f"{prefix},{n},{table[n]}" for n in sorted(table)]
-    return "\n".join(lines), 0
+def _csv(header: str, prefix: str, table: dict[int, str | Decimal]) -> tuple[Iterator[str], int]:
+    return chain([header], (f"{prefix},{n},{table[n]}" for n in sorted(table))), 0
 
 
-def _cmd_count(ns: argparse.Namespace) -> tuple[dict | str, int]:
+def _cmd_count(ns: argparse.Namespace) -> tuple[dict | Iterator[str], int]:
     sizes = [ns.n] if ns.n is not None else _one_to(ns.n_max)
     counts = verify.count_text(_CLASS_TAGS[ns.class_name], ns.k, ns.route, sizes, ns.jobs)
     if ns.format == "csv":
@@ -149,7 +152,7 @@ def _cmd_verify(ns: argparse.Namespace) -> tuple[dict, int]:
     )
 
 
-def _cmd_rho3(ns: argparse.Namespace) -> tuple[dict | str, int]:
+def _cmd_rho3(ns: argparse.Namespace) -> tuple[dict | Iterator[str], int]:
     sizes = _one_to(ns.n_max)
     if ns.route == "all":
         if ns.format == "csv":  # the agreement report has no CSV form
@@ -193,6 +196,32 @@ _HANDLERS = {
 }
 
 
+def _decimal_text(value: object) -> str:
+    """json's hook for what it cannot encode: a Decimal count as its digits."""
+    if isinstance(value, Decimal):
+        return str(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+_REPORT_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, default=_decimal_text)
+#: the characters joined into one write to stdout, at most one chunk more
+_WRITE_BATCH = 1 << 16
+
+
+def _write(chunks: Iterable[str]) -> None:
+    """Write chunks to stdout as they come, in batches of about
+    _WRITE_BATCH characters, as unbuffered stdout makes a system call
+    per write."""
+    batch, size = [], 0
+    for chunk in chunks:
+        batch.append(chunk)
+        size += len(chunk)
+        if size >= _WRITE_BATCH:
+            sys.stdout.write("".join(batch))
+            batch, size = [], 0
+    sys.stdout.write("".join(batch))
+
+
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -205,17 +234,17 @@ def run(argv: list[str] | None = None) -> int:
     except (ValueError, ArithmeticError, enumeration.RangeGuardError) as err:
         _diag(type(err).__name__, str(err))
         return 1
-    if isinstance(payload, str):  # csv, text or svg, printed as it is
-        print(payload)
-        return status
-    report = {
-        "command": ns.command,
-        "args": {k: v for k, v in vars(ns).items() if k != "command"},
-        "version": __version__,
-        "elapsed_seconds": round(time.perf_counter() - started, 6),
-        **payload,
-    }
-    print(json.dumps(report, sort_keys=True, indent=2))
+    if isinstance(payload, dict):
+        report = {
+            "command": ns.command,
+            "args": {k: v for k, v in vars(ns).items() if k != "command"},
+            "version": __version__,
+            "elapsed_seconds": round(time.perf_counter() - started, 6),
+            **payload,
+        }
+        _write(chain(_REPORT_ENCODER.iterencode(report), ["\n"]))
+    else:  # csv rows, or text or svg as it is
+        _write(f"{line}\n" for line in ([payload] if isinstance(payload, str) else payload))
     return status
 
 

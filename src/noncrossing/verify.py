@@ -94,12 +94,15 @@ def count(class_tag: str, k: int, route: str, sizes, jobs: int = 1) -> dict[int,
     return dict(map(_count_one, work))
 
 
-def count_text(class_tag: str, k: int, route: str, sizes, jobs: int = 1) -> dict[int, str]:
-    """count(), with every value a decimal string.  A route marked decimal
-    computes in decimal radix, so that its strings cost time linear in
-    their digits; the others are converted with str().  Either way a
-    value of more than sys.get_int_max_str_digits() digits is refused
-    with the ValueError that str() of an int raises."""
+def count_text(class_tag: str, k: int, route: str, sizes,
+               jobs: int = 1) -> dict[int, str | Decimal]:
+    """count(), with every value ready to print: str() of it is its
+    decimal digits.  A route marked decimal computes in decimal radix and
+    hands back its Decimal terms, whose str() costs time linear in their
+    digits, so that the table is held once; the others are converted with
+    str().  Either way a value of more than sys.get_int_max_str_digits()
+    digits is refused, before the table is handed back, with the
+    ValueError that str() of an int raises."""
     entry = _FORMULA_ROUTES.get((class_tag, k), {}).get(route)
     if not (entry and entry.decimal):
         return {n: str(v) for n, v in count(class_tag, k, route, sizes, jobs).items()}
@@ -111,7 +114,7 @@ def count_text(class_tag: str, k: int, route: str, sizes, jobs: int = 1) -> dict
             f"Exceeds the limit ({limit} digits) for integer string conversion;"
             " use sys.set_int_max_str_digits() to increase the limit"
         )
-    return {n: str(v) for n, v in values.items()}
+    return values
 
 
 def _admit(class_tag: str, k: int, route: str, sizes,
@@ -149,10 +152,10 @@ def _count_one(args: tuple[str, int, int]) -> tuple[int, int]:
     return n, enumeration.count_class(class_tag, k, n)
 
 
-def rho3_agreement(n_max: int) -> tuple[dict[str, dict[int, str]], dict]:
-    """Every rho3 route over 1..n_max as decimal strings (count_text),
-    brute force only up to _BRUTE_CAP, and the rho3 suite's report that
-    each agrees with the closed form.  A route that raises ArithmeticError
+def rho3_agreement(n_max: int) -> tuple[dict[str, dict[int, str | Decimal]], dict]:
+    """Every rho3 route over 1..n_max as count_text gives it, brute force
+    only up to _BRUTE_CAP, and the rho3 suite's report that each agrees
+    with the closed form, digit for digit.  A route that raises ArithmeticError
     fails it at the largest n asked for, with the tables built so far."""
     spans = {route: range(1, (min(n_max, _BRUTE_CAP) if route == "brute" else n_max) + 1)
              for route in routes("B_k_dagger", 3)}
@@ -167,8 +170,8 @@ def rho3_agreement(n_max: int) -> tuple[dict[str, dict[int, str]], dict]:
     reference = tables["closed"]
     for route, table in tables.items():
         for n, value in table.items():
-            if value != reference[n]:
-                witness = {route: value, "closed": reference[n]}
+            if str(value) != reference[n]:
+                witness = {route: str(value), "closed": reference[n]}
                 return tables, _failure("rho3", "route disagrees", witness,
                                         route=route, n=n, k=3)
     return tables, {"name": "rho3", "passed": True, "details": {"values": reference}}

@@ -58,7 +58,8 @@ from decimal import (
 )
 from fractions import Fraction
 from functools import cache
-from math import comb, gcd, prod
+from itertools import accumulate
+from math import gcd, prod
 from operator import mul
 
 _DECIMAL_DIGITS = 60
@@ -359,12 +360,18 @@ def _triple_sums(top: int, gaps) -> list[int]:
     gaps, in order.  The pair row C(top,s) C(top,s+a) is formed once per a,
     and each sum is one pass over it against the binomial row shifted by
     a + b.  The passes stop at the end of the shorter row: the terms they
-    drop read a binomial C(top, j) with j > top, which is zero.  The row
-    is symmetric, C(top, j) = C(top, top - j), so comb gives its first half."""
-    half = [comb(top, j) for j in range(top // 2 + 1)]
-    row = half + half[: (top + 1) // 2][::-1]
+    drop read a binomial C(top, j) with j > top, which is zero."""
+    row = _binomial_row(top)
     pairs = {a: list(map(mul, row, row[a:])) for a in {a for a, _ in gaps}}
     return [sum(map(mul, pairs[a], row[a + b :])) for a, b in gaps]
+
+
+def _binomial_row(top: int) -> list[int]:
+    """[C(top, j) for j = 0..top].  The first half is built term by term,
+    C(top, j + 1) = C(top, j) (top - j) / (j + 1), each division exact,
+    and the row is symmetric, C(top, j) = C(top, top - j)."""
+    half = list(accumulate(range(top // 2), lambda c, j: c * (top - j) // (j + 1), initial=1))
+    return half + half[: (top + 1) // 2][::-1]
 
 
 def _coefficient(k: int, m: int, n: int, total: int) -> int:

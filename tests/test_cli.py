@@ -3,6 +3,8 @@
 import json
 import sys
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from itertools import islice
 from pathlib import Path
 
@@ -598,7 +600,7 @@ class TestLibraryArithmeticErrors:
 
     def test_walks_suite(self, capsys, monkeypatch):
         # every binomial read as 1: the closed form is not integral at n = 1
-        monkeypatch.setattr(walks, "comb", lambda top, s: 1)
+        monkeypatch.setattr(walks, "_binomial_row", lambda top: [1] * (top + 1))
         failed = self._failed(capsys, "walks")
         assert (failed["details"]["route"], failed["details"]["n"]) == ("closed", 1)
         assert "not integral" in failed["counterexample"]["message"]
@@ -735,12 +737,39 @@ class TestDecimalTables:
         ]
 
     def test_count_text_keeps_count_returning_ints(self):
+        # the decimal route hands back its Decimal terms, the others strings
         texts = verify.count_text("B_k_dagger", 3, "recurrence", [10, 1000])
         values = verify.count("B_k_dagger", 3, "recurrence", [10, 1000])
         assert all(type(v) is int for v in values.values())
-        assert texts == {n: str(v) for n, v in values.items()} == {
+        assert all(type(v) is Decimal for v in texts.values())
+        assert {n: str(v) for n, v in texts.items()} == {n: str(v) for n, v in values.items()} == {
             n: self.TABLE[n] for n in (10, 1000)
         }
+        assert verify.count_text("B_k_dagger", 3, "closed", [10]) == {10: self.TABLE[10]}
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_table_is_written_from_one_copy(self, monkeypatch, fmt):
+        # rho3 over 1..4000 is a report of 7.2 million characters.  Its
+        # exact terms take about half as many bytes, and a copy of their
+        # digits as text as many again: a report built whole, then
+        # printed, peaks at about three times its length
+        sink = _CountingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        argv = ["rho3", "--route", "recurrence", "--n-max", "4000", "--format", fmt]
+        tracemalloc.start()
+        try:
+            status = cli.run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 0 and sink.length > 7_000_000
+        assert peak < 0.75 * sink.length
+
+    def test_a_value_json_cannot_encode_is_not_hidden(self, monkeypatch):
+        # the report's hook encodes a Decimal, and nothing else
+        monkeypatch.setitem(cli._HANDLERS, "asympt", lambda ns: ({"exact": Fraction(1, 3)}, 0))
+        with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
+            cli.run(["asympt", "--n", "5"])
 
     @pytest.mark.parametrize("command", ["rho3", "count"])
     def test_exactness_guard_fires_through_the_decimal_path(self, capsys, monkeypatch, command):
@@ -797,6 +826,16 @@ class TestDecimalTables:
         assert (ok, refused) == (0, 1)
         err = capsys.readouterr().err
         assert json.loads(err.splitlines()[-1])["message"] == str(caught.value)
+
+
+class _CountingSink:
+    """A stdout that keeps only the number of characters written to it."""
+
+    length = 0
+
+    def write(self, text: str) -> int:
+        self.length += len(text)
+        return len(text)
 
 
 class TestHarness:
