@@ -6,11 +6,13 @@ precision survives any consumer.  They come from verify.count_text,
 which computes the recurrence table in decimal radix and hands back its
 Decimal terms, so that printing it costs time linear in its digits; a
 count of more than sys.get_int_max_str_digits() digits is still refused
-with exit 1, as str() of an int refuses it.  Reports are JSON on stdout
-with sorted keys (byte-identical for identical invocations, apart from
-the elapsed-time field), and CSV tables are written row by row: either
-is written as it is encoded, from the one table of counts, after every
-refusal.  Diagnostics go to stderr.  Exit codes: 0 success
+with exit 1, as str() of an int refuses it, and the recurrence stops at
+the first such term.  Reports are JSON on stdout with sorted keys
+(byte-identical for identical invocations, apart from the elapsed-time
+field).  A table of counts, the "counts" member of a JSON report or a
+CSV table, is written row by row straight from the one table, and only
+the rest of a JSON report goes through the encoder; either is written
+after every refusal.  Diagnostics go to stderr.  Exit codes: 0 success
 or verification passed, 1 usage error, refused input or a library
 ArithmeticError, 2 verification failure (rho3 --route all also when a
 route raises ArithmeticError, as the rho3 suite fails then).
@@ -101,10 +103,6 @@ def _one_to(n_max: int) -> range:
     return range(1, n_max + 1)
 
 
-def _by_size(table: dict[int, str | Decimal]) -> dict[str, str | Decimal]:
-    return {str(n): v for n, v in table.items()}
-
-
 def _csv(header: str, prefix: str, table: dict[int, str | Decimal]) -> tuple[Iterator[str], int]:
     return chain([header], (f"{prefix},{n},{table[n]}" for n in sorted(table))), 0
 
@@ -114,7 +112,7 @@ def _cmd_count(ns: argparse.Namespace) -> tuple[dict | Iterator[str], int]:
     counts = verify.count_text(_CLASS_TAGS[ns.class_name], ns.k, ns.route, sizes, ns.jobs)
     if ns.format == "csv":
         return _csv("class,k,route,n,count", f"{ns.class_name},{ns.k},{ns.route}", counts)
-    return {"class": ns.class_name, "k": ns.k, "route": ns.route, "counts": _by_size(counts)}, 0
+    return {"class": ns.class_name, "k": ns.k, "route": ns.route, "counts": counts}, 0
 
 
 def _cmd_enum(ns: argparse.Namespace) -> tuple[dict | str, int]:
@@ -159,12 +157,12 @@ def _cmd_rho3(ns: argparse.Namespace) -> tuple[dict | Iterator[str], int]:
             raise ValueError("rho3 --route all has no --format csv; name one --route")
         tables, report = verify.rho3_agreement(ns.n_max)
         agreement = report["passed"]
-        routes = {name: _by_size(table) for name, table in tables.items()}
+        routes = {name: {str(n): v for n, v in table.items()} for name, table in tables.items()}
         return {"k": 3, "routes": routes, "agreement": agreement}, 0 if agreement else 2
     table = verify.count_text("B_k_dagger", 3, ns.route, sizes)
     if ns.format == "csv":
         return _csv("route,n,value", ns.route, table)
-    return {"k": 3, "route": ns.route, "counts": _by_size(table)}, 0
+    return {"k": 3, "route": ns.route, "counts": table}, 0
 
 
 def _cmd_asympt(ns: argparse.Namespace) -> tuple[dict, int]:
@@ -204,8 +202,36 @@ def _decimal_text(value: object) -> str:
 
 
 _REPORT_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, default=_decimal_text)
+#: how _REPORT_ENCODER opens the top-level "counts" member of a report
+_COUNTS_MEMBER = '\n  "counts": '
 #: the characters joined into one write to stdout, at most one chunk more
 _WRITE_BATCH = 1 << 16
+
+
+def _report_chunks(report: dict) -> Iterable[str]:
+    """The text of report as _REPORT_ENCODER gives it, in chunks.  A
+    "counts" table {n: digits} is written row by row, with its keys as
+    str(n) in the order sort_keys gives them; only the rest of the report
+    goes through the encoder."""
+    if "counts" not in report:
+        return _REPORT_ENCODER.iterencode(report)
+    envelope = _REPORT_ENCODER.encode({**report, "counts": {}})
+    head, _, tail = envelope.partition(_COUNTS_MEMBER + "{}")
+    return chain([head, _COUNTS_MEMBER], _rows(report["counts"]), [tail])
+
+
+def _rows(table: dict[int, str | Decimal]) -> Iterator[str]:
+    """The JSON object {str(n): table[n]} one level down in a report, a
+    row per chunk; count_text never hands out an empty table.  A value
+    must be a str or a Decimal: anything else raises the TypeError of
+    _decimal_text."""
+    opening = "{"
+    for n in sorted(table, key=str):
+        value = table[n]
+        digits = value if isinstance(value, str) else _decimal_text(value)
+        yield f'{opening}\n    "{n}": "{digits}"'
+        opening = ","
+    yield "\n  }"
 
 
 def _write(chunks: Iterable[str]) -> None:
@@ -242,7 +268,7 @@ def run(argv: list[str] | None = None) -> int:
             "elapsed_seconds": round(time.perf_counter() - started, 6),
             **payload,
         }
-        _write(chain(_REPORT_ENCODER.iterencode(report), ["\n"]))
+        _write(chain(_report_chunks(report), ["\n"]))
     else:  # csv rows, or text or svg as it is
         _write(f"{line}\n" for line in ([payload] if isinstance(payload, str) else payload))
     return status

@@ -24,7 +24,7 @@ _BRUTE_CAP = 8
 class _Route(NamedTuple):
     count: Callable  # sizes -> {n: count}, for 1 <= n <= cap
     cap: int
-    decimal: bool = False  # count also takes number=Decimal (count_text)
+    decimal: bool = False  # count also takes (sizes, Decimal, max_digits) (count_text)
 
 
 # The size caps of the entry points that do not enumerate (brute force has
@@ -101,20 +101,14 @@ def count_text(class_tag: str, k: int, route: str, sizes,
     hands back its Decimal terms, whose str() costs time linear in their
     digits, so that the table is held once; the others are converted with
     str().  Either way a value of more than sys.get_int_max_str_digits()
-    digits is refused, before the table is handed back, with the
-    ValueError that str() of an int raises."""
+    digits is refused with the ValueError that str() of an int raises: a
+    decimal route stops at its first term that long, and the others
+    refuse it as they convert it."""
     entry = _FORMULA_ROUTES.get((class_tag, k), {}).get(route)
     if not (entry and entry.decimal):
         return {n: str(v) for n, v in count(class_tag, k, route, sizes, jobs).items()}
     sizes, entry = _admit(class_tag, k, route, sizes, jobs)
-    values = entry.count(sizes, Decimal)
-    limit = sys.get_int_max_str_digits()
-    if limit and any(v.adjusted() >= limit for v in values.values()):
-        raise ValueError(
-            f"Exceeds the limit ({limit} digits) for integer string conversion;"
-            " use sys.set_int_max_str_digits() to increase the limit"
-        )
-    return values
+    return entry.count(sizes, Decimal, sys.get_int_max_str_digits())
 
 
 def _admit(class_tag: str, k: int, route: str, sizes,

@@ -445,7 +445,8 @@ def rho3_recurrence(n_max: int, number: type = int) -> dict[int, int]:
     return _rho3_terms(range(1, n_max + 1), number)
 
 
-def _rho3_terms(sizes: list[int] | range, number: type = int) -> dict[int, int]:
+def _rho3_terms(sizes: list[int] | range, number: type = int,
+                max_digits: int = 0) -> dict[int, int]:
     """{n: rho3(n)} for each n in sizes, by one pass of _RHO3_RECURRENCE
     that keeps the two latest terms and the sizes asked for.
 
@@ -453,7 +454,11 @@ def _rho3_terms(sizes: list[int] | range, number: type = int) -> dict[int, int]:
     int, or Decimal, in which case every term is a Decimal and the loop
     runs in decimal radix under an exact context, so that str() of a
     term costs time linear in its digits.  Every division must be
-    exact; a remainder raises RecurrenceError.
+    exact; a remainder raises RecurrenceError.  With max_digits > 0 the
+    pass stops at the first term of more digits, with the ValueError
+    that str() of such an int raises.  The table would hold one anyway:
+    rho3 increases, as a2 - a3 = 6n^2 + 38n + 32 > 0 gives r(n+2) >
+    r(n+1), so the largest size asked for is at least as long.
     """
     wanted = set(sizes)
     if min(wanted, default=0) < 1:
@@ -461,11 +466,17 @@ def _rho3_terms(sizes: list[int] | range, number: type = int) -> dict[int, int]:
     prev, cur = (number(rho3_closed_form(n)) for n in (1, 2))
     terms = {n: v for n, v in ((1, prev), (2, cur)) if n in wanted}
     with localcontext(_EXACT):
+        too_long = number(10) ** max_digits
         for n in range(1, max(wanted) - 1):
             a1, a2, a3 = recurrence_weights(n)
             value, rem = divmod(a1 * prev + a2 * cur, a3)
             if rem:  # the numerator itself may be too long to print
                 raise RecurrenceError(f"non-exact division at n={n}: remainder {rem} modulo {a3}")
+            if max_digits and value >= too_long:
+                raise ValueError(
+                    f"Exceeds the limit ({max_digits} digits) for integer string conversion;"
+                    " use sys.set_int_max_str_digits() to increase the limit"
+                )
             prev, cur = cur, value
             if n + 2 in wanted:
                 terms[n + 2] = value

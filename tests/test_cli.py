@@ -771,6 +771,42 @@ class TestDecimalTables:
         with pytest.raises(TypeError, match="Fraction is not JSON serializable"):
             cli.run(["asympt", "--n", "5"])
 
+    @pytest.mark.parametrize("value", [Fraction(1, 3), 0.5, 5])
+    def test_a_table_row_json_cannot_encode_is_refused_by_the_guard(self, monkeypatch, value):
+        # the row writer takes the digits count_text hands out, and nothing else
+        monkeypatch.setattr(verify, "count_text", lambda *args: {1: "1", 2: value})
+        with pytest.raises(TypeError, match=f"{type(value).__name__} is not JSON serializable"):
+            cli.run(["rho3", "--route", "closed", "--n-max", "2"])
+
+    @pytest.mark.parametrize("argv, value_type", [
+        *[(f"rho3 --route {route} --n-max {n}", value_type)
+          for route, value_type in (("closed", str), ("recurrence", Decimal))
+          for n in (1, 9, 10, 11, 101)],
+        ("count --class braids-noiso --k 3 --n-max 11 --route recurrence", Decimal),
+        ("count --class braids-noiso --k 3 --n 101 --route closed", str),
+        ("rho3 --n-max 11 --route all", None),
+    ])
+    def test_rows_are_the_encoders_bytes(self, capsys, monkeypatch, argv, value_type):
+        # a "counts" table is written row by row, and reads as the
+        # encoder's text of the same report keyed by str(n); the nested
+        # tables of rho3 --route all go through the encoder
+        reports = []
+        chunks = cli._report_chunks
+
+        def kept(report):
+            reports.append(report)
+            return chunks(report)
+
+        monkeypatch.setattr(cli, "_report_chunks", kept)
+        assert cli.run(argv.split()) == 0
+        [report] = reports
+        if value_type is None:
+            assert "counts" not in report
+        else:
+            assert {type(v) for v in report["counts"].values()} == {value_type}
+            report = {**report, "counts": {str(n): v for n, v in report["counts"].items()}}
+        assert capsys.readouterr().out == cli._REPORT_ENCODER.encode(report) + "\n"
+
     @pytest.mark.parametrize("command", ["rho3", "count"])
     def test_exactness_guard_fires_through_the_decimal_path(self, capsys, monkeypatch, command):
         weights = walks.recurrence_weights
@@ -812,6 +848,39 @@ class TestDecimalTables:
                 "error": "ValueError",
                 "message": str(caught.value),
             }
+
+    @pytest.mark.parametrize("argv", [
+        "rho3 --route recurrence --n-max 20000",
+        "count --class braids-noiso --n 20000 --route recurrence",
+    ])
+    def test_a_table_stops_at_its_first_overlong_term(self, capsys, monkeypatch, argv):
+        # rho3 increases, so the recurrence stops at rho3(4786), the first
+        # term of more than 4300 digits, which step n = 4784 produces
+        steps = []
+        weights = walks.recurrence_weights
+
+        def counted(n):
+            steps.append(n)
+            return weights(n)
+
+        monkeypatch.setattr(walks, "recurrence_weights", counted)
+        with pytest.raises(ValueError) as caught:
+            str(10**4300)
+        tracemalloc.start()
+        try:
+            status = cli.run(argv.split())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 1 and max(steps) == 4784
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err.splitlines()[-1]) == {
+            "error": "ValueError",
+            "message": str(caught.value),
+        }
+        if argv.startswith("rho3"):  # the whole table took about 75 MB
+            assert peak < 10_000_000
 
     def test_the_refusal_follows_the_interpreter_limit(self, capsys):
         limit = sys.get_int_max_str_digits()

@@ -270,6 +270,15 @@ class TestRecurrence:
         assert decimals == ints
         assert [str(v) for v in decimals.values()] == [str(v) for v in ints.values()]
 
+    def test_rho3_increases(self):
+        # a3(n) r(n+2) = a1(n) r(n) + a2(n) r(n+1) with a1 > 0 and a2 > a3
+        # for n >= 1, so from 0 < r(1) < r(2) on, r(n+2) > r(n+1): the
+        # first term too long to print ends every table that reaches it
+        a1, a2, a3 = _RHO3_RECURRENCE
+        assert all(c > 0 for c in a1)
+        assert [x - y for x, y in zip(a2, a3)] == [32, 38, 6]
+        assert 0 < rho3_closed_form(1) < rho3_closed_form(2)
+
     @pytest.mark.parametrize("number", [int, Decimal])
     def test_exactness_guard_names_n_divisor_and_remainder(self, monkeypatch, number):
         import noncrossing.walks as walks_module
