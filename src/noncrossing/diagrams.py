@@ -11,6 +11,13 @@ refinements are implemented:
   (j, j) or a pair (i, j), (j, h) with i < j < h, which by convention
   cross at j.
 
+Both classes come down to one rule: every arc lies in range, no two
+arcs start at the same vertex and no two end at the same vertex, where
+a loop (j, j) both starts and ends at j.  A partition also has no loop.
+So one pass over the arcs decides validity, and the rule-by-rule check,
+which names the first violation, runs only on a diagram that pass
+refuses.
+
 The central statistic is the size of the largest set of mutually
 crossing arcs.  For partitions a set {(i_1,j_1),...,(i_m,j_m)} is
 mutually crossing when i_1 < ... < i_m < j_1 < ... < j_m.  For braids
@@ -39,14 +46,39 @@ class ArcDiagram:
     Every vertex has degree at most two, where a loop contributes two to
     the degree of its vertex, and no non-loop arc repeats.  n = 0 is the
     empty diagram.
+
+    Construction runs ``_valid``, one pass that accepts only diagrams
+    the class's rules accept.  Only a diagram it refuses goes through
+    ``_check``, the rules one by one, which accepts it or raises with
+    the first violation.
     """
 
     n: int
     arcs: tuple[Arc, ...] = ()
 
+    #: the least j - i of an arc (i, j) that ``_valid`` accepts: 0 lets
+    #: arcs be loops
+    _min_span = 0
+
     def __post_init__(self) -> None:
         object.__setattr__(self, "arcs", tuple(sorted((i, j) for i, j in self.arcs)))
-        self._check()
+        if not self._valid():
+            self._check()
+
+    def _valid(self) -> bool:
+        """n >= 0, every arc has 1 <= i, i + _min_span <= j <= n, and no
+        two arcs share a start or an end.  For partitions and braids this is the
+        class's rule exactly; for a bare ArcDiagram, which allows a
+        vertex to start two arcs, it is a sufficient test."""
+        n, span = self.n, self._min_span
+        starts: set[int] = set()
+        ends: set[int] = set()
+        for i, j in self.arcs:
+            if not 0 < i <= j - span or j > n or i in starts or j in ends:
+                return False
+            starts.add(i)
+            ends.add(j)
+        return n >= 0
 
     def _check(self) -> None:
         if self.n < 0:
@@ -94,6 +126,8 @@ def _check_endpoints(arcs: Iterable[Arc]) -> None:
 class PartitionDiagram(ArcDiagram):
     """Arc form of a set partition of [n]."""
 
+    _min_span = 1
+
     def _check(self) -> None:
         super()._check()
         for i, j in self.arcs:
@@ -104,7 +138,10 @@ class PartitionDiagram(ArcDiagram):
 
 class BraidDiagram(ArcDiagram):
     """Braid diagram: degree-two vertices are loops or crossing pairs;
-    the endpoint rule leaves a pair only as (i, v), (v, h)."""
+    the endpoint rule leaves a pair only as (i, v), (v, h).  A loop
+    (v, v) starts and ends at v, so in the one-pass test distinct starts
+    and distinct ends also keep loops apart from each other and from
+    every other arc."""
 
     def _check(self) -> None:
         super()._check()
@@ -232,11 +269,18 @@ def format_diagram(d: ArcDiagram) -> str:
 
 
 def parse_diagram(text: str) -> tuple[int, tuple[Arc, ...]]:
-    """Parse the text format back into (n, arcs); inverse of format_diagram."""
+    """Parse the text format back into (n, arcs); inverse of format_diagram.
+
+    Every integer is ASCII decimal digits, and only n may carry a
+    leading "-", which the diagram check then refuses with its own
+    message.  int() alone would also read "_", spaces, signs and other
+    scripts' digits, none of which format_diagram writes.
+    """
     text = text.strip()
     try:
         head, body = text.split("; arcs=", 1)
-        if not head.startswith("n="):
+        if not (head.startswith("n=") and head.isascii()
+                and head[2:].removeprefix("-").isdigit()):
             raise ValueError
         n = int(head[2:])
     except ValueError:
@@ -246,12 +290,15 @@ def parse_diagram(text: str) -> tuple[int, tuple[Arc, ...]]:
     if not (body.startswith("(") and body.endswith(")")):
         # quote the end that is wrong
         raise ValueError(f"bad arc list: {_excerpt(body, end=body.startswith('('))}")
-    # int() refuses a parenthesis, so every item of an accepted body is
-    # free of them and splitting at ")(" cuts exactly between arcs
+    # an accepted item is two runs of ASCII digits (isdigit() of an ASCII
+    # string), free of parentheses, so splitting at ")(" cuts exactly
+    # between arcs
     arcs = []
     for t, item in enumerate(body[1:-1].split(")("), 1):
         i, _, j = item.partition(",")
         try:
+            if not (item.isascii() and i.isdigit() and j.isdigit()):
+                raise ValueError
             arcs.append((int(i), int(j)))
         except ValueError:
             raise ValueError(f"bad arc {t}: {_excerpt(f'({item})')}") from None

@@ -14,8 +14,10 @@ Both are stated once, as the table ``_LEGAL_KINDS`` of legal (odd, even)
 kinds, which validation and the right-to-left scan both read.  The rule
 for one half-step is stated once, in ``add_square`` and ``remove_square``,
 and ``half_step`` asks them.  Every step they accept keeps a shape a
-shape, so only the validating scan ``_scan`` calls ``is_shape``, to vet
-shapes from outside.
+shape, so a sequence that starts at () and moves only by legal
+half-steps holds only shapes.  The validating scan ``_scan`` therefore
+calls ``is_shape`` only on a tableau it has already found invalid, to
+name its first entry that is not a shape.
 
 The translation to diagrams scans vertices left to right while
 maintaining a filling (a partial standard Young tableau whose entries
@@ -44,15 +46,17 @@ So the row bound is ``max_rows()``: a diagram is k-noncrossing iff
 Every tableau is built as a shape sequence, never from step pairs:
 ``diagram_to_tableau`` reads the shapes off its filling, and the
 duality's witness route amends the shapes of a partition tableau.
-``step_pairs`` is the one validating entry: it checks every shape and
-derives every half-step once, and ``tableau_to_diagram`` reads the pairs
-it returns.
+A tableau is scanned at most once: its first scan derives every
+half-step and every violation, and the tableau keeps the result.
+``validate_tableau``, ``step_pairs`` and ``tableau_to_diagram`` all read
+that one result.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from operator import ge
 from typing import Sequence
 
@@ -155,7 +159,15 @@ class VacillatingTableau:
     step_set: str
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "shapes", tuple(tuple(s) for s in self.shapes))
+        object.__setattr__(self, "shapes", tuple(map(tuple, self.shapes)))
+
+    @cached_property
+    def _scanned(self) -> tuple[tuple[str, ...], tuple[StepPair, ...]]:
+        """The result of ``_scan``, kept on the tableau, which is frozen,
+        so that validate_tableau, step_pairs and tableau_to_diagram scan
+        it once between them.  Not a field: equality, hash and repr
+        ignore it."""
+        return _scan(self)
 
     @property
     def n(self) -> int:
@@ -165,28 +177,31 @@ class VacillatingTableau:
         return max((len(s) for s in self.shapes), default=0)
 
 
-def _scan(t: VacillatingTableau) -> tuple[list[str], tuple[StepPair, ...]]:
+def _scan(t: VacillatingTableau) -> tuple[tuple[str, ...], tuple[StepPair, ...]]:
     """(violations, pairs): every rule violation, and the step pairs the
-    scan derived, complete exactly when there is no violation.  One scan
-    checks every shape and derives every half-step once."""
+    scan derived, complete exactly when there is no violation.
+
+    A sequence that starts at () and moves only by legal half-steps holds
+    only shapes, so the scan derives every half-step once and vets no
+    shape on its way.  Only when it has found a violation does it call
+    is_shape, entry by entry, and a non-shape entry is then the whole
+    report, as if it had been checked first."""
+    shapes = t.shapes
     if t.step_set not in _LEGAL_KINDS:
-        return [f"unknown step set {t.step_set!r}"], ()
-    if len(t.shapes) % 2 == 0 or not t.shapes:
-        return [f"length {len(t.shapes)} is not 2n+1"], ()
-    for pos, s in enumerate(t.shapes):
-        if not is_shape(s):
-            return [f"entry {pos} is not a shape: {s}"], ()
+        return (f"unknown step set {t.step_set!r}",), ()
+    if len(shapes) % 2 == 0:
+        return (f"length {len(shapes)} is not 2n+1",), ()
     out: list[str] = []
-    if t.shapes[0] != ():
+    if shapes[0] != ():
         out.append("first shape is not empty")
-    if t.shapes[-1] != ():
+    if shapes[-1] != ():
         out.append("last shape is not empty")
     pairs: list[StepPair] = []
     for i in range(1, t.n + 1):
         try:
             pair = (
-                half_step(t.shapes[2 * i - 2], t.shapes[2 * i - 1]),
-                half_step(t.shapes[2 * i - 1], t.shapes[2 * i]),
+                half_step(shapes[2 * i - 2], shapes[2 * i - 1]),
+                half_step(shapes[2 * i - 1], shapes[2 * i]),
             )
         except MalformedTableauError as err:
             out.append(f"vertex {i}: {err}")
@@ -194,17 +209,21 @@ def _scan(t: VacillatingTableau) -> tuple[list[str], tuple[StepPair, ...]]:
         if not _legal_pair(pair, t.step_set):
             out.append(f"vertex {i}: pair {pair} not allowed for {t.step_set} steps")
         pairs.append(pair)
-    return out, tuple(pairs)
+    if out:
+        for pos, s in enumerate(shapes):
+            if not is_shape(s):
+                return (f"entry {pos} is not a shape: {s}",), ()
+    return tuple(out), tuple(pairs)
 
 
 def validate_tableau(t: VacillatingTableau) -> bool:
-    return not _scan(t)[0]
+    return not t._scanned[0]
 
 
 def step_pairs(t: VacillatingTableau) -> tuple[StepPair, ...]:
     """The n half-step pairs of a valid tableau, or raise with every
     violation."""
-    problems, pairs = _scan(t)
+    problems, pairs = t._scanned
     if problems:
         raise MalformedTableauError("; ".join(problems))
     return pairs
@@ -292,6 +311,15 @@ def tableau_to_diagram(t: VacillatingTableau) -> PartitionDiagram | BraidDiagram
     return cls(t.n, tuple(arcs))
 
 
+#: step set -> each legal pair by what its vertex does, (places, ejects),
+#: even half first: the right-to-left scan undoes a placement by deleting
+#: the entry i and an ejection by inserting its partner
+_UNDO = {
+    step_set: {("+" in kinds, "-" in kinds): kinds[::-1] for kinds in legal}
+    for step_set, legal in _LEGAL_KINDS.items()
+}
+
+
 def diagram_to_tableau(d: PartitionDiagram | BraidDiagram) -> VacillatingTableau:
     """Right-to-left scan building the unique tableau of a diagram.
 
@@ -307,10 +335,7 @@ def diagram_to_tableau(d: PartitionDiagram | BraidDiagram) -> VacillatingTableau
 
     partner = {j: i for i, j in d.arcs}  # vertex -> entry its ejection released
     placers = {i for i, _ in d.arcs}  # vertices that placed themselves
-    # each legal pair by what its vertex does, (places, ejects), even
-    # half first: the scan undoes a placement by deleting the entry i and
-    # an ejection by inserting its partner
-    undo = {("+" in kinds, "-" in kinds): kinds[::-1] for kinds in _LEGAL_KINDS[step_set]}
+    undo = _UNDO[step_set]
 
     filling: list[list[int]] = []
     rev: list[Shape] = [()]

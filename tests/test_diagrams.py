@@ -1,6 +1,7 @@
 """Diagram model: invariants, block view, crossing statistics, formats."""
 
 import random
+import re
 import time
 from itertools import combinations
 
@@ -96,6 +97,46 @@ def raw_arc_lists(seed, count, n_max, m_max):
         yield arcs
 
 
+def corrupt_diagrams(seed, count):
+    """Seeded (n, arcs), valid or breaking the diagram rules in every
+    way: loops, repeated arcs, shared starts and ends, arcs past n or
+    before 1, i > j, and n < 0."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(-1, 8)
+
+        def vertex():
+            # one time in ten, or when there is none, a vertex out of range
+            if n < 1 or rng.random() < 0.1:
+                return rng.choice((0, max(n, 0) + 1))
+            return rng.randint(1, n)
+
+        arcs = []
+        for _ in range(rng.randint(0, 5)):
+            roll = rng.random()
+            if arcs and roll < 0.05:
+                arcs.append(rng.choice(arcs))
+            elif arcs and roll < 0.2:
+                # an arc sharing a start or an end with an earlier one
+                i, j = rng.choice(arcs)
+                arcs.append((i, max(i, vertex())) if roll < 0.125 else (min(vertex(), j), j))
+            elif roll < 0.3:
+                v = vertex()
+                arcs.append((v, v))
+            else:
+                i, j = vertex(), vertex()
+                arcs.append((i, j) if roll < 0.35 else (min(i, j), max(i, j)))
+        yield n, arcs
+
+
+def unchecked(cls, n, arcs):
+    """A diagram of cls that construction has not checked."""
+    d = object.__new__(cls)
+    object.__setattr__(d, "n", n)
+    object.__setattr__(d, "arcs", tuple(sorted(arcs)))
+    return d
+
+
 class TestConstruction:
     def test_arcs_are_canonicalised(self):
         d = ArcDiagram(4, ((3, 4), (1, 2)))
@@ -152,6 +193,48 @@ class TestConstruction:
             with pytest.raises(InvalidDiagramError) as err:
                 cls(n, arcs)
             assert str(err.value) == message, cls.__name__
+
+    @pytest.mark.parametrize("cls", [PartitionDiagram, BraidDiagram, ArcDiagram])
+    def test_one_pass_guard_agrees_with_the_rules(self, cls):
+        # the one-pass test accepts exactly what the rule-by-rule check
+        # accepts (a bare ArcDiagram: only what it accepts), and
+        # construction refuses with the check's message
+        accepted = 0
+        rules = set()  # the messages met, numbers blanked
+        for n, arcs in corrupt_diagrams(11, 8000):
+            d = unchecked(cls, n, arcs)
+            try:
+                d._check()
+                message = None
+            except InvalidDiagramError as err:
+                message = str(err)
+                rules.add(re.sub(r"-?\d+", "#", message))
+            fast = d._valid()
+            if fast and message is not None:
+                raise AssertionError(f"one pass accepts {cls.__name__}({n}, {arcs}): {message}")
+            if not fast and message is None and cls is not ArcDiagram:
+                raise AssertionError(f"one pass refuses {cls.__name__}({n}, {arcs})")
+            try:
+                built = cls(n, arcs)
+            except InvalidDiagramError as err:
+                if str(err) != message:
+                    raise AssertionError(f"{cls.__name__}({n}, {arcs}): {err} != {message}")
+            else:
+                if message is not None or built.arcs != d.arcs:
+                    raise AssertionError(f"{cls.__name__}({n}, {arcs}) built: {message}")
+            accepted += message is None
+        if not 1000 < accepted < 7000:
+            raise AssertionError(f"{accepted} of 8000 accepted")
+        expected = {
+            "vertex count must be >= #, got #", "arc (#, #) out of range for n=#",
+            "repeated arc (#, #)", "vertex # has degree # > #",
+        }
+        if cls is not ArcDiagram:
+            expected |= {"vertex # starts two non-loop arcs", "vertex # ends two non-loop arcs"}
+        if cls is PartitionDiagram:
+            expected.add("partition diagram cannot contain loop (#, #)")
+        if rules != expected:
+            raise AssertionError(f"rules met: {sorted(rules)}")
 
     def test_classes_compare_distinct(self):
         arcs = ((1, 2), (2, 3))
@@ -315,10 +398,19 @@ class TestTextFormat:
         "", "n=x; arcs=", "n=2 arcs=", "n=2; arcs=(1,2", "n=2; arcs=()", "n=4; arcs=(1,2)(3,4",
         "n=4; arcs=(1,2)x(3,4)", "n=4; arcs=(1,2)()(3,4)", "n=4; arcs=((1,2))",
         "n=4; arcs=(1,2))(3,4)", "n=4; arcs=(1,2,3)", "n=4; arcs= (1,2)",
+        # integers that int() reads but format_diagram never writes
+        "n=1_0; arcs=(1,1_0)", "n= 4 ; arcs=( 1 , 3 )", "n=\u0664; arcs=(\u0661,\u0663)",
+        "n=4; arcs=(1,1_0)", "n=4; arcs=( 1,3)", "n=4; arcs=(\u0661,3)", "n=4; arcs=(1,\xb2)",
+        "n=+4; arcs=", "n=--4; arcs=", "n=4 ; arcs=", "n=4; arcs=(+1,3)", "n=4; arcs=(-1,3)",
     ])
     def test_parse_errors(self, text):
         with pytest.raises(ValueError):
             parse_diagram(text)
+
+    def test_a_negative_vertex_count_reaches_the_diagram_check(self):
+        assert parse_diagram("n=-5; arcs=") == (-5, ())
+        with pytest.raises(InvalidDiagramError, match="vertex count must be >= 0, got -5"):
+            PartitionDiagram(*parse_diagram("n=-5; arcs="))
 
     @pytest.mark.parametrize("cls", [PartitionDiagram, BraidDiagram])
     @pytest.mark.parametrize("text", [

@@ -1,5 +1,6 @@
 """Vacillating tableaux: shapes, validation, and the diagram bijection."""
 
+import random
 import re
 from itertools import product
 
@@ -181,6 +182,66 @@ def documented_kinds(step_set):
     return {(kind[a], kind[b]) for a, b in pairs}
 
 
+def reference_scan(t):
+    """The validating scan as first written: is_shape on every entry,
+    then half_step on each pair, whose kinds the docstring's list of
+    legal pairs decides."""
+    if t.step_set not in (P, B):
+        return (f"unknown step set {t.step_set!r}",), ()
+    if len(t.shapes) % 2 == 0:
+        return (f"length {len(t.shapes)} is not 2n+1",), ()
+    for pos, s in enumerate(t.shapes):
+        if not is_shape(s):
+            return (f"entry {pos} is not a shape: {s}",), ()
+    out = []
+    if t.shapes[0] != ():
+        out.append("first shape is not empty")
+    if t.shapes[-1] != ():
+        out.append("last shape is not empty")
+    pairs = []
+    legal = documented_kinds(t.step_set)
+    for i in range(1, t.n + 1):
+        try:
+            pair = (half_step(t.shapes[2 * i - 2], t.shapes[2 * i - 1]),
+                    half_step(t.shapes[2 * i - 1], t.shapes[2 * i]))
+        except MalformedTableauError as err:
+            out.append(f"vertex {i}: {err}")
+            continue
+        if (pair[0] and pair[0][0], pair[1] and pair[1][0]) not in legal:
+            out.append(f"vertex {i}: pair {pair} not allowed for {t.step_set} steps")
+        pairs.append(pair)
+    return tuple(out), tuple(pairs)
+
+
+def corrupt_shape_sequences(seed, count):
+    """Seeded shape sequences under both step sets: valid tableaux, the
+    same with entries replaced by other shapes or by non-shapes (zero
+    rows, increasing rows, negative entries), cut to an even length, or
+    read under the other step set, and sequences of random rows."""
+    rng = random.Random(seed)
+    odd_rows = [(0,), (1, 2), (-1,), (2, 0), (1, -1), (0, 0), (1, 1, 2)]
+    for _ in range(count):
+        step_set = rng.choice((P, B))
+        roll = rng.random()
+        if roll < 0.15:
+            rows = lambda: tuple(rng.randint(-1, 3) for _ in range(rng.randint(0, 3)))
+            yield [rows() for _ in range(rng.randint(1, 9))], step_set
+            continue
+        d = rng.choice(partitions_of(6) if step_set == P else braids_over(5))
+        shapes = list(diagram_to_tableau(d).shapes)
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            pos = rng.randrange(len(shapes))
+            if rng.random() < 0.5:
+                shapes[pos] = rng.choice(odd_rows)
+            else:
+                shapes[pos] = rng.choice(shapes_up_to(4))
+        if roll < 0.25:
+            del shapes[rng.randrange(len(shapes))]
+        elif roll < 0.4:
+            step_set = P if step_set == B else B
+        yield shapes, step_set
+
+
 class TestShapes:
     def test_add_and_remove(self):
         assert add_square((), 1) == (1,)
@@ -301,6 +362,32 @@ class TestValidation:
     def test_bad_shape_entry(self):
         assert not validate_tableau(VacillatingTableau(((), (0,), ()), B))
 
+    def test_scan_guard_matches_the_reference_scan(self):
+        # deriving the half-steps first and vetting shapes only after a
+        # violation reports exactly what vetting every shape first did
+        seen = {"valid": 0, "not a shape": 0, "other": 0}
+        for shapes, step_set in corrupt_shape_sequences(5, 4000):
+            t = VacillatingTableau(shapes, step_set)
+            expect = reference_scan(t)
+            if tableaux._scan(t) != expect:
+                raise AssertionError(f"{t}: {tableaux._scan(t)} != {expect}")
+            problems, pairs = expect
+            if validate_tableau(t) is not (not problems):
+                raise AssertionError(f"{t}: validate_tableau")
+            try:
+                got = step_pairs(t)
+            except MalformedTableauError as err:
+                if str(err) != "; ".join(problems):
+                    raise AssertionError(f"{t}: {err}") from None
+            else:
+                if problems or got != pairs:
+                    raise AssertionError(f"{t}: step_pairs {got}")
+            key = "valid" if not problems else (
+                "not a shape" if "not a shape" in problems[0] else "other")
+            seen[key] += 1
+        if min(seen.values()) < 600:
+            raise AssertionError(f"too few of one outcome: {seen}")
+
 
 class TestStepPairs:
     @pytest.mark.parametrize("step_set", [P, B])
@@ -349,6 +436,8 @@ class TestConversion:
             tableau_to_diagram(VacillatingTableau(((), (1,), ()), P))
 
     def test_validates_once(self, monkeypatch):
+        # a tableau keeps its scan: converting, validating and asking for
+        # its pairs scan it once between them
         import noncrossing.tableaux as tableaux_module
 
         calls = []
@@ -361,16 +450,18 @@ class TestConversion:
         monkeypatch.setattr(tableaux_module, "_scan", counted)
         t = diagram_to_tableau(PartitionDiagram(4, ((1, 3), (2, 4))))
         assert tableau_to_diagram(t) == PartitionDiagram(4, ((1, 3), (2, 4)))
-        assert len(calls) == 1
-        step_pairs(t)
-        assert len(calls) == 2
+        assert validate_tableau(t)
+        assert len(step_pairs(t)) == t.n
+        assert calls == [t]
 
     @pytest.mark.parametrize("d", [
         PartitionDiagram(7, ((1, 3), (2, 5), (3, 4), (5, 7))),
         BraidDiagram(6, ((1, 3), (2, 5), (3, 4), (6, 6))),
     ], ids=["partition", "braid"])
     def test_each_shape_is_checked_once(self, monkeypatch, d):
-        # validation checks every shape of a tableau from outside once
+        # a valid tableau's half-steps prove every entry a shape, so its
+        # scan calls is_shape on none of them; an invalid one's calls it
+        # at most once per entry
         calls = []
 
         def counted(rows):
@@ -381,7 +472,12 @@ class TestConversion:
         t = diagram_to_tableau(d)
         calls.clear()
         step_pairs(t)
-        assert len(calls) == len(t.shapes)
+        assert calls == []
+        shapes = list(t.shapes)
+        shapes[3] = (0,)
+        bad = VacillatingTableau(tuple(shapes), t.step_set)
+        assert not validate_tableau(bad)
+        assert 0 < len(calls) <= len(bad.shapes)
 
     def test_witness_route_scans_each_tableau_once(self, monkeypatch):
         import noncrossing.tableaux as tableaux_module
