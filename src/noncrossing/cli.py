@@ -61,7 +61,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--n-max", type=int)
     count.add_argument("--route", default="brute")
     count.add_argument("--format", choices=("json", "csv"), default="json")
-    count.add_argument("--jobs", type=int, default=1)
 
     enum = sub.add_parser("enum", help="list every diagram of a class")
     enum.add_argument("--class", dest="class_name", required=True, choices=_CLASS_TAGS)
@@ -109,7 +108,7 @@ def _csv(header: str, prefix: str, table: dict[int, str | Decimal]) -> tuple[Ite
 
 def _cmd_count(ns: argparse.Namespace) -> tuple[dict | Iterator[str], int]:
     sizes = [ns.n] if ns.n is not None else _one_to(ns.n_max)
-    counts = verify.count_text(_CLASS_TAGS[ns.class_name], ns.k, ns.route, sizes, ns.jobs)
+    counts = verify.count_text(_CLASS_TAGS[ns.class_name], ns.k, ns.route, sizes)
     if ns.format == "csv":
         return _csv("class,k,route,n,count", f"{ns.class_name},{ns.k},{ns.route}", counts)
     return {"class": ns.class_name, "k": ns.k, "route": ns.route, "counts": counts}, 0

@@ -61,7 +61,7 @@ class ArcDiagram:
     _min_span = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arcs", tuple(sorted((i, j) for i, j in self.arcs)))
+        object.__setattr__(self, "arcs", tuple(sorted(map(tuple, self.arcs))))
         if not self._valid():
             self._check()
 
@@ -271,18 +271,21 @@ def format_diagram(d: ArcDiagram) -> str:
 def parse_diagram(text: str) -> tuple[int, tuple[Arc, ...]]:
     """Parse the text format back into (n, arcs); inverse of format_diagram.
 
-    Every integer is ASCII decimal digits, and only n may carry a
-    leading "-", which the diagram check then refuses with its own
-    message.  int() alone would also read "_", spaces, signs and other
-    scripts' digits, none of which format_diagram writes.
+    Every integer is written as str() writes an int: ASCII decimal
+    digits, with no leading zero unless it is 0.  Only n may carry a
+    leading "-" (not on 0), which the diagram check then refuses with
+    its own message.  int() alone would also read "_", spaces, signs,
+    leading zeros and other scripts' digits, none of which
+    format_diagram writes.
     """
     text = text.strip()
     try:
         head, body = text.split("; arcs=", 1)
-        if not (head.startswith("n=") and head.isascii()
-                and head[2:].removeprefix("-").isdigit()):
+        digits = head[2:]
+        if not (head.startswith("n=") and (_numeral(digits) or (
+                digits[:1] == "-" and digits != "-0" and _numeral(digits[1:])))):
             raise ValueError
-        n = int(head[2:])
+        n = int(digits)
     except ValueError:
         raise ValueError(f"bad diagram syntax: {_excerpt(text)}") from None
     if not body:
@@ -290,19 +293,23 @@ def parse_diagram(text: str) -> tuple[int, tuple[Arc, ...]]:
     if not (body.startswith("(") and body.endswith(")")):
         # quote the end that is wrong
         raise ValueError(f"bad arc list: {_excerpt(body, end=body.startswith('('))}")
-    # an accepted item is two runs of ASCII digits (isdigit() of an ASCII
-    # string), free of parentheses, so splitting at ")(" cuts exactly
-    # between arcs
+    # an accepted item is two numerals, free of parentheses, so splitting
+    # at ")(" cuts exactly between arcs
     arcs = []
     for t, item in enumerate(body[1:-1].split(")("), 1):
         i, _, j = item.partition(",")
         try:
-            if not (item.isascii() and i.isdigit() and j.isdigit()):
+            if not (_numeral(i) and _numeral(j)):
                 raise ValueError
             arcs.append((int(i), int(j)))
         except ValueError:
             raise ValueError(f"bad arc {t}: {_excerpt(f'({item})')}") from None
     return n, tuple(arcs)
+
+
+def _numeral(text: str) -> bool:
+    """text is str() of an int >= 0: ASCII digits, no leading zero but in "0"."""
+    return text.isascii() and text.isdigit() and (text[0] != "0" or text == "0")
 
 
 #: the most characters of a refused text that its diagnostic quotes

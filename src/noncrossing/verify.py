@@ -9,7 +9,6 @@ disagreeing values, or the ArithmeticError a route raised."""
 
 from __future__ import annotations
 
-import os
 import sys
 from decimal import Decimal
 from itertools import chain
@@ -75,27 +74,15 @@ def routes(class_tag: str, k: int) -> tuple[str, ...]:
     return ("brute", *_FORMULA_ROUTES.get((class_tag, k), ()))
 
 
-def count(class_tag: str, k: int, route: str, sizes, jobs: int = 1) -> dict[int, int]:
-    """{n: count} for each n in sizes by the named route.  Brute force is
-    refused up front over budget, and jobs > 1 shards it over at most one
-    worker process per size and per CPU; the formula routes ignore jobs,
-    but every route refuses jobs < 1."""
-    sizes, entry = _admit(class_tag, k, route, sizes, jobs)
-    if entry:
-        return entry.count(sizes)
-    work = [(class_tag, k, n) for n in sizes]
-    workers = min(jobs, len(work), os.cpu_count() or 1)
-    if workers > 1:
-        # imported here, as multiprocessing is loaded only for --jobs
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return dict(pool.map(_count_one, work))
-    return dict(map(_count_one, work))
+def count(class_tag: str, k: int, route: str, sizes) -> dict[int, int]:
+    """{n: count} for each n in sizes by the named route, once _admit
+    has admitted them: brute force is refused up front over budget, and
+    a formula route over its cap."""
+    sizes, counter, _ = _admit(class_tag, k, route, sizes)
+    return counter(sizes)
 
 
-def count_text(class_tag: str, k: int, route: str, sizes,
-               jobs: int = 1) -> dict[int, str | Decimal]:
+def count_text(class_tag: str, k: int, route: str, sizes) -> dict[int, str | Decimal]:
     """count(), with every value ready to print: str() of it is its
     decimal digits.  A route marked decimal computes in decimal radix and
     hands back its Decimal terms, whose str() costs time linear in their
@@ -104,20 +91,18 @@ def count_text(class_tag: str, k: int, route: str, sizes,
     digits is refused with the ValueError that str() of an int raises: a
     decimal route stops at its first term that long, and the others
     refuse it as they convert it."""
-    entry = _FORMULA_ROUTES.get((class_tag, k), {}).get(route)
-    if not (entry and entry.decimal):
-        return {n: str(v) for n, v in count(class_tag, k, route, sizes, jobs).items()}
-    sizes, entry = _admit(class_tag, k, route, sizes, jobs)
-    return entry.count(sizes, Decimal, sys.get_int_max_str_digits())
+    sizes, counter, decimal = _admit(class_tag, k, route, sizes)
+    if decimal:
+        return counter(sizes, Decimal, sys.get_int_max_str_digits())
+    return {n: str(v) for n, v in counter(sizes).items()}
 
 
-def _admit(class_tag: str, k: int, route: str, sizes,
-           jobs: int) -> tuple[range | list[int], _Route | None]:
+def _admit(class_tag: str, k: int, route: str,
+           sizes) -> tuple[range | list[int], Callable, bool]:
     """The sizes (a range kept as it is, bounded by its ends at any
-    length; anything else as a list) and the route's entry (None for
-    brute force), once the class, route, job count and cap admit them."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    length; anything else as a list), the route's counter and its
+    decimal flag, once the class, route and cap admit them.  Brute force
+    counts each size with enumeration.count_class."""
     if class_tag not in enumeration.GENERATORS:
         raise ValueError(f"unknown class tag {class_tag!r}")
     available = routes(class_tag, k)
@@ -133,17 +118,13 @@ def _admit(class_tag: str, k: int, route: str, sizes,
     low, high = min(ends), max(ends)
     if route == "brute":
         enumeration.require_brute_budget(class_tag, high)
-        return sizes, None
+        brute = lambda sizes: {n: enumeration.count_class(class_tag, k, n) for n in sizes}
+        return sizes, brute, False
     if low < 1:
         raise ValueError(f"route {route!r} counts from n = 1, got n = {low}")
     entry = _FORMULA_ROUTES[class_tag, k][route]
     require_cap(f"route {route!r}", high, entry.cap)
-    return sizes, entry
-
-
-def _count_one(args: tuple[str, int, int]) -> tuple[int, int]:
-    class_tag, k, n = args
-    return n, enumeration.count_class(class_tag, k, n)
+    return sizes, entry.count, entry.decimal
 
 
 def rho3_agreement(n_max: int) -> tuple[dict[str, dict[int, str | Decimal]], dict]:
@@ -154,7 +135,7 @@ def rho3_agreement(n_max: int) -> tuple[dict[str, dict[int, str | Decimal]], dic
     spans = {route: range(1, (min(n_max, _BRUTE_CAP) if route == "brute" else n_max) + 1)
              for route in routes("B_k_dagger", 3)}
     for route, span in spans.items():  # every cap, before the first table
-        _admit("B_k_dagger", 3, route, span, 1)
+        _admit("B_k_dagger", 3, route, span)
     tables = {}
     for route, span in spans.items():
         try:

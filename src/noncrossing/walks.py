@@ -440,9 +440,9 @@ _EXACT = Context(
 )
 
 
-def rho3_recurrence(n_max: int, number: type = int) -> dict[int, int]:
-    """{n: rho3(n)} for 1 <= n <= n_max, by _rho3_terms over that range."""
-    return _rho3_terms(range(1, n_max + 1), number)
+def rho3_recurrence(n_max: int) -> dict[int, int]:
+    """{n: rho3(n)} as ints for 1 <= n <= n_max, by _rho3_terms over that range."""
+    return _rho3_terms(range(1, n_max + 1))
 
 
 def _rho3_terms(sizes: list[int] | range, number: type = int,

@@ -92,56 +92,9 @@ class TestCount:
         assert status == 1
         assert json.loads(captured.err.splitlines()[-1])["error"] == "ValueError"
 
-    def test_jobs(self, capsys):
-        status, report = run_json(
-            capsys, "count", "--class", "partitions", "--k", "3", "--n-max", "5",
-            "--jobs", "2",
-        )
-        assert status == 0 and report["counts"]["5"] == "52"
-
-    @pytest.mark.parametrize(
-        "jobs, n_max, cpus, workers",
-        [(1000, 5, 2, 2), (1000, 5, 64, 5), (3, 5, 64, 3), (1000, 1, 64, None)],
-    )
-    def test_jobs_are_capped(self, capsys, monkeypatch, jobs, n_max, cpus, workers):
-        # a fake pool records the worker count; no process is started
-        started = []
-
-        class FakePool:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
-        status, report = run_json(
-            capsys, "count", "--class", "partitions", "--n-max", str(n_max),
-            "--jobs", str(jobs),
-        )
-        assert status == 0 and len(report["counts"]) == n_max
-        assert started == ([workers] if workers else [])
-
-    @pytest.mark.parametrize("route", ["brute", "recurrence"])
-    @pytest.mark.parametrize("jobs", ["0", "-2"])
-    def test_jobs_below_1_are_refused(self, capsys, monkeypatch, jobs, route):
-        # refused before any work, on every route
-        monkeypatch.setattr(enumeration, "restricted_growth_strings", _unreachable)
-        routes = verify._FORMULA_ROUTES["B_k_dagger", 3]
-        recurrence = routes["recurrence"]._replace(count=_unreachable)
-        monkeypatch.setitem(routes, "recurrence", recurrence)
-        argv = ["count", "--class", "braids-noiso", "--n", "5", "--route", route, "--jobs", jobs]
-        assert cli.run(argv) == 1
-        assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
-            "error": "ValueError",
-            "message": f"jobs must be at least 1, got {jobs}",
-        }
+    def test_a_retired_jobs_option_is_a_usage_error(self, capsys):
+        assert cli.run(["count", "--class", "partitions", "--n", "3", "--jobs", "2"]) == 1
+        assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "usage-error"
 
     def test_empty_range_rejected(self, capsys):
         assert cli.run(["count", "--class", "partitions", "--n-max", "0"]) == 1

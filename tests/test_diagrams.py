@@ -402,10 +402,18 @@ class TestTextFormat:
         "n=1_0; arcs=(1,1_0)", "n= 4 ; arcs=( 1 , 3 )", "n=\u0664; arcs=(\u0661,\u0663)",
         "n=4; arcs=(1,1_0)", "n=4; arcs=( 1,3)", "n=4; arcs=(\u0661,3)", "n=4; arcs=(1,\xb2)",
         "n=+4; arcs=", "n=--4; arcs=", "n=4 ; arcs=", "n=4; arcs=(+1,3)", "n=4; arcs=(-1,3)",
+        # leading zeros and a signed zero, which format_diagram never writes either
+        "n=-0; arcs=", "n=00; arcs=", "n=04; arcs=", "n=-05; arcs=", "n=-00; arcs=",
+        "n=3; arcs=(01,3)", "n=3; arcs=(1,03)", "n=3; arcs=(00,3)",
     ])
     def test_parse_errors(self, text):
         with pytest.raises(ValueError):
             parse_diagram(text)
+
+    def test_an_endpoint_0_reaches_the_diagram_check(self):
+        assert parse_diagram("n=3; arcs=(0,3)") == (3, ((0, 3),))
+        with pytest.raises(InvalidDiagramError, match="out of range"):
+            PartitionDiagram(*parse_diagram("n=3; arcs=(0,3)"))
 
     def test_a_negative_vertex_count_reaches_the_diagram_check(self):
         assert parse_diagram("n=-5; arcs=") == (-5, ())

@@ -1,5 +1,6 @@
 """Checks on the library source itself."""
 
+import argparse
 import ast
 import os
 import re
@@ -59,7 +60,7 @@ def test_module_layering():
 
 
 def test_cli_import_leaves_out_multiprocessing():
-    # only count --jobs > 1 starts worker processes, so only it loads them
+    # the library starts no process, so nothing it imports loads them
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(_PACKAGE.parent), env.get("PYTHONPATH")])
@@ -217,6 +218,18 @@ def test_readme_states_the_caps():
     assert (_first_refused("P_k"), _first_refused("B_k")) == (13, 12)
     missing = [phrase for phrase in phrases if phrase not in readme]
     assert not missing, f"README does not quote: {missing}"
+
+
+def test_readme_names_only_options_the_cli_has():
+    # a retired option must not linger in the docs; the pip line is pip's
+    parser = cli.build_parser()
+    [commands] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {option for sub in commands.choices.values() for option in sub._option_string_actions}
+    readme = (_PACKAGE.parent.parent / "README.md").read_text().splitlines()
+    named = {token for line in readme if not line.lstrip().startswith("pip install")
+             for token in re.findall(r"(?<![\w-])--[a-z][\w-]*", line)}
+    assert len(named) >= 8
+    assert not named - options, f"README names options the CLI lacks: {sorted(named - options)}"
 
 
 def _readme_blocks(language):

@@ -265,7 +265,7 @@ class TestRecurrence:
 
     def test_decimal_seeds_carry_the_table_in_decimal_radix(self):
         ints = rho3_recurrence(300)
-        decimals = rho3_recurrence(300, Decimal)
+        decimals = _rho3_terms(range(1, 301), Decimal)
         assert all(type(v) is Decimal for v in decimals.values())
         assert decimals == ints
         assert [str(v) for v in decimals.values()] == [str(v) for v in ints.values()]
@@ -295,7 +295,7 @@ class TestRecurrence:
         assert rem
         monkeypatch.setattr(walks_module, "recurrence_weights", broken)
         with pytest.raises(RecurrenceError) as caught:
-            walks_module.rho3_recurrence(4800, number)
+            walks_module._rho3_terms(range(1, 4801), number)
         assert str(caught.value) == (
             f"non-exact division at n=4785: remainder {rem} modulo {lead}"
         )
