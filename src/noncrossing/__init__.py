@@ -21,11 +21,9 @@ from .diagrams import (
     format_diagram,
     is_k_noncrossing,
     is_two_regular,
-    loop_isolated_vertices,
     parse_diagram,
     partition_crossing_number,
     partition_from_blocks,
-    strip_loops,
 )
 from .duality import (
     RestrictedDomainError,

@@ -12,20 +12,25 @@ the first such term.  Reports are JSON on stdout with sorted keys
 field).  A table of counts, the "counts" member of a JSON report or a
 CSV table, is written row by row straight from the one table, and only
 the rest of a JSON report goes through the encoder; either is written
-after every refusal.  Diagnostics go to stderr.  Exit codes: 0 success
-or verification passed, 1 usage error, refused input or a library
-ArithmeticError, 2 verification failure (rho3 --route all also when a
-route raises ArithmeticError, as the rho3 suite fails then).
+after every refusal.  The text lines of enum are written as they are
+generated, after the refusal of a budget or of a k below 2.  A reader
+that closes stdout early cuts the output short but not the exit code.
+Diagnostics go to stderr.  Exit codes: 0 success or verification
+passed, 1 usage error, refused input or a library ArithmeticError, 2
+verification failure (rho3 --route all also when a route raises
+ArithmeticError, as the rho3 suite fails then).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from collections.abc import Iterable, Iterator
 from decimal import Decimal
+from functools import cache
 from itertools import chain
 from typing import NoReturn
 
@@ -49,7 +54,9 @@ def _diag(code: str, message: str) -> None:
     print(json.dumps({"error": code, "message": message}), file=sys.stderr)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process."""
     parser = _Parser(prog="noncrossing", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -114,14 +121,14 @@ def _cmd_count(ns: argparse.Namespace) -> tuple[dict | Iterator[str], int]:
     return {"class": ns.class_name, "k": ns.k, "route": ns.route, "counts": counts}, 0
 
 
-def _cmd_enum(ns: argparse.Namespace) -> tuple[dict | str, int]:
+def _cmd_enum(ns: argparse.Namespace) -> tuple[dict | Iterator[str], int]:
     class_tag = _CLASS_TAGS[ns.class_name]
     enumeration.require_brute_budget(class_tag, ns.n)
-    gen = enumeration.GENERATORS[class_tag]
-    lines = [diagrams.format_diagram(d) for d in gen(ns.n, ns.k)]
-    if ns.format == "text":
-        return "\n".join(lines), 0
-    return {"class": ns.class_name, "k": ns.k, "n": ns.n, "diagrams": lines}, 0
+    lines = map(diagrams.format_diagram, enumeration.GENERATORS[class_tag](ns.n, ns.k))
+    if ns.format == "json":
+        return {"class": ns.class_name, "k": ns.k, "n": ns.n, "diagrams": list(lines)}, 0
+    # the generator refuses k < 2 at its first diagram, before any is written
+    return chain([next(lines, "")], lines), 0
 
 
 def _cmd_map(ns: argparse.Namespace) -> tuple[dict | str, int]:
@@ -267,9 +274,15 @@ def run(argv: list[str] | None = None) -> int:
             "elapsed_seconds": round(time.perf_counter() - started, 6),
             **payload,
         }
-        _write(chain(_report_chunks(report), ["\n"]))
+        chunks = chain(_report_chunks(report), ["\n"])
     else:  # csv rows, or text or svg as it is
-        _write(f"{line}\n" for line in ([payload] if isinstance(payload, str) else payload))
+        chunks = (f"{line}\n" for line in ([payload] if isinstance(payload, str) else payload))
+    try:
+        _write(chunks)
+    except BrokenPipeError:
+        # the reader closed stdout early, as `| head` does: the status
+        # stands, and what is left, the flush at exit included, goes nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return status
 
 

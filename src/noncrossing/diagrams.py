@@ -236,29 +236,6 @@ def is_two_regular(p: PartitionDiagram) -> bool:
     return all(j != i + 1 for i, j in p.arcs)
 
 
-# -- braids as loop-decorated partitions ---------------------------------------
-
-
-def strip_loops(b: BraidDiagram) -> PartitionDiagram:
-    """Forget the loops of a braid, reading the rest as partition arcs.
-
-    Vertices that carried loops become isolated.  On braids without
-    isolated points this is injective and inverted by
-    :func:`loop_isolated_vertices`.
-    """
-    return PartitionDiagram(b.n, tuple(a for a in b.arcs if a[0] != a[1]))
-
-
-def loop_isolated_vertices(p: PartitionDiagram) -> BraidDiagram:
-    """Read partition arcs as braid arcs, looping every isolated vertex.
-
-    Shared endpoints (i, v), (v, h) take the braid crossing convention.
-    The result never has isolated points.
-    """
-    loops = tuple((v, v) for v in p.isolated_vertices())
-    return BraidDiagram(p.n, p.arcs + loops)
-
-
 # -- text format ----------------------------------------------------------------
 
 

@@ -36,14 +36,7 @@ count of such partitions reduces to the braid count.
 
 from __future__ import annotations
 
-from .diagrams import (
-    BraidDiagram,
-    PartitionDiagram,
-    is_k_noncrossing,
-    is_two_regular,
-    loop_isolated_vertices,
-    strip_loops,
-)
+from .diagrams import BraidDiagram, PartitionDiagram, is_k_noncrossing, is_two_regular
 from .tableaux import BRAID_STEPS, VacillatingTableau, diagram_to_tableau, tableau_to_diagram
 
 
@@ -54,17 +47,20 @@ class RestrictedDomainError(ValueError):
 # -- direct route ---------------------------------------------------------------
 
 
-def contract_partition(p: PartitionDiagram) -> BraidDiagram:
-    """Map arcs (i, j) to (i, j-1), dropping vertex n.  Requires n >= 1."""
+def _contracted(p: PartitionDiagram) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """n - 1 and the arcs (i, j-1) of p.  Requires n >= 1."""
     if p.n < 1:
         raise ValueError("contraction needs at least one vertex")
-    return BraidDiagram(p.n - 1, tuple((i, j - 1) for i, j in p.arcs))
+    return p.n - 1, tuple((i, j - 1) for i, j in p.arcs)
 
 
-def expand_braid(b: BraidDiagram | PartitionDiagram) -> PartitionDiagram:
-    """Inverse of contract_partition: arcs (i, j) become (i, j+1).  Also
-    takes a braid's loop-free part (strip_loops), which is how
-    expand_braid_no_isolated inverts contract_two_regular."""
+def contract_partition(p: PartitionDiagram) -> BraidDiagram:
+    """Map arcs (i, j) to (i, j-1), dropping vertex n.  Requires n >= 1."""
+    return BraidDiagram(*_contracted(p))
+
+
+def expand_braid(b: BraidDiagram) -> PartitionDiagram:
+    """Inverse of contract_partition: arcs (i, j) become (i, j+1)."""
     return PartitionDiagram(b.n + 1, tuple((i, j + 1) for i, j in b.arcs))
 
 
@@ -79,11 +75,13 @@ def contract_partition_via_tableaux(p: PartitionDiagram) -> BraidDiagram:
     """
     if p.n < 1:
         raise ValueError("contraction needs at least one vertex")
-    shapes = list(diagram_to_tableau(p).shapes[1:-1])
-    for m in range(1, len(shapes) - 1, 2):
-        a, b, c = shapes[m - 1:m + 2]
-        if not b > max(a, c):
-            shapes[m] = min(a, c)
+    source = diagram_to_tableau(p).shapes
+    shapes = list(source[1:-1])
+    # braid vertex i + 1: corners s^(2i+1), s^(2i+3), middle s^(2i+2),
+    # which is shapes[2i + 1]
+    for i, (a, b, c) in enumerate(zip(source[1::2], source[2::2], source[3::2])):
+        if b <= a or b <= c:  # not larger than both
+            shapes[2 * i + 1] = min(a, c)
     return tableau_to_diagram(VacillatingTableau(tuple(shapes), BRAID_STEPS))
 
 
@@ -94,22 +92,24 @@ def contract_two_regular(p: PartitionDiagram, k: int) -> BraidDiagram:
     """Bijection from 2-regular k-noncrossing partitions over [n] onto the
     k-noncrossing braids over [n-1] without isolated points.
 
-    The contracted image of a 2-regular partition is loop-free; reading
-    it as a partition and looping its isolated vertices produces the
-    braid.  Inputs outside the domain are rejected, not silently mapped.
+    The contracted arcs of a 2-regular partition hold no loop; they and
+    a loop on each vertex they leave isolated are the braid, built once.
+    Inputs outside the domain are rejected, not silently mapped.
     """
     if not is_two_regular(p):
         raise RestrictedDomainError("partition has an adjacent-vertex arc")
     if not is_k_noncrossing(p, k):
         raise RestrictedDomainError(f"partition is not {k}-noncrossing")
-    contracted = contract_partition(p)
-    return loop_isolated_vertices(PartitionDiagram(contracted.n, contracted.arcs))
+    n, arcs = _contracted(p)
+    touched = {v for arc in arcs for v in arc}
+    return BraidDiagram(n, arcs + tuple((v, v) for v in range(1, n + 1) if v not in touched))
 
 
 def expand_braid_no_isolated(b: BraidDiagram, k: int) -> PartitionDiagram:
-    """Inverse of contract_two_regular."""
+    """Inverse of contract_two_regular: the braid's arcs other than its
+    loops, expanded, built once."""
     if b.isolated_vertices():
         raise RestrictedDomainError("braid has isolated points")
     if not is_k_noncrossing(b, k):
         raise RestrictedDomainError(f"braid is not {k}-noncrossing")
-    return expand_braid(strip_loops(b))
+    return PartitionDiagram(b.n + 1, tuple((i, j + 1) for i, j in b.arcs if i != j))

@@ -12,12 +12,20 @@ disciplines are used:
 
 Both are stated once, as the table ``_LEGAL_KINDS`` of legal (odd, even)
 kinds, which validation and the right-to-left scan both read.  The rule
-for one half-step is stated once, in ``add_square`` and ``remove_square``,
-and ``half_step`` asks them.  Every step they accept keeps a shape a
-shape, so a sequence that starts at () and moves only by legal
-half-steps holds only shapes.  The validating scan ``_scan`` therefore
-calls ``is_shape`` only on a tableau it has already found invalid, to
-name its first entry that is not a shape.
+for one half-step is that of ``add_square`` and ``remove_square``: an
+add is legal when the row above is longer, a remove when the row below
+is shorter.  ``half_step`` decodes a step from the rows alone.  Only
+the first row where two shapes differ can carry it, by one square, and
+every row after that one must be unchanged; so it reads that row, its
+neighbour and the tails after it, and builds no trial shape.  A step it
+refuses goes through ``add_square`` or ``remove_square``, which raise
+the message, or else the two shapes differ by more than one square.
+This is the one-pass check and rule-by-rule report of ``diagrams``.
+Every legal step keeps a shape a shape, so a sequence that starts at
+() and moves only by legal half-steps holds only shapes.  The
+validating scan ``_scan`` therefore calls ``is_shape`` only on a
+tableau it has already found invalid, to name its first entry that is
+not a shape.
 
 The translation to diagrams scans vertices left to right while
 maintaining a filling (a partial standard Young tableau whose entries
@@ -44,8 +52,9 @@ So the row bound is ``max_rows()``: a diagram is k-noncrossing iff
 ``max_rows() < k`` for its tableau.
 
 Every tableau is built as a shape sequence, never from step pairs:
-``diagram_to_tableau`` reads the shapes off its filling, and the
-duality's witness route amends the shapes of a partition tableau.
+``diagram_to_tableau`` keeps the row lengths of its filling, moved by
+the row that each insertion or extraction reports, and the duality's
+witness route amends the shapes of a partition tableau.
 A tableau is scanned at most once: its first scan derives every
 half-step and every violation, and the tableau keeps the result.
 ``validate_tableau``, ``step_pairs`` and ``tableau_to_diagram`` all read
@@ -57,6 +66,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import ge
 from typing import Sequence
 
@@ -110,21 +120,30 @@ def half_step(prev: Shape, nxt: Shape) -> HalfStep:
     """The half-step turning shape prev into nxt, or raise if it is
     illegal or the two differ by more than one square.
 
-    Only the first row where the two differ can carry the step, as an
-    add if it gains one square and a remove if it loses one; add_square
-    or remove_square decides whether that step is legal.
+    Only the first row h where the two differ can carry the step, as an
+    add if it gains one square and a remove if it loses one.  An add is
+    legal when the row above h is longer than h, a remove when the row
+    below h is shorter, and either is the step when every row after h
+    is unchanged; a remove that empties h drops it.  Only a refused step
+    goes through add_square or remove_square, which raise its message.
     """
     if prev == nxt:
         return None
+    rows, rows_next = len(prev), len(nxt)
     h = 0
-    while h < len(prev) and h < len(nxt) and prev[h] == nxt[h]:
+    while h < rows and h < rows_next and prev[h] == nxt[h]:
         h += 1
-    a = prev[h] if h < len(prev) else 0
-    b = nxt[h] if h < len(nxt) else 0
-    if b == a + 1 and add_square(prev, h + 1) == nxt:
-        return ("+", h + 1)
-    if b == a - 1 and remove_square(prev, h + 1) == nxt:
-        return ("-", h + 1)
+    a = prev[h] if h < rows else 0
+    b = nxt[h] if h < rows_next else 0
+    if b == a + 1:
+        if (h == 0 or prev[h - 1] > a) and h < rows_next and nxt[h + 1:] == prev[h + 1:]:
+            return ("+", h + 1)
+        add_square(prev, h + 1)
+    elif b == a - 1:
+        kept = h + 1 if a > 1 else h  # where nxt holds the rows after h
+        if h < rows and (h + 1 == rows or prev[h + 1] < a) and nxt[kept:] == prev[h + 1:]:
+            return ("-", h + 1)
+        remove_square(prev, h + 1)
     raise MalformedTableauError(f"shapes {prev} -> {nxt} differ by more than one square")
 
 
@@ -134,13 +153,6 @@ _LEGAL_KINDS = {
     PARTITION_STEPS: frozenset({(None, None), ("-", None), (None, "+"), ("-", "+")}),
     BRAID_STEPS: frozenset({(None, None), ("+", "-"), (None, "+"), ("-", None)}),
 }
-
-
-def _legal_pair(pair: StepPair, step_set: str) -> bool:
-    if step_set not in _LEGAL_KINDS:
-        raise ValueError(f"unknown step set {step_set!r}")
-    odd, even = pair
-    return (odd and odd[0], even and even[0]) in _LEGAL_KINDS[step_set]
 
 
 # -- tableaux ---------------------------------------------------------------------
@@ -182,8 +194,8 @@ def _scan(t: VacillatingTableau) -> tuple[tuple[str, ...], tuple[StepPair, ...]]
     scan derived, complete exactly when there is no violation.
 
     A sequence that starts at () and moves only by legal half-steps holds
-    only shapes, so the scan derives every half-step once and vets no
-    shape on its way.  Only when it has found a violation does it call
+    only shapes, so the scan derives every half-step once, by half_step
+    unless the two shapes are equal, and vets no shape on its way.  Only when it has found a violation does it call
     is_shape, entry by entry, and a non-shape entry is then the whole
     report, as if it had been checked first."""
     shapes = t.shapes
@@ -196,17 +208,19 @@ def _scan(t: VacillatingTableau) -> tuple[tuple[str, ...], tuple[StepPair, ...]]
         out.append("first shape is not empty")
     if shapes[-1] != ():
         out.append("last shape is not empty")
+    legal = _LEGAL_KINDS[t.step_set]
     pairs: list[StepPair] = []
-    for i in range(1, t.n + 1):
+    for i, (prev, mid, nxt) in enumerate(zip(shapes[0::2], shapes[1::2], shapes[2::2]), 1):
         try:
             pair = (
-                half_step(shapes[2 * i - 2], shapes[2 * i - 1]),
-                half_step(shapes[2 * i - 1], shapes[2 * i]),
+                None if prev == mid else half_step(prev, mid),
+                None if mid == nxt else half_step(mid, nxt),
             )
         except MalformedTableauError as err:
             out.append(f"vertex {i}: {err}")
             continue
-        if not _legal_pair(pair, t.step_set):
+        odd, even = pair
+        if (odd and odd[0], even and even[0]) not in legal:
             out.append(f"vertex {i}: pair {pair} not allowed for {t.step_set} steps")
         pairs.append(pair)
     if out:
@@ -265,15 +279,12 @@ def _reverse_bump(filling: list[list[int]], row: int) -> int:
 
 def _insert(filling: list[list[int]], value: int) -> int:
     """Standard row insertion; returns the 1-indexed row of the new cell."""
-    r = 0
-    while r < len(filling):
-        cells = filling[r]
+    for r, cells in enumerate(filling, 1):
         pos = bisect_right(cells, value)
         if pos == len(cells):
             cells.append(value)
-            return r + 1
+            return r
         cells[pos], value = value, cells[pos]
-        r += 1
     filling.append([value])
     return len(filling)
 
@@ -296,15 +307,14 @@ def tableau_to_diagram(t: VacillatingTableau) -> PartitionDiagram | BraidDiagram
     """Left-to-right scan turning a valid tableau into its diagram."""
     filling: list[list[int]] = []
     arcs: list[tuple[int, int]] = []
-    for i, (odd, even) in enumerate(step_pairs(t), 1):
-        for half in (odd, even):
-            if half is None:
-                continue
+    # the half-steps in order, the two of vertex i at positions 2i and 2i + 1
+    for pos, half in enumerate(chain.from_iterable(step_pairs(t)), 2):
+        if half:
             op, row = half
             if op == "+":
-                _place(filling, i, row)
+                _place(filling, pos // 2, row)
             else:
-                arcs.append((_reverse_bump(filling, row), i))
+                arcs.append((_reverse_bump(filling, row), pos // 2))
     if filling:
         raise MalformedTableauError("valid tableaux drain the filling")
     cls = PartitionDiagram if t.step_set == PARTITION_STEPS else BraidDiagram
@@ -338,14 +348,22 @@ def diagram_to_tableau(d: PartitionDiagram | BraidDiagram) -> VacillatingTableau
     undo = _UNDO[step_set]
 
     filling: list[list[int]] = []
+    rows: list[int] = []  # the row lengths of filling
     rev: list[Shape] = [()]
     for i in range(d.n, 0, -1):
         for kind in undo[i in placers, i in partner]:
             if kind == "+":
-                _extract_max(filling, i)
+                r = _extract_max(filling, i) - 1
+                rows[r] -= 1
+                if not rows[r]:
+                    rows.pop()  # an emptied row is the last one
             elif kind == "-":
-                _insert(filling, partner[i])
-            rev.append(tuple(map(len, filling)))
+                r = _insert(filling, partner[i]) - 1
+                if r < len(rows):
+                    rows[r] += 1
+                else:
+                    rows.append(1)
+            rev.append(tuple(rows) if kind else rev[-1])
     if filling:
         raise MalformedTableauError("the right-to-left scan left entries in the filling")
     return VacillatingTableau(tuple(reversed(rev)), step_set)

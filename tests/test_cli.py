@@ -1,6 +1,8 @@
 """Command-line interface: payloads, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
 import sys
 import tracemalloc
 from decimal import Decimal
@@ -119,6 +121,32 @@ class TestEnum:
         )
         assert status == 0
         assert report["diagrams"] == ["n=2; arcs=(1,2)", "n=2; arcs="]
+
+    def test_text_is_written_as_it_is_generated(self, monkeypatch):
+        # 19 095 lines of 638 085 characters; joined before they were
+        # written, they peaked at about four times that
+        sink = _CountingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        tracemalloc.start()
+        try:
+            status = cli.run(["enum", "--class", "partitions", "--k", "3", "--n", "9"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 0 and (sink.lines, sink.length) == (19_095, 638_085)
+        assert peak < sink.length
+
+    @pytest.mark.parametrize("argv,diagnostic", [
+        ("--k 1 --n 3", {"error": "ValueError", "message": "k must be >= 2, got 1"}),
+        ("--n 13", {"error": "RangeGuardError",
+                    "message": "P_k over [13] is charged Bell(13) = 27644437, "
+                               "over the brute-force budget of 10000000"}),
+    ], ids=["k", "budget"])
+    def test_a_refusal_writes_nothing_to_stdout(self, capsys, argv, diagnostic):
+        assert cli.run(["enum", "--class", "partitions", *argv.split()]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == diagnostic
 
 
 class TestMap:
@@ -851,12 +879,15 @@ class TestDecimalTables:
 
 
 class _CountingSink:
-    """A stdout that keeps only the number of characters written to it."""
+    """A stdout that keeps only the number of characters and of lines
+    written to it."""
 
     length = 0
+    lines = 0
 
     def write(self, text: str) -> int:
         self.length += len(text)
+        self.lines += text.count("\n")
         return len(text)
 
 
@@ -865,6 +896,59 @@ class TestHarness:
         assert cli.run(["count", "--class", "bogus"]) == 1
         err = capsys.readouterr().err
         assert json.loads(err.splitlines()[-1])["error"] == "usage-error"
+
+    @pytest.mark.parametrize("argv", [
+        "enum --class partitions --k 3 --n 8",  # 119 370 bytes
+        "rho3 --route recurrence --n-max 3000 --format csv",  # 4.1 MB
+    ], ids=["enum", "csv"])
+    def test_a_reader_that_stops_early_leaves_the_status(self, argv):
+        # the first line is read and the pipe closed, as `| head -1` does,
+        # while more than a pipe's 64 KiB is still to be written
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parent.parent))
+        proc = subprocess.Popen([sys.executable, "-m", "noncrossing", *argv.split()],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (proc.wait(), err) == (0, b"")
+        assert first.endswith(b"\n") and first.count(b"\n") == 1
+
+    def test_the_parser_is_built_once(self, capsys):
+        cli.build_parser.cache_clear()
+        assert cli.run(["map", "--in", "n=2; arcs=(1,2)"]) == 0
+        assert cli.run(["map", "--inverse", "--in", "n=1; arcs=(1,1)"]) == 0
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert capsys.readouterr().out == "n=1; arcs=(1,1)\nn=2; arcs=(1,2)\n"
+
+    def test_a_usage_error_leaves_the_parser_as_it_was(self, capsys):
+        # the calls on one parser answer as each did on a parser of its own
+        calls = [
+            ["map", "--in"],
+            ["map", "--in", "n=2; arcs=(1,2)"],
+            ["count", "--class", "bogus"],
+            ["map", "--inverse", "--in", "n=1; arcs=(1,1)"],
+            ["enum", "--class", "partitions", "--n", "2", "--k", "x"],
+            ["enum", "--class", "partitions", "--n", "2"],
+        ]
+
+        def outcomes(fresh):
+            seen = []
+            for argv in calls:
+                if fresh:
+                    cli.build_parser.cache_clear()
+                status = cli.run(argv)
+                captured = capsys.readouterr()
+                seen.append((status, captured.out, captured.err))
+            return seen
+
+        alone = outcomes(fresh=True)
+        assert outcomes(fresh=False) == alone
+        assert [status for status, _, _ in alone] == [1, 0, 1, 0, 1, 0]
+        for status, out, err in alone:
+            assert (out == "") == (status == 1)
+            assert status == 0 or json.loads(err)["error"] == "usage-error"
 
     def test_missing_command_exit_1(self, capsys):
         assert cli.run([]) == 1

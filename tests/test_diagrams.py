@@ -19,13 +19,10 @@ from noncrossing.diagrams import (
     format_diagram,
     is_k_noncrossing,
     is_two_regular,
-    loop_isolated_vertices,
     parse_diagram,
     partition_crossing_number,
     partition_from_blocks,
-    strip_loops,
 )
-from noncrossing.enumeration import gen_braids_no_isolated
 
 
 # -- oracles -----------------------------------------------------------------
@@ -327,10 +324,10 @@ class TestCrossingStatistics:
         # strict k-chain and a shared-endpoint k-chain
         for n in range(0, 9):
             for b in braids_over(n):
-                flat = strip_loops(b)
+                flat = [(i, j) for i, j in b.arcs if i != j]
                 for k in (3, 4):
-                    strict = chain_exists(flat.arcs, k, False)
-                    shared = chain_exists(flat.arcs, k, True)
+                    strict = chain_exists(flat, k, False)
+                    shared = chain_exists(flat, k, True)
                     assert is_k_noncrossing(b, k) == (not strict and not shared), (b, k)
 
     def test_k_validation(self):
@@ -350,29 +347,6 @@ class TestPredicates:
         assert is_two_regular(PartitionDiagram(3, ((1, 3),)))
         assert not is_two_regular(PartitionDiagram(3, ((2, 3),)))
         assert not is_two_regular(PartitionDiagram(4, ((1, 3), (3, 4))))
-
-
-class TestLoopIdentification:
-    def test_strip_examples(self):
-        assert strip_loops(BraidDiagram(1, ((1, 1),))) == PartitionDiagram(1)
-        assert strip_loops(BraidDiagram(3, ((1, 2), (2, 3)))) == PartitionDiagram(
-            3, ((1, 2), (2, 3))
-        )
-        assert strip_loops(BraidDiagram(2)) == PartitionDiagram(2)
-
-    def test_loop_examples(self):
-        assert loop_isolated_vertices(PartitionDiagram(1)) == BraidDiagram(1, ((1, 1),))
-        assert loop_isolated_vertices(PartitionDiagram(2, ((1, 2),))) == BraidDiagram(
-            2, ((1, 2),)
-        )
-        assert loop_isolated_vertices(PartitionDiagram(3, ((1, 3),))) == BraidDiagram(
-            3, ((1, 3), (2, 2))
-        )
-
-    def test_round_trip_on_braids_without_isolated_points(self):
-        for n in range(0, 9):
-            for b in gen_braids_no_isolated(n, n + 2):
-                assert loop_isolated_vertices(strip_loops(b)) == b
 
 
 class TestTextFormat:

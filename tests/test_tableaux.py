@@ -2,7 +2,7 @@
 
 import random
 import re
-from itertools import product
+from itertools import chain, product
 
 import pytest
 
@@ -182,10 +182,20 @@ def documented_kinds(step_set):
     return {(kind[a], kind[b]) for a, b in pairs}
 
 
+def reference_half_step(prev, nxt):
+    """defined_half_step on two shapes, and where it finds no step,
+    half_step's message, which must refuse the step too."""
+    try:
+        return defined_half_step(prev, nxt)
+    except MalformedTableauError:
+        half_step(prev, nxt)
+    raise AssertionError(f"half_step accepts {prev} -> {nxt}")
+
+
 def reference_scan(t):
     """The validating scan as first written: is_shape on every entry,
-    then half_step on each pair, whose kinds the docstring's list of
-    legal pairs decides."""
+    then each pair's half-steps by their definition, whose kinds the
+    docstring's list of legal pairs decides."""
     if t.step_set not in (P, B):
         return (f"unknown step set {t.step_set!r}",), ()
     if len(t.shapes) % 2 == 0:
@@ -202,8 +212,8 @@ def reference_scan(t):
     legal = documented_kinds(t.step_set)
     for i in range(1, t.n + 1):
         try:
-            pair = (half_step(t.shapes[2 * i - 2], t.shapes[2 * i - 1]),
-                    half_step(t.shapes[2 * i - 1], t.shapes[2 * i]))
+            pair = (reference_half_step(t.shapes[2 * i - 2], t.shapes[2 * i - 1]),
+                    reference_half_step(t.shapes[2 * i - 1], t.shapes[2 * i]))
         except MalformedTableauError as err:
             out.append(f"vertex {i}: {err}")
             continue
@@ -213,11 +223,125 @@ def reference_scan(t):
     return tuple(out), tuple(pairs)
 
 
+def reference_tableau(d):
+    """diagram_to_tableau as first written: the right-to-left scan reads
+    each shape off its filling.  A vertex undoes, even half first, the
+    one legal pair that places iff it starts an arc and ejects iff it
+    ends one."""
+    step_set = P if isinstance(d, PartitionDiagram) else B
+    undo = {("+" in kinds, "-" in kinds): kinds[::-1] for kinds in documented_kinds(step_set)}
+    partner = {j: i for i, j in d.arcs}
+    placers = {i for i, _ in d.arcs}
+    filling, rev = [], [()]
+    for i in range(d.n, 0, -1):
+        for kind in undo[i in placers, i in partner]:
+            if kind == "+":
+                tableaux._extract_max(filling, i)
+            elif kind == "-":
+                tableaux._insert(filling, partner[i])
+            rev.append(tuple(map(len, filling)))
+    return VacillatingTableau(tuple(reversed(rev)), step_set)
+
+
+def random_diagrams(seed, count):
+    """Seeded partitions and braids over 20 to 60 vertices: each vertex
+    gets one of a random number of block labels, consecutive members of
+    a block are joined by an arc, and a braid loops about half of its
+    isolated vertices."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(20, 60)
+        blocks = rng.randint(1, n)
+        last, arcs = {}, []
+        for v in range(1, n + 1):
+            label = rng.randrange(blocks)
+            if label in last:
+                arcs.append((last[label], v))
+            last[label] = v
+        p = PartitionDiagram(n, arcs)
+        if rng.random() < 0.5:
+            yield p
+        else:
+            loops = [(v, v) for v in p.isolated_vertices() if rng.random() < 0.5]
+            yield BraidDiagram(n, arcs + loops)
+
+
+def nudged(rng, shape):
+    """shape with one or two rows, a row past the end among them, moved
+    by one square up or down, and an emptied last row mostly dropped:
+    illegal adds like (1, 1) -> (1, 2), illegal removes like
+    (2, 2) -> (1, 2), two-row steps like (2, 1) -> (3, 2), and entries
+    with a zero row, besides legal steps."""
+    rows = list(shape) + [0]
+    for h in rng.sample(range(len(rows)), min(len(rows), rng.choice((1, 2)))):
+        rows[h] += rng.choice((1, 1, -1))
+    while rows and rows[-1] == 0 and rng.random() < 0.8:
+        rows.pop()
+    return tuple(rows)
+
+
+def corruptions(shapes):
+    """The kinds of bad step from a shape into its successor that a
+    sequence holds."""
+    kinds = set()
+    for prev, nxt in zip(shapes, shapes[1:]):
+        if 0 in nxt:
+            kinds.add("zero row")
+        if not is_shape(prev) or len(nxt) > len(prev) + 1:
+            continue
+        width = max(len(prev), len(nxt))
+        moves = [b - a for a, b in zip(list(prev) + [0] * (width - len(prev)),
+                                       list(nxt) + [0] * (width - len(nxt))) if a != b]
+        if len(moves) == 2:
+            kinds.add("two rows")
+        elif moves in ([1], [-1]) and not is_shape(nxt):
+            kinds.add("illegal add" if moves == [1] else "illegal remove")
+    return kinds
+
+
+def climb(shape):
+    """The shapes of a valid tableau under either step set that adds the
+    squares of shape row by row, one per vertex, and then takes them
+    away in reverse: vertices (do nothing, add), then (remove, do
+    nothing)."""
+    path = [()]
+    for h, length in enumerate(shape, 1):
+        for _ in range(length):
+            path.append(add_square(path[-1], h))
+    shapes = [()]
+    for s in path[1:]:
+        shapes += [shapes[-1], s]
+    for s in reversed(path[:-1]):
+        shapes += [s, s]
+    return shapes
+
+
+def detours(size):
+    """Under both step sets, the climb to each shape of at most size
+    squares and back, with one vertex more at its peak that moves one
+    row, a row past the end among them, by one square up or down and
+    then back: legal steps, illegal adds like (1, 1) -> (1, 2), illegal
+    removes like (2, 2) -> (1, 2), and entries with a zero row, whether
+    an emptied row is dropped or kept."""
+    for shape in shapes_up_to(size):
+        shapes = climb(shape)
+        peak = len(shapes) // 2
+        for h in range(len(shape) + 1):
+            for sign in (1, -1):
+                rows = list(shape) + [0]
+                rows[h] += sign
+                kept = tuple(rows)
+                for moved in {kept, kept[:-1] if kept[-1] == 0 else kept}:
+                    for step_set in (P, B):
+                        yield shapes[:peak + 1] + [moved] + shapes[peak:], step_set
+
+
 def corrupt_shape_sequences(seed, count):
     """Seeded shape sequences under both step sets: valid tableaux, the
-    same with entries replaced by other shapes or by non-shapes (zero
-    rows, increasing rows, negative entries), cut to an even length, or
-    read under the other step set, and sequences of random rows."""
+    same with entries replaced by other shapes, by non-shapes (zero
+    rows, increasing rows, negative entries) or by a nudge of the entry
+    before, cut to an even length, or read under the other step set, and
+    sequences of random rows."""
     rng = random.Random(seed)
     odd_rows = [(0,), (1, 2), (-1,), (2, 0), (1, -1), (0, 0), (1, 1, 2)]
     for _ in range(count):
@@ -231,10 +355,13 @@ def corrupt_shape_sequences(seed, count):
         shapes = list(diagram_to_tableau(d).shapes)
         for _ in range(rng.choice((0, 1, 1, 2))):
             pos = rng.randrange(len(shapes))
-            if rng.random() < 0.5:
+            other = rng.random()
+            if other < 0.3:
                 shapes[pos] = rng.choice(odd_rows)
-            else:
+            elif other < 0.6:
                 shapes[pos] = rng.choice(shapes_up_to(4))
+            else:
+                shapes[pos] = nudged(rng, shapes[pos - 1])
         if roll < 0.25:
             del shapes[rng.randrange(len(shapes))]
         elif roll < 0.4:
@@ -366,7 +493,10 @@ class TestValidation:
         # deriving the half-steps first and vetting shapes only after a
         # violation reports exactly what vetting every shape first did
         seen = {"valid": 0, "not a shape": 0, "other": 0}
-        for shapes, step_set in corrupt_shape_sequences(5, 4000):
+        bad_steps = dict.fromkeys(("illegal add", "illegal remove", "two rows", "zero row"), 0)
+        for shapes, step_set in chain(corrupt_shape_sequences(5, 4000), detours(5)):
+            for kind in corruptions(shapes):
+                bad_steps[kind] += 1
             t = VacillatingTableau(shapes, step_set)
             expect = reference_scan(t)
             if tableaux._scan(t) != expect:
@@ -385,25 +515,34 @@ class TestValidation:
             key = "valid" if not problems else (
                 "not a shape" if "not a shape" in problems[0] else "other")
             seen[key] += 1
-        if min(seen.values()) < 600:
-            raise AssertionError(f"too few of one outcome: {seen}")
+        if min(seen.values()) < 600 or min(bad_steps.values()) < 150:
+            raise AssertionError(f"too few of one outcome or step: {seen}, {bad_steps}")
 
 
 class TestStepPairs:
     @pytest.mark.parametrize("step_set", [P, B])
     def test_legal_pairs_are_the_documented_ones(self, step_set):
+        # one vertex from the shape (2,), where an add and a remove at
+        # row 1 are legal as either half, so the scan judges every pair
         documented = documented_kinds(step_set)
         assert len(documented) == 4
         half = {None: None, "+": ("+", 1), "-": ("-", 1)}
-        accepted = {
-            kinds for kinds in product(half, repeat=2)
-            if tableaux._legal_pair((half[kinds[0]], half[kinds[1]]), step_set)
-        }
+        accepted = set()
+        for kinds in product(half, repeat=2):
+            pair = (half[kinds[0]], half[kinds[1]])
+            mid = _apply((2,), pair[0])
+            problems, pairs = tableaux._scan(VacillatingTableau(((2,), mid, _apply(mid, pair[1])),
+                                                                step_set))
+            assert pairs == (pair,)
+            if f"vertex 1: pair {pair} not allowed for {step_set} steps" not in problems:
+                accepted.add(kinds)
         assert accepted == documented
 
     def test_unknown_step_set_is_refused(self):
-        with pytest.raises(ValueError, match="unknown step set 'tangled'"):
-            tableaux._legal_pair((None, None), "tangled")
+        t = VacillatingTableau(((), (), ()), "tangled")
+        assert not validate_tableau(t)
+        with pytest.raises(ValueError, match="^unknown step set 'tangled'$"):
+            step_pairs(t)
 
     def test_examples(self):
         assert step_pairs(VacillatingTableau(((), (), ()), P)) == ((None, None),)
@@ -480,29 +619,35 @@ class TestConversion:
         assert 0 < len(calls) <= len(bad.shapes)
 
     def test_witness_route_scans_each_tableau_once(self, monkeypatch):
-        import noncrossing.tableaux as tableaux_module
         from noncrossing.duality import contract_partition, contract_partition_via_tableaux
 
-        counts = {"validations": 0, "half_steps": 0}
-        scan = tableaux_module._scan
+        scanned = []
+        scan = tableaux._scan
 
         def counted_scan(t):
-            counts["validations"] += 1
+            scanned.append((t.step_set, t.n))
             return scan(t)
 
-        def counted_half_step(prev, nxt):
-            counts["half_steps"] += 1
-            return half_step(prev, nxt)
-
-        monkeypatch.setattr(tableaux_module, "_scan", counted_scan)
-        monkeypatch.setattr(tableaux_module, "half_step", counted_half_step)
+        monkeypatch.setattr(tableaux, "_scan", counted_scan)
         n = 7
         p = PartitionDiagram(n, ((1, 3), (2, 5), (3, 4), (5, 7)))
         assert contract_partition_via_tableaux(p) == contract_partition(p)
         # the partition tableau is built by the right-to-left scan and
-        # read as shapes, so only the braid tableau over [n-1] is scanned:
-        # 2(n - 1) shape transitions
-        assert counts == {"validations": 1, "half_steps": 2 * (n - 1)}
+        # read as shapes, so only the braid tableau over [n-1] is
+        # scanned, once
+        assert scanned == [(B, n - 1)]
+
+    def test_row_lengths_match_the_reference_filling(self):
+        # diagram_to_tableau counts the squares of each row as its scan
+        # inserts and extracts; the reference measures every row of the
+        # filling after each half-step
+        small = [p for n in range(9) for p in partitions_of(n)]
+        small += [b for n in range(8) for b in braids_over(n)]
+        large = list(random_diagrams(11, 500))
+        assert len(small) == 2 * sum(map(bell_number, range(9))) - 1
+        assert sum(isinstance(d, BraidDiagram) for d in large) > 200
+        for d in small + large:
+            assert diagram_to_tableau(d) == reference_tableau(d), d
 
     def test_round_trips(self):
         for n in range(0, 8):
