@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Arc = tuple[int, int]
 
@@ -212,6 +212,38 @@ def crossing_number_of_arcs(arcs: Iterable[Arc], shared_endpoint: bool) -> int:
     return best
 
 
+def has_k_crossing(arcs: Sequence[Arc], k: int, shared_endpoint: bool) -> bool:
+    """True when some k of the arcs cross, that is, when
+    crossing_number_of_arcs(arcs, shared_endpoint) >= k, for k >= 1.
+
+    The arcs must have distinct starts and come in start order, as the
+    arcs of a partition or a braid do in a diagram.  The scan is the
+    statistic's, stopped as soon as it can answer: k crossing arcs have
+    k distinct starts, so their cut c = i_k is the k-th start or a later
+    one, and the first k - 1 cuts are skipped; the scan returns at the
+    first patience run of length k.  With distinct starts, start order
+    is the (i, -j) order the statistic sorts by.
+    """
+    if len(arcs) < k:
+        return False
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    for t in range(k - 1, len(arcs)):
+        c = arcs[t][0]
+        low = c - 1 if shared_endpoint else c  # an arc (i, j) spans c when j > low
+        tails: list[int] = []
+        for _, j in arcs[: t + 1]:
+            if j > low:
+                h = bisect_left(tails, j)
+                if h < len(tails):
+                    tails[h] = j
+                elif h + 1 < k:
+                    tails.append(j)
+                else:
+                    return True
+    return False
+
+
 def partition_crossing_number(p: PartitionDiagram) -> int:
     return crossing_number_of_arcs(p.arcs, shared_endpoint=False)
 
@@ -221,13 +253,15 @@ def braid_crossing_number(b: BraidDiagram) -> int:
 
 
 def is_k_noncrossing(d: PartitionDiagram | BraidDiagram, k: int) -> bool:
-    """True when the diagram has no k mutually crossing arcs (class rules)."""
+    """True when the diagram has no k mutually crossing arcs, in its
+    class's convention.  Asked by has_k_crossing, which stops at the
+    first k crossing arcs; the diagram's sorted arcs are in start order."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
     if isinstance(d, PartitionDiagram):
-        return partition_crossing_number(d) < k
+        return not has_k_crossing(d.arcs, k, shared_endpoint=False)
     if isinstance(d, BraidDiagram):
-        return braid_crossing_number(d) < k
+        return not has_k_crossing(d.arcs, k, shared_endpoint=True)
     raise TypeError(f"expected a partition or braid diagram, got {type(d).__name__}")
 
 

@@ -2,18 +2,22 @@
 
 One stream feeds both.  Set partitions come from restricted growth
 strings in lexicographic order, which is canonical and duplicate-free,
-and each word becomes its arcs by one rule: a label's previous
-occurrence closes an arc.  Each class keeps the words that pass its
-filter: the 2-regular test first, where the class asks for it, then the
-crossing number in the class's convention (_FILTERS).  The generators
+and each word becomes its arcs in start order by one rule: read right
+to left, a vertex starts an arc to its label's next occurrence.  Each
+class keeps the words that pass its filter: the 2-regular test first,
+where the class asks for it, then the k-crossing test in the class's
+convention (_FILTERS).  That test, diagrams.has_k_crossing, takes the
+arcs in start order and only asks whether some k of them cross: it
+skips the cuts before the k-th start and stops at the first k crossing
+arcs, so no word pays for its whole crossing number.  The generators
 wrap the surviving arcs in validated diagrams; count_class counts them
 and builds no diagram.
 
 Braids are produced through their loop-stripped skeletons: every braid
 is a partition diagram (the non-loop arcs) plus a choice of
 loop-or-isolated for each untouched vertex, so enumerating skeletons
-whose shared-endpoint crossing number stays below k and expanding the
-isolated vertices covers each braid exactly once.  A loop joins no
+with no k crossing arcs in the shared-endpoint convention and expanding
+the isolated vertices covers each braid exactly once.  A loop joins no
 crossing set of two or more arcs, so every one of the 2^f choices at a
 skeleton with f isolated vertices keeps its crossing number, and
 count_class weighs such a B_k skeleton 2^f; a B_k_dagger skeleton loops
@@ -32,7 +36,7 @@ from .diagrams import (
     Arc,
     BraidDiagram,
     PartitionDiagram,
-    crossing_number_of_arcs,
+    has_k_crossing,
 )
 
 #: Hard ceiling on brute-force configuration counts.
@@ -82,15 +86,18 @@ def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
 
 
 def _partition_arcs(n: int) -> Iterator[list[Arc]]:
-    """The arcs of every set partition of [n], in growth-string order:
-    each label's previous occurrence closes an arc."""
+    """The arcs of every set partition of [n], in growth-string order,
+    each list in start order: read right to left, a vertex starts an arc
+    to its label's next occurrence."""
     for word in restricted_growth_strings(n):
-        last: dict[int, int] = {}
+        following: dict[int, int] = {}
         arcs = []
-        for v, label in enumerate(word, 1):
-            if label in last:
-                arcs.append((last[label], v))
-            last[label] = v
+        for v in range(n, 0, -1):
+            label = word[v - 1]
+            if label in following:
+                arcs.append((v, following[label]))
+            following[label] = v
+        arcs.reverse()
         yield arcs
 
 
@@ -112,7 +119,7 @@ def _class_arcs(class_tag: str, n: int, k: int) -> Iterator[list[Arc]]:
         # the cheap test first: only Bell(n-1) of Bell(n) partitions pass it
         if two_regular and any(j == i + 1 for i, j in arcs):
             continue
-        if crossing_number_of_arcs(arcs, shared_endpoint) < k:
+        if not has_k_crossing(arcs, k, shared_endpoint):
             yield arcs
 
 
@@ -167,7 +174,8 @@ def count_class(class_tag: str, k: int, n: int) -> int:
     isolated vertices counts 2^f, every other member 1."""
     members = _class_arcs(class_tag, n, k)
     if class_tag == "B_k":
-        return sum(1 << len(_isolated(n, arcs)) for arcs in members)
+        # f is the number of vertices of [n] that no arc touches
+        return sum(1 << (n - len(set().union(*arcs))) for arcs in members)
     return sum(1 for _ in members)
 
 

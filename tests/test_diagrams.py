@@ -17,6 +17,7 @@ from noncrossing.diagrams import (
     crossing_number_of_arcs,
     diagram_svg,
     format_diagram,
+    has_k_crossing,
     is_k_noncrossing,
     is_two_regular,
     parse_diagram,
@@ -335,6 +336,70 @@ class TestCrossingStatistics:
             is_k_noncrossing(PartitionDiagram(1), 1)
         with pytest.raises(TypeError):
             is_k_noncrossing(ArcDiagram(1), 3)
+
+
+def seeded_diagrams(seed, count):
+    """Seeded partitions and braids, alternately, at n = 20..60, from
+    random block labels drawn from 2..n/2 of them; a braid loops each
+    isolated vertex with probability 1/2."""
+    rng = random.Random(seed)
+    for t in range(count):
+        n = rng.randint(20, 60)
+        labels = [rng.randrange(rng.randint(2, n // 2)) for _ in range(n)]
+        blocks = {}
+        for v, label in enumerate(labels, 1):
+            blocks.setdefault(label, []).append(v)
+        p = partition_from_blocks(blocks.values())
+        if t % 2:
+            loops = tuple((v, v) for v in p.isolated_vertices() if rng.random() < 0.5)
+            yield BraidDiagram(n, p.arcs + loops)
+        else:
+            yield p
+
+
+class TestKCrossing:
+    # has_k_crossing answers crossing_number_of_arcs(arcs, shared) >= k
+    # and stops at the first k crossing arcs
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_partitions_against_subset_oracle(self, shared):
+        for n in range(0, 9):
+            for p in partitions_of(n):
+                cross = oracle_crossing(p.arcs, shared)
+                for k in range(2, 7):
+                    assert has_k_crossing(p.arcs, k, shared) == (cross >= k), (p, k)
+
+    def test_braids_against_subset_oracle(self):
+        for n in range(0, 8):
+            for b in braids_over(n):
+                cross = oracle_crossing(b.arcs, True)
+                for k in range(2, 7):
+                    assert has_k_crossing(b.arcs, k, True) == (cross >= k), (b, k)
+
+    def test_seeded_diagrams_at_the_statistic(self):
+        seen = {PartitionDiagram: 0, BraidDiagram: 0}
+        for d in seeded_diagrams(20_130, 500):
+            seen[type(d)] += 1
+            for shared in (False, True):
+                cross = window_crossing(d.arcs, shared)
+                # both sides of the threshold, and k = 2..6
+                for k in {2, 3, 4, 5, 6, cross, cross + 1} - {0, 1}:
+                    assert has_k_crossing(d.arcs, k, shared) == (cross >= k), (d, k, shared)
+        assert min(seen.values()) == 250, seen
+
+    def test_examples(self):
+        arcs = ((1, 4), (2, 5), (3, 6))
+        assert has_k_crossing(arcs, 3, False)
+        assert not has_k_crossing(arcs, 4, False)
+        assert not has_k_crossing((), 2, True)
+        assert has_k_crossing(((1, 2),), 1, False)
+        assert has_k_crossing(((1, 1),), 1, True)
+        assert not has_k_crossing(((1, 1),), 1, False)
+
+    def test_k_validation(self):
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                has_k_crossing(((1, 2),), k, False)
 
 
 class TestPredicates:

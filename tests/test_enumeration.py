@@ -4,12 +4,15 @@ from itertools import combinations
 
 import pytest
 
+from conftest import partitions_of
 from noncrossing import verify
 from noncrossing.diagrams import (
     BraidDiagram,
     InvalidDiagramError,
     PartitionDiagram,
+    crossing_number_of_arcs,
     is_k_noncrossing,
+    is_two_regular,
     partition_from_blocks,
 )
 from noncrossing.enumeration import (
@@ -83,13 +86,13 @@ class TestPartitionStream:
 
         expected = list(gen_2regular_k(7, 3))
         calls = []
-        real = enumeration_module.crossing_number_of_arcs
+        real = enumeration_module.has_k_crossing
 
         def counted(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(enumeration_module, "crossing_number_of_arcs", counted)
+        monkeypatch.setattr(enumeration_module, "has_k_crossing", counted)
         assert list(gen_2regular_k(7, 3)) == expected
         # only the Bell(n-1) 2-regular partitions reach the crossing filter
         assert len(calls) == bell_number(6)
@@ -161,6 +164,40 @@ class TestCountingStream:
             for n in range(0, 9):
                 generated = sum(1 for _ in GENERATORS[tag](n, k))
                 assert count_class(tag, k, n) == generated, (tag, k, n)
+
+    def test_streams_are_the_crossing_number_rule(self):
+        # the reference filters the set partitions, in their order, by the
+        # 2-regular test where the class asks for it and then the whole
+        # crossing number, and expands a skeleton's isolated vertices as
+        # the braid generators do
+        def reference(tag, n, k):
+            shared = tag in ("B_k", "B_k_dagger")
+            for p, crossing in zip(partitions_of(n), crossings[n, shared]):
+                if tag == "P_k2" and not is_two_regular(p):
+                    continue
+                if crossing >= k:
+                    continue
+                free = p.isolated_vertices()
+                if tag == "B_k":
+                    for mask in range(1 << len(free)):
+                        loops = tuple((v, v) for t, v in enumerate(free) if mask >> t & 1)
+                        yield BraidDiagram(n, p.arcs + loops)
+                elif tag == "B_k_dagger":
+                    yield BraidDiagram(n, p.arcs + tuple((v, v) for v in free))
+                else:
+                    yield p
+
+        crossings = {
+            (n, shared): [crossing_number_of_arcs(p.arcs, shared) for p in partitions_of(n)]
+            for n in range(0, 9)
+            for shared in (False, True)
+        }
+        for tag, gen in GENERATORS.items():
+            for k in range(2, 7):
+                for n in range(0, 9):
+                    expected = list(reference(tag, n, k))
+                    assert list(gen(n, k)) == expected, (tag, k, n)
+                    assert count_class(tag, k, n) == len(expected), (tag, k, n)
 
     def test_count_builds_no_diagram(self, monkeypatch):
         import noncrossing.enumeration as enumeration_module
