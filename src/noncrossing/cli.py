@@ -12,9 +12,12 @@ the first such term.  Reports are JSON on stdout with sorted keys
 field).  A table of counts, the "counts" member of a JSON report or a
 CSV table, is written row by row straight from the one table, and only
 the rest of a JSON report goes through the encoder; either is written
-after every refusal.  The text lines of enum are written as they are
-generated, after the refusal of a budget or of a k below 2.  A reader
-that closes stdout early cuts the output short but not the exit code.
+after every refusal.  The diagrams of enum, text lines or the
+"diagrams" member of its report, are written as they are generated,
+after the refusal of a budget or of a k below 2.  A report's
+elapsed_seconds is the handler's time before the first byte: for enum,
+its refusals and its first diagram.  A reader that closes stdout early
+cuts the output short but not the exit code.
 Diagnostics go to stderr.  Exit codes: 0 success or verification
 passed, 1 usage error, refused input or a library ArithmeticError, 2
 verification failure (rho3 --route all also when a route raises
@@ -125,10 +128,11 @@ def _cmd_enum(ns: argparse.Namespace) -> tuple[dict | Iterator[str], int]:
     class_tag = _CLASS_TAGS[ns.class_name]
     enumeration.require_brute_budget(class_tag, ns.n)
     lines = map(diagrams.format_diagram, enumeration.GENERATORS[class_tag](ns.n, ns.k))
-    if ns.format == "json":
-        return {"class": ns.class_name, "k": ns.k, "n": ns.n, "diagrams": list(lines)}, 0
     # the generator refuses k < 2 at its first diagram, before any is written
-    return chain([next(lines, "")], lines), 0
+    lines = chain([next(lines, "")], lines)
+    if ns.format == "json":
+        return {"class": ns.class_name, "k": ns.k, "n": ns.n, "diagrams": lines}, 0
+    return lines, 0
 
 
 def _cmd_map(ns: argparse.Namespace) -> tuple[dict | str, int]:
@@ -208,36 +212,51 @@ def _decimal_text(value: object) -> str:
 
 
 _REPORT_ENCODER = json.JSONEncoder(sort_keys=True, indent=2, default=_decimal_text)
-#: how _REPORT_ENCODER opens the top-level "counts" member of a report
-_COUNTS_MEMBER = '\n  "counts": '
 #: the characters joined into one write to stdout, at most one chunk more
 _WRITE_BATCH = 1 << 16
 
 
 def _report_chunks(report: dict) -> Iterable[str]:
-    """The text of report as _REPORT_ENCODER gives it, in chunks.  A
-    "counts" table {n: digits} is written row by row, with its keys as
-    str(n) in the order sort_keys gives them; only the rest of the report
-    goes through the encoder."""
-    if "counts" not in report:
+    """The text of report as _REPORT_ENCODER gives it, in chunks.  Its
+    one streamed member, a "counts" table {n: digits} or a "diagrams"
+    iterator of lines, is written row by row, and only the rest of the
+    report goes through the encoder."""
+    member = next((name for name in _STREAMED if name in report), None)
+    if member is None:
         return _REPORT_ENCODER.iterencode(report)
-    envelope = _REPORT_ENCODER.encode({**report, "counts": {}})
-    head, _, tail = envelope.partition(_COUNTS_MEMBER + "{}")
-    return chain([head, _COUNTS_MEMBER], _rows(report["counts"]), [tail])
+    brackets, rows = _STREAMED[member]
+    envelope = _REPORT_ENCODER.encode({**report, member: None})
+    opening = f'\n  "{member}": '
+    head, _, tail = envelope.partition(opening + "null")
+    return chain([head, opening], _nested(brackets, rows(report[member])), [tail])
 
 
-def _rows(table: dict[int, str | Decimal]) -> Iterator[str]:
-    """The JSON object {str(n): table[n]} one level down in a report, a
-    row per chunk; count_text never hands out an empty table.  A value
-    must be a str or a Decimal: anything else raises the TypeError of
-    _decimal_text."""
-    opening = "{"
+def _nested(brackets: str, rows: Iterable[str]) -> Iterator[str]:
+    """A JSON object or array one level down in a report, from its rows
+    as _REPORT_ENCODER writes them, a row per chunk."""
+    opening, closing = brackets
+    separator = opening
+    for row in rows:
+        yield f"{separator}\n    {row}"
+        separator = ","
+    yield f"\n  {closing}" if separator == "," else brackets
+
+
+def _table_rows(table: dict[int, str | Decimal]) -> Iterator[str]:
+    """The members of the JSON object {str(n): table[n]}, with its keys
+    in the order sort_keys gives them.  A value must be a str or a
+    Decimal: anything else raises the TypeError of _decimal_text."""
     for n in sorted(table, key=str):
         value = table[n]
         digits = value if isinstance(value, str) else _decimal_text(value)
-        yield f'{opening}\n    "{n}": "{digits}"'
-        opening = ","
-    yield "\n  }"
+        yield f'"{n}": "{digits}"'
+
+
+#: a report's streamed member -> its empty form and its rows
+_STREAMED = {
+    "counts": ("{}", _table_rows),
+    "diagrams": ("[]", lambda lines: map(_REPORT_ENCODER.encode, lines)),
+}
 
 
 def _write(chunks: Iterable[str]) -> None:

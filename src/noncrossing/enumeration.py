@@ -37,6 +37,8 @@ from .diagrams import (
     BraidDiagram,
     PartitionDiagram,
     has_k_crossing,
+    is_k_noncrossing,
+    is_two_regular,
 )
 
 #: Hard ceiling on brute-force configuration counts.
@@ -166,6 +168,22 @@ GENERATORS = {
     "B_k": gen_braids,
     "B_k_dagger": gen_braids_no_isolated,
 }
+
+
+def is_member(class_tag: str, d: object, n: int, k: int) -> bool:
+    """True when d is one of the diagrams GENERATORS[class_tag](n, k)
+    yields: a diagram of the class's type over [n], with no k crossing
+    arcs in its convention, 2-regular for P_k2 and with no isolated
+    vertex for B_k_dagger.  The type is compared exactly, as diagram
+    equality compares it."""
+    two_regular, braid = _FILTERS[class_tag]
+    if type(d) is not (BraidDiagram if braid else PartitionDiagram) or d.n != n:
+        return False
+    if two_regular and not is_two_regular(d):
+        return False
+    if class_tag == "B_k_dagger" and d.isolated_vertices():
+        return False
+    return is_k_noncrossing(d, k)
 
 
 def count_class(class_tag: str, k: int, n: int) -> int:

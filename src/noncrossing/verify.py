@@ -2,10 +2,14 @@
 cross-validation suites, with run_suites() theirs.  Every class counts
 by brute force at every k; rho3 (B_k_dagger at k = 3) also by three
 formula routes, which rho3_agreement checks against each other.  The
-paper's two theorems share one check, _bijection.  Every entry point
-has a size cap, refused with RangeGuardError before any work.  A failed
-suite names its route, n and k and a counterexample: a diagram, the
-disagreeing values, or the ArithmeticError a route raised."""
+paper's two theorems share one check, _bijection: a map that is
+one-to-one, lands in the image class (enumeration.is_member) and has a
+domain as large as that class (enumeration.count_class) is onto it, so
+no set of diagrams is kept.  Every entry point has a size cap, refused
+with RangeGuardError before any work, and a suite that would check no
+n is refused with ValueError.  A failed suite names its route, n and k
+and a counterexample: a diagram, the disagreeing values, or the
+ArithmeticError a route raised."""
 
 from __future__ import annotations
 
@@ -155,38 +159,52 @@ def rho3_agreement(n_max: int) -> tuple[dict[str, dict[int, str | Decimal]], dic
 # -- the suites -------------------------------------------------------------------
 
 
-def _bijection(name: str, k: int, n_max: int, domain: Callable, image_class: Callable,
+def _bijection(name: str, k: int, n_max: int, domain: Callable, image_class: str,
                forward: Callable, inverse: Callable) -> dict:
-    """For each n in 2..n_max: inverse(forward(p)) == p for every p in
-    domain(n, k) (so forward is one-to-one), and the images are exactly
-    image_class(n - 1, k)."""
+    """For each n in 2..n_max, forward maps domain(n, k) onto the class
+    image_class over [n - 1].  One pass over the domain checks that
+    inverse(forward(p)) == p, so forward is one-to-one, and that
+    forward(p) is a member of the image class; the domain's size then
+    equals enumeration.count_class of the image class, so forward is
+    onto.  Only two counters are kept, no set of diagrams.  When the
+    sizes differ, both sets are built at that n alone, to name the least
+    diagram in one and not the other, or, when the sets are equal (a
+    domain that repeats a diagram, or a wrong count), the three sizes."""
+    generate = enumeration.GENERATORS[image_class]
     cardinalities = {}
     for n in range(2, n_max + 1):
-        images = set()
+        outside = f"the images are not {generate.__name__}({n - 1}, {k})"
+        size = 0
         for p in domain(n, k):
             image = forward(p)
             if inverse(image) != p:
                 return _failure(name, "round trip broken", p, n=n, k=k)
-            images.add(image)
-        target = set(image_class(n - 1, k))
-        if images != target:
-            return _failure(name, f"the images are not {image_class.__name__}({n - 1}, {k})",
-                            min(images ^ target, key=lambda d: d.arcs), n=n, k=k)
-        cardinalities[n] = len(images)
+            if not enumeration.is_member(image_class, image, n - 1, k):
+                return _failure(name, outside, image, n=n, k=k)
+            size += 1
+        counted = enumeration.count_class(image_class, k, n - 1)
+        if size != counted:
+            images = set(map(forward, domain(n, k)))
+            target = set(generate(n - 1, k))
+            if images != target:
+                return _failure(name, outside, min(images ^ target, key=lambda d: d.arcs),
+                                n=n, k=k)
+            sizes = {"domain": size, "count_class": counted, "image_class": len(target)}
+            return _failure(name, "the sizes disagree", sizes, n=n, k=k)
+        cardinalities[n] = size
     return {"name": name, "passed": True, "details": {"cardinalities": cardinalities}}
 
 
 def _suite_duality(k: int, n_max: int) -> dict:
     """Contraction maps P_k over [n] onto B_k over [n-1], and expand_braid
     (map --inverse) inverts it."""
-    return _bijection("duality", k, n_max, enumeration.gen_partitions_k, enumeration.gen_braids,
+    return _bijection("duality", k, n_max, enumeration.gen_partitions_k, "B_k",
                       duality.contract_partition, duality.expand_braid)
 
 
 def _suite_restriction(k: int, n_max: int) -> dict:
     """Restricted to P_k2 over [n], it maps onto B_k_dagger over [n-1]."""
-    return _bijection("restriction", k, n_max, enumeration.gen_2regular_k,
-                      enumeration.gen_braids_no_isolated,
+    return _bijection("restriction", k, n_max, enumeration.gen_2regular_k, "B_k_dagger",
                       lambda p: duality.contract_two_regular(p, k),
                       lambda b: duality.expand_braid_no_isolated(b, k))
 
@@ -302,12 +320,19 @@ SUITE_NAMES = tuple(sorted(_SUITES))
 
 #: suite -> the class it is charged for at n_max (tableau: every braid)
 _SUITE_BUDGETS = {"duality": "P_k", "restriction": "P_k", "routes": "P_k", "tableau": "B_k"}
+#: the suites that check n = 2..n_max: a map onto [n - 1] needs n >= 2
+_FROM_TWO = ("duality", "restriction")
 
 
 def run_suites(names, k: int, n_max: int) -> list[dict]:
-    """The reports of the named suites, in order.  Every suite that
-    enumerates is charged its budget before the first one runs, so that
-    a refusal comes before any work."""
+    """The reports of the named suites, in order.  A suite that would
+    check no n is refused, and every suite that enumerates is charged
+    its budget, before the first one runs, so that a refusal comes
+    before any work."""
+    vacuous = [name for name in names if name in _FROM_TWO and n_max < 2]
+    if vacuous:
+        verb = "suites start" if len(vacuous) > 1 else "suite starts"
+        raise ValueError(f"the {' and '.join(vacuous)} {verb} at n = 2, got n_max = {n_max}")
     for class_tag in filter(None, map(_SUITE_BUDGETS.get, names)):
         enumeration.require_brute_budget(class_tag, n_max)
     return [_SUITES[name](k, n_max) for name in names]

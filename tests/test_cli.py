@@ -7,7 +7,7 @@ import sys
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import pytest
@@ -136,6 +136,78 @@ class TestEnum:
         assert status == 0 and (sink.lines, sink.length) == (19_095, 638_085)
         assert peak < sink.length
 
+    def test_json_is_written_as_it_is_generated(self, monkeypatch):
+        # 771 986 characters; with the diagrams listed before the report
+        # was encoded, they peaked at about 2.8 times that
+        reports = []
+        chunks = cli._report_chunks
+
+        def kept(report):
+            reports.append(report)
+            return chunks(report)
+
+        sink = _CountingSink()
+        monkeypatch.setattr(sys, "stdout", sink)
+        monkeypatch.setattr(cli, "_report_chunks", kept)
+        argv = ["enum", "--class", "partitions", "--k", "3", "--n", "9", "--format", "json"]
+        tracemalloc.start()
+        try:
+            status = cli.run(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        [report] = reports
+        assert status == 0 and sink.length > 700_000
+        assert peak < sink.length
+        assert next(report["diagrams"], None) is None  # every row was written
+
+    @pytest.mark.parametrize("tag", sorted(enumeration.GENERATORS))
+    def test_json_rows_are_the_encoders_bytes(self, capsys, monkeypatch, tag):
+        name = {tag: name for name, tag in cli._CLASS_TAGS.items()}[tag]
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: 0.0)
+        for n in (0, 1, 4):
+            assert cli.run(["enum", "--class", name, "--n", str(n), "--format", "json"]) == 0
+            report = {
+                "command": "enum",
+                "args": {"class_name": name, "k": 3, "n": n, "format": "json"},
+                "version": cli.__version__,
+                "elapsed_seconds": 0.0,
+                "class": name, "k": 3, "n": n,
+                "diagrams": [diagrams.format_diagram(d)
+                             for d in enumeration.GENERATORS[tag](n, 3)],
+            }
+            assert capsys.readouterr().out == cli._REPORT_ENCODER.encode(report) + "\n"
+
+    def test_json_elapsed_time_ends_at_the_first_byte(self, capsys, monkeypatch):
+        # the first diagram is timed, the ones written after it are not
+        now = [0.0]
+
+        def generator(n, k):
+            now[0] += 1
+            yield diagrams.PartitionDiagram(n)
+            now[0] += 100
+            yield diagrams.PartitionDiagram(n, ((1, 2),))
+
+        monkeypatch.setitem(enumeration.GENERATORS, "P_k", generator)
+        monkeypatch.setattr(cli.time, "perf_counter", lambda: now[0])
+        status, report = run_json(capsys, "enum", "--class", "partitions", "--n", "2",
+                                  "--format", "json")
+        assert status == 0 and report["diagrams"] == ["n=2; arcs=", "n=2; arcs=(1,2)"]
+        assert report["elapsed_seconds"] == 1.0
+
+    @pytest.mark.parametrize("argv,diagnostic", [
+        ("--k 1 --n 3", {"error": "ValueError", "message": "k must be >= 2, got 1"}),
+        ("--n 13", {"error": "RangeGuardError",
+                    "message": "P_k over [13] is charged Bell(13) = 27644437, "
+                               "over the brute-force budget of 10000000"}),
+    ], ids=["k", "budget"])
+    def test_a_json_refusal_writes_nothing_to_stdout(self, capsys, argv, diagnostic):
+        argv = ["enum", "--class", "partitions", *argv.split(), "--format", "json"]
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == diagnostic
+
     @pytest.mark.parametrize("argv,diagnostic", [
         ("--k 1 --n 3", {"error": "ValueError", "message": "k must be >= 2, got 1"}),
         ("--n 13", {"error": "RangeGuardError",
@@ -213,6 +285,18 @@ class TestVerify:
         assert status == 0
         assert report["suites"][0]["details"]["cardinalities"]["7"] == 859
 
+    def test_bijection_suites_hold_no_sets(self):
+        # each suite keeps two counters per n; with a set of the images and
+        # one of the image class, duality peaked at about 3.0 MB here
+        for name, bound in (("duality", 1_000_000), ("restriction", 250_000)):
+            tracemalloc.start()
+            try:
+                [report] = verify.run_suites([name], 3, 8)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert report["passed"] is True and peak < bound, (name, peak)
+
     def test_walks_suite_walks_once(self, capsys, monkeypatch):
         calls = []
         table = walks._quadrant_walk_table
@@ -285,6 +369,25 @@ class TestSuiteFailures:
         assert (failed["details"]["n"], failed["details"]["k"]) == (4, 3)
         assert failed["counterexample"] == "n=3; arcs=(1,1)(2,2)(3,3)"
 
+    @pytest.mark.parametrize("broken", ["count_class", "domain"])
+    def test_duality_sizes_disagree(self, capsys, monkeypatch, broken):
+        # every image is a member and the image set is the class, but the
+        # domain is not as large as count_class says
+        if broken == "count_class":
+            count = enumeration.count_class
+            monkeypatch.setattr(enumeration, "count_class",
+                                lambda tag, k, n: count(tag, k, n) + (n == 3))
+            sizes = {"domain": 15, "count_class": 16, "image_class": 15}
+        else:
+            gen = enumeration.gen_partitions_k
+            monkeypatch.setattr(enumeration, "gen_partitions_k",
+                                lambda n, k: chain(gen(n, k), islice(gen(n, k), int(n == 4))))
+            sizes = {"domain": 16, "count_class": 15, "image_class": 15}
+        failed = self._run(capsys, "duality")
+        assert (failed["details"]["n"], failed["details"]["k"]) == (4, 3)
+        assert failed["details"]["reason"] == "the sizes disagree"
+        assert failed["counterexample"] == sizes
+
     def test_duality_checks_the_inverse(self, capsys, monkeypatch):
         # an inverse that drops the first loop passes every other check
         expand = duality.expand_braid
@@ -304,6 +407,27 @@ class TestSuiteFailures:
         failed = self._run(capsys, "restriction")
         assert (failed["details"]["n"], failed["details"]["k"]) == (2, 3)
         assert failed["counterexample"] == "n=2; arcs="
+
+    def test_restriction_image_outside_the_class(self, capsys, monkeypatch):
+        # mutually inverse, one-to-one and of the right size, but the images
+        # of the 2-regular partitions whose contraction loops vertex 1 leave
+        # that vertex isolated, so they are not braids without isolated points
+        contract, expand = duality.contract_two_regular, duality.expand_braid_no_isolated
+
+        def drop_loop_1(p, k):
+            b = contract(p, k)
+            return type(b)(b.n, tuple(a for a in b.arcs if a != (1, 1)))
+
+        def loop_1(b, k):
+            arcs = b.arcs + ((1, 1),) if 1 in b.isolated_vertices() else b.arcs
+            return expand(type(b)(b.n, arcs), k)
+
+        monkeypatch.setattr(duality, "contract_two_regular", drop_loop_1)
+        monkeypatch.setattr(duality, "expand_braid_no_isolated", loop_1)
+        failed = self._run(capsys, "restriction")
+        assert (failed["details"]["n"], failed["details"]["k"]) == (2, 3)
+        assert failed["details"]["reason"] == "the images are not gen_braids_no_isolated(1, 3)"
+        assert failed["counterexample"] == "n=1; arcs="
 
     def test_routes(self, capsys, monkeypatch):
         monkeypatch.setattr(duality, "contract_partition_via_tableaux", lambda p: None)
@@ -497,6 +621,21 @@ class TestBudgets:
         assert cli.run(["verify", "--suite", suite, "--n-max", "-3"]) == 1
         diagnostic = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert diagnostic == {"error": "ValueError", "message": "--n-max must be at least 1"}
+
+    @pytest.mark.parametrize("suite,named", [
+        ("duality", "the duality suite starts"),
+        ("restriction", "the restriction suite starts"),
+        ("all", "the duality and restriction suites start"),
+    ])
+    def test_verify_rejects_a_bijection_suite_below_n_2(self, capsys, monkeypatch, suite, named):
+        # the maps go from [n] to [n - 1], so n = 1 is no case of theirs
+        monkeypatch.setattr(enumeration, "restricted_growth_strings", _unreachable)
+        assert cli.run(["verify", "--suite", suite, "--n-max", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err.splitlines()[-1]) == {
+            "error": "ValueError", "message": f"{named} at n = 2, got n_max = 1",
+        }
 
     @pytest.mark.parametrize("argv", [
         "rho3 --route all --n-max 121",

@@ -4,9 +4,10 @@ from itertools import combinations
 
 import pytest
 
-from conftest import partitions_of
+from conftest import braids_over, partitions_of
 from noncrossing import verify
 from noncrossing.diagrams import (
+    ArcDiagram,
     BraidDiagram,
     InvalidDiagramError,
     PartitionDiagram,
@@ -26,6 +27,7 @@ from noncrossing.enumeration import (
     gen_braids_no_isolated,
     gen_partitions_k,
     gen_set_partitions,
+    is_member,
     restricted_growth_strings,
 )
 
@@ -223,6 +225,30 @@ class TestCountingStream:
                     blocks.setdefault(label, []).append(v)
                 expected.append(partition_from_blocks(blocks.values()))
             assert list(gen_set_partitions(n)) == expected, n
+
+
+class TestMembership:
+    @pytest.mark.parametrize("tag", sorted(GENERATORS))
+    def test_members_are_what_the_generator_yields(self, tag):
+        # every partition and every braid is offered to every class, so a
+        # diagram of the other type is refused along with the non-members
+        for k in range(2, 6):
+            for n in range(0, 8):
+                members = set(GENERATORS[tag](n, k))
+                offered = set(partitions_of(n) + (braids_over(n) if n <= 6 else ()))
+                accepted = {d for d in offered if is_member(tag, d, n, k)}
+                assert accepted == members & offered, (tag, k, n)
+                if n <= 6:  # the offered diagrams hold the whole class
+                    assert members <= offered, (tag, k, n)
+
+    @pytest.mark.parametrize("tag", sorted(GENERATORS))
+    def test_the_wrong_n_or_no_diagram_is_refused(self, tag):
+        for n in range(0, 6):
+            for d in GENERATORS[tag](n, 3):
+                assert is_member(tag, d, n, 3)
+                assert not is_member(tag, d, n + 1, 3) and not is_member(tag, d, n - 1, 3)
+        assert not is_member(tag, None, 0, 3)
+        assert not is_member(tag, ArcDiagram(2), 2, 3)
 
 
 class TestCountTable:
