@@ -106,8 +106,13 @@ class ArcDiagram:
         return {j for _, j in self.arcs}
 
     def isolated_vertices(self) -> tuple[int, ...]:
-        touched = self.origins() | self.endpoints()
-        return tuple(v for v in range(1, self.n + 1) if v not in touched)
+        return tuple(isolated(self.n, self.arcs))
+
+
+def isolated(n: int, arcs: Iterable[Arc]) -> list[int]:
+    """The vertices of [n] that no arc touches, in order."""
+    touched = {v for arc in arcs for v in arc}
+    return [v for v in range(1, n + 1) if v not in touched]
 
 
 def _check_endpoints(arcs: Iterable[Arc]) -> None:
@@ -256,13 +261,18 @@ def is_k_noncrossing(d: PartitionDiagram | BraidDiagram, k: int) -> bool:
     """True when the diagram has no k mutually crossing arcs, in its
     class's convention.  Asked by has_k_crossing, which stops at the
     first k crossing arcs; the diagram's sorted arcs are in start order."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    require_k(k)
     if isinstance(d, PartitionDiagram):
         return not has_k_crossing(d.arcs, k, shared_endpoint=False)
     if isinstance(d, BraidDiagram):
         return not has_k_crossing(d.arcs, k, shared_endpoint=True)
     raise TypeError(f"expected a partition or braid diagram, got {type(d).__name__}")
+
+
+def require_k(k: int) -> None:
+    """Refuse k < 2: the k-noncrossing classes start at k = 2."""
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
 
 
 def is_two_regular(p: PartitionDiagram) -> bool:

@@ -36,7 +36,7 @@ count of such partitions reduces to the braid count.
 
 from __future__ import annotations
 
-from .diagrams import BraidDiagram, PartitionDiagram, is_k_noncrossing, is_two_regular
+from .diagrams import BraidDiagram, PartitionDiagram, is_k_noncrossing, is_two_regular, isolated
 from .tableaux import BRAID_STEPS, VacillatingTableau, diagram_to_tableau, tableau_to_diagram
 
 
@@ -101,8 +101,7 @@ def contract_two_regular(p: PartitionDiagram, k: int) -> BraidDiagram:
     if not is_k_noncrossing(p, k):
         raise RestrictedDomainError(f"partition is not {k}-noncrossing")
     n, arcs = _contracted(p)
-    touched = {v for arc in arcs for v in arc}
-    return BraidDiagram(n, arcs + tuple((v, v) for v in range(1, n + 1) if v not in touched))
+    return BraidDiagram(n, arcs + tuple((v, v) for v in isolated(n, arcs)))
 
 
 def expand_braid_no_isolated(b: BraidDiagram, k: int) -> PartitionDiagram:

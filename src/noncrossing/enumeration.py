@@ -39,6 +39,8 @@ from .diagrams import (
     has_k_crossing,
     is_k_noncrossing,
     is_two_regular,
+    isolated,
+    require_k,
 )
 
 #: Hard ceiling on brute-force configuration counts.
@@ -115,7 +117,7 @@ _FILTERS = {
 
 def _class_arcs(class_tag: str, n: int, k: int) -> Iterator[list[Arc]]:
     """The arcs of each partition of [n] that passes class_tag's filter at k."""
-    _require_k(k)
+    require_k(k)
     two_regular, shared_endpoint = _FILTERS[class_tag]
     for arcs in _partition_arcs(n):
         # the cheap test first: only Bell(n-1) of Bell(n) partitions pass it
@@ -123,11 +125,6 @@ def _class_arcs(class_tag: str, n: int, k: int) -> Iterator[list[Arc]]:
             continue
         if not has_k_crossing(arcs, k, shared_endpoint):
             yield arcs
-
-
-def _isolated(n: int, arcs: list[Arc]) -> list[int]:
-    touched = {v for arc in arcs for v in arc}
-    return [v for v in range(1, n + 1) if v not in touched]
 
 
 def gen_set_partitions(n: int) -> Iterator[PartitionDiagram]:
@@ -149,7 +146,7 @@ def gen_2regular_k(n: int, k: int) -> Iterator[PartitionDiagram]:
 def gen_braids(n: int, k: int) -> Iterator[BraidDiagram]:
     """Every k-noncrossing braid over [n], via loop expansion of skeletons."""
     for arcs in _class_arcs("B_k", n, k):
-        free = _isolated(n, arcs)
+        free = isolated(n, arcs)
         for mask in range(1 << len(free)):
             loops = [(v, v) for t, v in enumerate(free) if mask >> t & 1]
             yield BraidDiagram(n, arcs + loops)
@@ -158,7 +155,7 @@ def gen_braids(n: int, k: int) -> Iterator[BraidDiagram]:
 def gen_braids_no_isolated(n: int, k: int) -> Iterator[BraidDiagram]:
     """k-noncrossing braids over [n] in which every vertex is covered."""
     for arcs in _class_arcs("B_k_dagger", n, k):
-        yield BraidDiagram(n, arcs + [(v, v) for v in _isolated(n, arcs)])
+        yield BraidDiagram(n, arcs + [(v, v) for v in isolated(n, arcs)])
 
 
 #: class tag -> generator of its diagrams over [n] at k
@@ -216,7 +213,3 @@ def require_brute_budget(class_tag: str, n: int) -> None:
             f"{bell_number(_REFUSED_SIZE)}, over the brute-force budget of {BRUTE_FORCE_LIMIT}"
         )
 
-
-def _require_k(k: int) -> None:
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")

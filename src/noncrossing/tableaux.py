@@ -78,6 +78,9 @@ StepPair = tuple[HalfStep, HalfStep]  # (odd half-step, even half-step)
 
 PARTITION_STEPS = "partition"
 BRAID_STEPS = "braid"
+#: step set -> the class of the diagrams its tableaux encode
+_DIAGRAM_CLASS = {PARTITION_STEPS: PartitionDiagram, BRAID_STEPS: BraidDiagram}
+_STEP_SET = {cls: step_set for step_set, cls in _DIAGRAM_CLASS.items()}
 
 
 class MalformedTableauError(ValueError):
@@ -317,8 +320,7 @@ def tableau_to_diagram(t: VacillatingTableau) -> PartitionDiagram | BraidDiagram
                 arcs.append((_reverse_bump(filling, row), pos // 2))
     if filling:
         raise MalformedTableauError("valid tableaux drain the filling")
-    cls = PartitionDiagram if t.step_set == PARTITION_STEPS else BraidDiagram
-    return cls(t.n, tuple(arcs))
+    return _DIAGRAM_CLASS[t.step_set](t.n, tuple(arcs))
 
 
 #: step set -> each legal pair by what its vertex does, (places, ejects),
@@ -336,11 +338,8 @@ def diagram_to_tableau(d: PartitionDiagram | BraidDiagram) -> VacillatingTableau
     Exact inverse of tableau_to_diagram; the maximal row count of the
     result equals the crossing number of the diagram.
     """
-    if isinstance(d, PartitionDiagram):
-        step_set = PARTITION_STEPS
-    elif isinstance(d, BraidDiagram):
-        step_set = BRAID_STEPS
-    else:
+    step_set = _STEP_SET.get(type(d))
+    if step_set is None:
         raise TypeError(f"expected a partition or braid diagram, got {type(d).__name__}")
 
     partner = {j: i for i, j in d.arcs}  # vertex -> entry its ejection released

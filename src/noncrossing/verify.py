@@ -6,10 +6,14 @@ paper's two theorems share one check, _bijection: a map that is
 one-to-one, lands in the image class (enumeration.is_member) and has a
 domain as large as that class (enumeration.count_class) is onto it, so
 no set of diagrams is kept.  Every entry point has a size cap, refused
-with RangeGuardError before any work, and a suite that would check no
-n is refused with ValueError.  A failed suite names its route, n and k
-and a counterexample: a diagram, the disagreeing values, or the
-ArithmeticError a route raised."""
+with RangeGuardError before any work.  Each suite is one entry of
+_SUITES: its check, the class whose brute-force budget it is charged,
+the least n it checks and the one k it checks, if any.  run_suites reads
+only that table, and refuses with ValueError, before any suite runs, a
+call that names a suite that would check another k or no n;
+suite_names(k) gives the suites that check k, which --suite all runs.  A failed suite
+names its route, n and k and a counterexample: a diagram, the
+disagreeing values, or the ArithmeticError a route raised."""
 
 from __future__ import annotations
 
@@ -33,13 +37,10 @@ class _Route(NamedTuple):
 # The size caps of the entry points that do not enumerate (brute force has
 # enumeration.require_brute_budget).  Each was set where the call took
 # about ten seconds on a 2-core x86 VM under Python 3.11: a formula
-# route's table over 1..cap, the walks suite at --n-max cap.  With the
-# kernel rows packed into single integers, the kernel table over 1..120
-# takes 4.3-4.4 s there (8.1-9.1 s before); the walks suite, one walk to
-# --n-max, takes 0.12-0.23 s at 210 (4.3-4.8 s with a walk per n).  With
-# the closed form's twelve terms read from nine shared sums, its table over
-# 1..800 takes 5.4-5.7 s (10.0 s with twelve).  The three caps stay where
-# they were, as raising a cap is a change of its own.
+# route's table over 1..cap, the walks suite at --n-max cap.  There the
+# kernel table over 1..120 now takes 4.3-4.4 s, the walks suite at 210
+# 0.12-0.23 s and the closed-form table over 1..800 5.4-5.7 s; the caps
+# stay where they were, as raising a cap is a change of its own.
 # The recurrence is cheap in time, and one size keeps two terms, but a
 # table over 1..n holds about 1.5 n^2 bits; at 20 000 that is 75 MB,
 # which sets its cap instead.  asympt takes about 0.05 s at --n cap, and
@@ -62,9 +63,6 @@ ASYMPT_CAP = 800_000
 ASYMPT_EXACT_CAP = 2000
 #: the largest n of a diagram given to map or render
 DIAGRAM_CAP = 100_000
-
-#: the suites that check k = 3 only
-K3_SUITES = frozenset({"rho3", "walks", "series"})
 
 
 def require_cap(what: str, n: int, cap: int) -> None:
@@ -237,11 +235,6 @@ def _suite_tableau(k: int, n_max: int) -> dict:
     return {"name": "tableau", "passed": True, "details": {"checked": total}}
 
 
-def _suite_rho3(k: int, n_max: int) -> dict:
-    """Four-route agreement on the common range."""
-    return rho3_agreement(n_max)[1]
-
-
 def _suite_walks(k: int, n_max: int) -> dict:
     """Reflection principle: a_n - b_n equals the closed form."""
     require_cap("the walks suite", n_max, _WALKS_CAP)
@@ -306,33 +299,50 @@ def _raised(name: str, err: ArithmeticError, **where) -> dict:
     return _failure(name, f"the route raised {type(err).__name__}", error, **where)
 
 
+class _Suite(NamedTuple):
+    check: Callable  # (k, n_max) -> its report
+    budget: str | None  # the class whose brute-force budget it is charged at n_max
+    first_n: int  # the least n it checks past n = 0, so the least n_max it takes
+    k: int | None = None  # the one k it checks, or None for every k
+
+
+#: suite -> its _Suite.  The bijections map [n] to [n - 1], so they start
+#: at n = 2; the other suites start at n = 1, as --n-max does, and tableau,
+#: walks and series check n = 0 besides.  tableau is charged every braid.
 _SUITES = {
-    "duality": _suite_duality,
-    "restriction": _suite_restriction,
-    "routes": _suite_routes,
-    "tableau": _suite_tableau,
-    "rho3": _suite_rho3,
-    "walks": _suite_walks,
-    "series": _suite_series,
+    "duality": _Suite(_suite_duality, "P_k", 2),
+    "restriction": _Suite(_suite_restriction, "P_k", 2),
+    "routes": _Suite(_suite_routes, "P_k", 1),
+    "tableau": _Suite(_suite_tableau, "B_k", 1),
+    "rho3": _Suite(lambda k, n_max: rho3_agreement(n_max)[1], None, 1, 3),
+    "walks": _Suite(_suite_walks, None, 1, 3),
+    "series": _Suite(_suite_series, None, 1, 3),
 }
-#: the suite names, in the order that --suite all runs them
+#: the suite names, in the order that run_suites is given them by --suite all
 SUITE_NAMES = tuple(sorted(_SUITES))
 
-#: suite -> the class it is charged for at n_max (tableau: every braid)
-_SUITE_BUDGETS = {"duality": "P_k", "restriction": "P_k", "routes": "P_k", "tableau": "B_k"}
-#: the suites that check n = 2..n_max: a map onto [n - 1] needs n >= 2
-_FROM_TWO = ("duality", "restriction")
+
+def suite_names(k: int) -> tuple[str, ...]:
+    """The names of the suites that check k, in SUITE_NAMES order."""
+    return tuple(name for name in SUITE_NAMES if _SUITES[name].k in (None, k))
 
 
 def run_suites(names, k: int, n_max: int) -> list[dict]:
-    """The reports of the named suites, in order.  A suite that would
-    check no n is refused, and every suite that enumerates is charged
-    its budget, before the first one runs, so that a refusal comes
+    """The reports of the named suites, in order.  Before the first one
+    runs, a suite that checks another k is refused with ValueError, and
+    so are the suites that would check no n, named by the largest first
+    n among them, the least n_max that admits them all; then every suite
+    that enumerates is charged its budget, so that a refusal comes
     before any work."""
-    vacuous = [name for name in names if name in _FROM_TWO and n_max < 2]
-    if vacuous:
+    suites = [_SUITES[name] for name in names]
+    for name, suite in zip(names, suites):
+        if suite.k not in (None, k):
+            raise ValueError(f"the {name} suite checks k = {suite.k} only, not k = {k}")
+    first = max((suite.first_n for suite in suites if n_max < suite.first_n), default=None)
+    if first is not None:
+        vacuous = [name for name, suite in zip(names, suites) if suite.first_n == first]
         verb = "suites start" if len(vacuous) > 1 else "suite starts"
-        raise ValueError(f"the {' and '.join(vacuous)} {verb} at n = 2, got n_max = {n_max}")
-    for class_tag in filter(None, map(_SUITE_BUDGETS.get, names)):
+        raise ValueError(f"the {' and '.join(vacuous)} {verb} at n = {first}, got n_max = {n_max}")
+    for class_tag in filter(None, (suite.budget for suite in suites)):
         enumeration.require_brute_budget(class_tag, n_max)
-    return [_SUITES[name](k, n_max) for name in names]
+    return [suite.check(k, n_max) for suite in suites]

@@ -319,7 +319,8 @@ class TestVerify:
                 "counterexample": "n=1; arcs=",
             }
 
-        monkeypatch.setitem(verify._SUITES, "duality", broken)
+        duality = verify._SUITES["duality"]._replace(check=broken)
+        monkeypatch.setitem(verify._SUITES, "duality", duality)
         status, report = run_json(capsys, "verify", "--suite", "duality")
         assert status == 2
         assert report["passed"] is False
@@ -726,7 +727,10 @@ class TestLibraryArithmeticErrors:
         assert "not integral" in failed["counterexample"]["message"]
 
 
-@pytest.mark.parametrize("suite", sorted(verify.K3_SUITES))
+_K3_SUITES = [name for name in verify.SUITE_NAMES if verify._SUITES[name].k == 3]
+
+
+@pytest.mark.parametrize("suite", _K3_SUITES)
 def test_k3_suite_refuses_another_k(capsys, suite):
     assert cli.run(["verify", "--suite", suite, "--k", "7", "--n-max", "3"]) == 1
     captured = capsys.readouterr()
@@ -739,6 +743,44 @@ def test_k3_suite_refuses_another_k(capsys, suite):
 
 def _unreachable(*args):
     raise AssertionError("work started before the cap was checked")
+
+
+def _no_suite_runs(monkeypatch):
+    for name, suite in verify._SUITES.items():
+        monkeypatch.setitem(verify._SUITES, name, suite._replace(check=_unreachable))
+
+
+@pytest.mark.parametrize("n_max", [0, -5])
+@pytest.mark.parametrize("suite", verify.SUITE_NAMES)
+def test_run_suites_refuses_a_range_with_no_n(monkeypatch, suite, n_max):
+    _no_suite_runs(monkeypatch)
+    with pytest.raises(ValueError, match=f"the {suite} suite starts at n = "):
+        verify.run_suites([suite], 3, n_max)
+
+
+@pytest.mark.parametrize("suite", _K3_SUITES)
+def test_run_suites_refuses_another_k(monkeypatch, suite):
+    _no_suite_runs(monkeypatch)
+    with pytest.raises(ValueError, match=f"the {suite} suite checks k = 3 only, not k = 4"):
+        verify.run_suites([suite], 4, 5)
+
+
+@pytest.mark.parametrize("k,n_max,message", [
+    (4, 1, "the rho3 suite checks k = 3 only, not k = 4"),
+    # the suites that start last are named: n_max = 2 admits every suite
+    (3, 0, "the duality and restriction suites start at n = 2, got n_max = 0"),
+])
+def test_run_suites_refuses_all_suites_before_the_first_runs(monkeypatch, k, n_max, message):
+    _no_suite_runs(monkeypatch)
+    with pytest.raises(ValueError) as refused:
+        verify.run_suites(verify.SUITE_NAMES, k, n_max)
+    assert str(refused.value) == message
+
+
+def test_verify_all_runs_the_suites_of_its_k(capsys):
+    status, report = run_json(capsys, "verify", "--suite", "all", "--k", "4", "--n-max", "4")
+    assert status == 0 and report["passed"] is True and report["k"] == 4
+    assert [s["name"] for s in report["suites"]] == ["duality", "restriction", "routes", "tableau"]
 
 
 class TestFormulaCaps:

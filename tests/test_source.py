@@ -71,6 +71,18 @@ def test_cli_import_leaves_out_multiprocessing():
     assert run.stdout.strip() == "False"
 
 
+def test_cli_names_no_suite():
+    # which suite runs at which k and n is verify's table alone; a suite
+    # name may still be a command (rho3) or the key of a report's field
+    # (the "routes" of rho3 --route all)
+    tree = ast.parse((_PACKAGE / "cli.py").read_text())
+    keys = {id(key) for node in ast.walk(tree) if isinstance(node, ast.Dict) for key in node.keys}
+    strings = {node.value for node in ast.walk(tree) if id(node) not in keys
+               and isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    named = strings & set(verify.SUITE_NAMES) - set(cli._HANDLERS)
+    assert "rho3" in strings and not named, f"cli.py names suites: {sorted(named)}"
+
+
 def _names_read(tree):
     """The identifiers an AST reads: names, attributes, imported names."""
     names = set()
