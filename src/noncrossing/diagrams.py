@@ -23,7 +23,8 @@ crossing arcs.  For partitions a set {(i_1,j_1),...,(i_m,j_m)} is
 mutually crossing when i_1 < ... < i_m < j_1 < ... < j_m.  For braids
 the middle inequality relaxes to i_m <= j_1, so chains sharing the
 vertex i_m = j_1 also count; loops never join a crossing set of size
-two or more.
+two or more.  Each class states its convention once, as its class
+attribute ``shared_endpoint``, and every crossing test reads it there.
 """
 
 from __future__ import annotations
@@ -97,14 +98,6 @@ class ArcDiagram:
             if d > 2:
                 raise InvalidDiagramError(f"vertex {v} has degree {d} > 2")
 
-    def origins(self) -> set[int]:
-        """Vertices that start an arc; a loop makes its vertex an origin."""
-        return {i for i, _ in self.arcs}
-
-    def endpoints(self) -> set[int]:
-        """Vertices that end an arc; a loop makes its vertex an endpoint."""
-        return {j for _, j in self.arcs}
-
     def isolated_vertices(self) -> tuple[int, ...]:
         return tuple(isolated(self.n, self.arcs))
 
@@ -132,6 +125,8 @@ class PartitionDiagram(ArcDiagram):
     """Arc form of a set partition of [n]."""
 
     _min_span = 1
+    #: arcs cross strictly: i_m < j_1
+    shared_endpoint = False
 
     def _check(self) -> None:
         super()._check()
@@ -147,6 +142,9 @@ class BraidDiagram(ArcDiagram):
     (v, v) starts and ends at v, so in the one-pass test distinct starts
     and distinct ends also keep loops apart from each other and from
     every other arc."""
+
+    #: arcs also cross at a shared vertex: i_m <= j_1
+    shared_endpoint = True
 
     def _check(self) -> None:
         super()._check()
@@ -198,16 +196,18 @@ def crossing_number_of_arcs(arcs: Iterable[Arc], shared_endpoint: bool) -> int:
     increase strictly.  Sorted by (i, -j), arcs sharing a left endpoint
     have decreasing right endpoints, so such a subset is exactly a
     strictly increasing run of right endpoints, found by patience
-    sorting.  One pass per cut costs O(m^2 log m) for m arcs.
+    sorting.  The scan is has_k_crossing's without the stop: cut t is
+    the t-th arc's start and reads the arcs up to it in this order, so
+    the last cut of a run of equal starts reads every arc that starts
+    there.  One pass per arc costs O(m^2 log m) for m arcs.
     """
     arcs = sorted(arcs, key=lambda a: (a[0], -a[1]))
     best = 0
-    for c in {i for i, _ in arcs}:
+    for t, (c, _) in enumerate(arcs):
+        low = c - 1 if shared_endpoint else c  # an arc (i, j) spans c when j > low
         tails: list[int] = []  # tails[h]: least right end of a run of h + 1
-        for i, j in arcs:
-            if i > c:
-                break
-            if j > c or (shared_endpoint and j == c):
+        for _, j in arcs[: t + 1]:
+            if j > low:
                 h = bisect_left(tails, j)
                 if h == len(tails):
                     tails.append(j)
@@ -250,11 +250,11 @@ def has_k_crossing(arcs: Sequence[Arc], k: int, shared_endpoint: bool) -> bool:
 
 
 def partition_crossing_number(p: PartitionDiagram) -> int:
-    return crossing_number_of_arcs(p.arcs, shared_endpoint=False)
+    return crossing_number_of_arcs(p.arcs, p.shared_endpoint)
 
 
 def braid_crossing_number(b: BraidDiagram) -> int:
-    return crossing_number_of_arcs(b.arcs, shared_endpoint=True)
+    return crossing_number_of_arcs(b.arcs, b.shared_endpoint)
 
 
 def is_k_noncrossing(d: PartitionDiagram | BraidDiagram, k: int) -> bool:
@@ -262,10 +262,8 @@ def is_k_noncrossing(d: PartitionDiagram | BraidDiagram, k: int) -> bool:
     class's convention.  Asked by has_k_crossing, which stops at the
     first k crossing arcs; the diagram's sorted arcs are in start order."""
     require_k(k)
-    if isinstance(d, PartitionDiagram):
-        return not has_k_crossing(d.arcs, k, shared_endpoint=False)
-    if isinstance(d, BraidDiagram):
-        return not has_k_crossing(d.arcs, k, shared_endpoint=True)
+    if isinstance(d, (PartitionDiagram, BraidDiagram)):
+        return not has_k_crossing(d.arcs, k, d.shared_endpoint)
     raise TypeError(f"expected a partition or braid diagram, got {type(d).__name__}")
 
 

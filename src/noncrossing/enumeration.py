@@ -5,11 +5,12 @@ strings in lexicographic order, which is canonical and duplicate-free,
 and each word becomes its arcs in start order by one rule: read right
 to left, a vertex starts an arc to its label's next occurrence.  Each
 class keeps the words that pass its filter: the 2-regular test first,
-where the class asks for it, then the k-crossing test in the class's
-convention (_FILTERS).  That test, diagrams.has_k_crossing, takes the
-arcs in start order and only asks whether some k of them cross: it
-skips the cuts before the k-th start and stops at the first k crossing
-arcs, so no word pays for its whole crossing number.  The generators
+where the class asks for it, then the k-crossing test in the crossing
+convention that the class's diagram type carries (_FILTERS).  That
+test, diagrams.has_k_crossing, takes the arcs in start order and only
+asks whether some k of them cross: it skips the cuts before the k-th
+start and stops at the first k crossing arcs, so no word pays for its
+whole crossing number.  The generators
 wrap the surviving arcs in validated diagrams; count_class counts them
 and builds no diagram.
 
@@ -69,18 +70,17 @@ def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
     in lexicographic order.  They encode set partitions of [n]."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        yield ()
-        return
     word = [0] * n
     peak = [0] * n  # peak[t] = max(word[:t]), kept as the prefix changes
     while True:
         yield tuple(word)
-        # advance to lexicographic successor: the last position below its cap
+        # advance to lexicographic successor: the last position below its
+        # cap; the first position, a_1 = 0, has none, and at n = 0 there is
+        # no position
         pos = n - 1
         while pos > 0 and word[pos] > peak[pos]:
             pos -= 1
-        if pos == 0:
+        if pos <= 0:
             return
         word[pos] += 1
         top = word[pos] if word[pos] > peak[pos] else peak[pos]
@@ -105,20 +105,29 @@ def _partition_arcs(n: int) -> Iterator[list[Arc]]:
         yield arcs
 
 
-#: class tag -> (its partitions are 2-regular, its crossing convention is
-#: shared-endpoint); the braid classes filter their skeletons
+#: class tag -> (the type of its diagrams, whose shared_endpoint is its
+#: crossing convention; its partitions are 2-regular); the braid classes
+#: filter their skeletons
 _FILTERS = {
-    "P_k": (False, False),
-    "P_k2": (True, False),
-    "B_k": (False, True),
-    "B_k_dagger": (False, True),
+    "P_k": (PartitionDiagram, False),
+    "P_k2": (PartitionDiagram, True),
+    "B_k": (BraidDiagram, False),
+    "B_k_dagger": (BraidDiagram, False),
 }
+
+
+def _class_filter(class_tag: str) -> tuple[type[PartitionDiagram | BraidDiagram], bool]:
+    """class_tag's entry of _FILTERS; an unknown tag is refused."""
+    if class_tag not in _FILTERS:
+        raise ValueError(f"unknown class tag {class_tag!r}")
+    return _FILTERS[class_tag]
 
 
 def _class_arcs(class_tag: str, n: int, k: int) -> Iterator[list[Arc]]:
     """The arcs of each partition of [n] that passes class_tag's filter at k."""
     require_k(k)
-    two_regular, shared_endpoint = _FILTERS[class_tag]
+    kind, two_regular = _class_filter(class_tag)
+    shared_endpoint = kind.shared_endpoint
     for arcs in _partition_arcs(n):
         # the cheap test first: only Bell(n-1) of Bell(n) partitions pass it
         if two_regular and any(j == i + 1 for i, j in arcs):
@@ -129,18 +138,15 @@ def _class_arcs(class_tag: str, n: int, k: int) -> Iterator[list[Arc]]:
 
 def gen_set_partitions(n: int) -> Iterator[PartitionDiagram]:
     """Every set partition of [n] exactly once, as a canonical diagram."""
-    for arcs in _partition_arcs(n):
-        yield PartitionDiagram(n, arcs)
+    return (PartitionDiagram(n, arcs) for arcs in _partition_arcs(n))
 
 
 def gen_partitions_k(n: int, k: int) -> Iterator[PartitionDiagram]:
-    for arcs in _class_arcs("P_k", n, k):
-        yield PartitionDiagram(n, arcs)
+    return (PartitionDiagram(n, arcs) for arcs in _class_arcs("P_k", n, k))
 
 
 def gen_2regular_k(n: int, k: int) -> Iterator[PartitionDiagram]:
-    for arcs in _class_arcs("P_k2", n, k):
-        yield PartitionDiagram(n, arcs)
+    return (PartitionDiagram(n, arcs) for arcs in _class_arcs("P_k2", n, k))
 
 
 def gen_braids(n: int, k: int) -> Iterator[BraidDiagram]:
@@ -173,14 +179,11 @@ def is_member(class_tag: str, d: object, n: int, k: int) -> bool:
     arcs in its convention, 2-regular for P_k2 and with no isolated
     vertex for B_k_dagger.  The type is compared exactly, as diagram
     equality compares it."""
-    two_regular, braid = _FILTERS[class_tag]
-    if type(d) is not (BraidDiagram if braid else PartitionDiagram) or d.n != n:
-        return False
-    if two_regular and not is_two_regular(d):
-        return False
-    if class_tag == "B_k_dagger" and d.isolated_vertices():
-        return False
-    return is_k_noncrossing(d, k)
+    kind, two_regular = _class_filter(class_tag)
+    return (type(d) is kind and d.n == n
+            and (not two_regular or is_two_regular(d))
+            and not (class_tag == "B_k_dagger" and d.isolated_vertices())
+            and is_k_noncrossing(d, k))
 
 
 def count_class(class_tag: str, k: int, n: int) -> int:
@@ -204,7 +207,9 @@ def require_brute_budget(class_tag: str, n: int) -> None:
     bound is Bell(m), m = n, the set partitions of [n], except for B_k:
     its braids over [n] are as many as the partitions over [n + 1] that
     contract to them, up to Bell(n + 1).  Only m is compared, with
-    _REFUSED_SIZE, so that refusal costs the same at every n."""
+    _REFUSED_SIZE, so that refusal costs the same at every n.  An
+    unknown class tag is refused with ValueError."""
+    _class_filter(class_tag)
     m = n + 1 if class_tag == "B_k" else n
     if m >= _REFUSED_SIZE:
         relation = "=" if m == _REFUSED_SIZE else ">"

@@ -10,10 +10,11 @@ with RangeGuardError before any work.  Each suite is one entry of
 _SUITES: its check, the class whose brute-force budget it is charged,
 the least n it checks and the one k it checks, if any.  run_suites reads
 only that table, and refuses with ValueError, before any suite runs, a
-call that names a suite that would check another k or no n;
-suite_names(k) gives the suites that check k, which --suite all runs.  A failed suite
-names its route, n and k and a counterexample: a diagram, the
-disagreeing values, or the ArithmeticError a route raised."""
+call that names no suite, an unknown one, or one that would check
+another k or no n; suite_names(k) gives the suites that check k, which
+--suite all runs.  A failed suite names its route, n and k and a
+counterexample: a diagram, the disagreeing values, or the
+ArithmeticError a route raised."""
 
 from __future__ import annotations
 
@@ -105,8 +106,7 @@ def _admit(class_tag: str, k: int, route: str,
     length; anything else as a list), the route's counter and its
     decimal flag, once the class, route and cap admit them.  Brute force
     counts each size with enumeration.count_class."""
-    if class_tag not in enumeration.GENERATORS:
-        raise ValueError(f"unknown class tag {class_tag!r}")
+    enumeration._class_filter(class_tag)  # refuses an unknown class tag
     available = routes(class_tag, k)
     if route not in available:
         raise ValueError(
@@ -329,13 +329,19 @@ def suite_names(k: int) -> tuple[str, ...]:
 
 def run_suites(names, k: int, n_max: int) -> list[dict]:
     """The reports of the named suites, in order.  Before the first one
-    runs, a suite that checks another k is refused with ValueError, and
-    so are the suites that would check no n, named by the largest first
-    n among them, the least n_max that admits them all; then every suite
-    that enumerates is charged its budget, so that a refusal comes
-    before any work."""
-    suites = [_SUITES[name] for name in names]
+    runs, an empty list of names, an unknown name (the message lists
+    SUITE_NAMES) and a suite that checks another k are refused with
+    ValueError, and so are the suites that would check no n, named by
+    the largest first n among them, the least n_max that admits them
+    all; then every suite that enumerates is charged its budget, so that
+    a refusal comes before any work."""
+    names = list(names)  # read twice below, so an iterator of names is listed once
+    if not names:
+        raise ValueError(f"no suite named; available: {', '.join(SUITE_NAMES)}")
+    suites = [_SUITES.get(name) for name in names]
     for name, suite in zip(names, suites):
+        if suite is None:
+            raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}")
         if suite.k not in (None, k):
             raise ValueError(f"the {name} suite checks k = {suite.k} only, not k = {k}")
     first = max((suite.first_n for suite in suites if n_max < suite.first_n), default=None)

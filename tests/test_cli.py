@@ -777,6 +777,30 @@ def test_run_suites_refuses_all_suites_before_the_first_runs(monkeypatch, k, n_m
     assert str(refused.value) == message
 
 
+@pytest.mark.parametrize("names", [["bogus"], ["tableau", "bogus"]])
+def test_run_suites_refuses_an_unknown_suite_before_any_runs(monkeypatch, names):
+    _no_suite_runs(monkeypatch)
+    monkeypatch.setattr(verify.enumeration, "require_brute_budget", _unreachable)
+    with pytest.raises(ValueError) as refused:
+        verify.run_suites(names, 3, 5)
+    available = ", ".join(verify.SUITE_NAMES)
+    assert str(refused.value) == f"unknown suite 'bogus'; available: {available}"
+
+
+def test_run_suites_checks_an_iterator_of_names(monkeypatch):
+    # the names are read more than once, so an iterator must not run out
+    # before the k check
+    _no_suite_runs(monkeypatch)
+    with pytest.raises(ValueError, match="the rho3 suite checks k = 3 only, not k = 4"):
+        verify.run_suites(iter(["rho3"]), 4, 5)
+
+
+def test_run_suites_refuses_no_suite(monkeypatch):
+    monkeypatch.setattr(verify.enumeration, "require_brute_budget", _unreachable)
+    with pytest.raises(ValueError, match="^no suite named; available: duality, "):
+        verify.run_suites([], 3, 5)
+
+
 def test_verify_all_runs_the_suites_of_its_k(capsys):
     status, report = run_json(capsys, "verify", "--suite", "all", "--k", "4", "--n-max", "4")
     assert status == 0 and report["passed"] is True and report["k"] == 4

@@ -240,8 +240,8 @@ class TestConstruction:
 
     def test_degree_and_vertex_sets(self):
         b = BraidDiagram(4, ((1, 2), (2, 3)))
-        assert b.origins() == {1, 2}
-        assert b.endpoints() == {2, 3}
+        assert {i for i, _ in b.arcs} == {1, 2}
+        assert {j for _, j in b.arcs} == {2, 3}
         assert b.isolated_vertices() == (4,)
 
 

@@ -28,6 +28,7 @@ from noncrossing.enumeration import (
     gen_partitions_k,
     gen_set_partitions,
     is_member,
+    require_brute_budget,
     restricted_growth_strings,
 )
 
@@ -249,6 +250,16 @@ class TestMembership:
                 assert not is_member(tag, d, n + 1, 3) and not is_member(tag, d, n - 1, 3)
         assert not is_member(tag, None, 0, 3)
         assert not is_member(tag, ArcDiagram(2), 2, 3)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda: require_brute_budget("bogus", 5),
+    lambda: count_class("bogus", 3, 4),
+    lambda: is_member("bogus", PartitionDiagram(3), 3, 3),
+])
+def test_unknown_class_tag_is_refused(entry):
+    with pytest.raises(ValueError, match="^unknown class tag 'bogus'$"):
+        entry()
 
 
 class TestCountTable:

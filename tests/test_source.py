@@ -28,6 +28,32 @@ def test_no_bare_asserts():
     assert not found, f"bare asserts in the library: {', '.join(found)}"
 
 
+#: each crossing scan -> the position of its shared_endpoint argument
+_CROSSING_SCANS = {"has_k_crossing": 2, "crossing_number_of_arcs": 1}
+
+
+def test_crossing_convention_is_read_from_the_diagram_types():
+    # PartitionDiagram.shared_endpoint and BraidDiagram.shared_endpoint are
+    # the one statement of each class's crossing convention: no library
+    # call to a crossing scan passes the convention as a literal
+    calls, literal = 0, []
+    for path in sorted(_PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name not in _CROSSING_SCANS:
+                continue
+            calls += 1
+            position = _CROSSING_SCANS[name]
+            passed = [kw.value for kw in node.keywords if kw.arg == "shared_endpoint"]
+            passed += node.args[position:position + 1]
+            if any(isinstance(value, ast.Constant) for value in passed):
+                literal.append(f"{path.name}:{node.lineno}")
+    assert calls >= 4
+    assert not literal, f"crossing conventions passed as literals: {', '.join(literal)}"
+
+
 def _package_imports(path):
     """The sibling modules a library module imports, relatively or not."""
     found = set()

@@ -687,8 +687,8 @@ class TestConversion:
                 pairs = step_pairs(diagram_to_tableau(b))
                 for i in range(1, n + 1):
                     odd, even = pairs[i - 1]
-                    origin = i in b.origins()
-                    endpoint = i in b.endpoints()
+                    origin = i in {s for s, _ in b.arcs}
+                    endpoint = i in {e for _, e in b.arcs}
                     if origin and endpoint:
                         assert odd[0] == "+" and even[0] == "-"
                     elif origin:
@@ -703,8 +703,8 @@ class TestConversion:
             pairs = step_pairs(diagram_to_tableau(p))
             for i in range(1, 7):
                 odd, even = pairs[i - 1]
-                assert (odd is not None) == (i in p.endpoints())
-                assert (even is not None) == (i in p.origins())
+                assert (odd is not None) == (i in {e for _, e in p.arcs})
+                assert (even is not None) == (i in {s for s, _ in p.arcs})
 
 
 class TestCounting:
