@@ -16,13 +16,12 @@ from .diagrams import (
     BraidDiagram,
     InvalidDiagramError,
     PartitionDiagram,
-    braid_crossing_number,
+    crossing_number,
     diagram_svg,
     format_diagram,
     is_k_noncrossing,
     is_two_regular,
     parse_diagram,
-    partition_crossing_number,
     partition_from_blocks,
 )
 from .duality import (

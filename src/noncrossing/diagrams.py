@@ -24,7 +24,8 @@ mutually crossing when i_1 < ... < i_m < j_1 < ... < j_m.  For braids
 the middle inequality relaxes to i_m <= j_1, so chains sharing the
 vertex i_m = j_1 also count; loops never join a crossing set of size
 two or more.  Each class states its convention once, as its class
-attribute ``shared_endpoint``, and every crossing test reads it there.
+attribute ``shared_endpoint``, and every crossing test reads it there;
+``crossing_number(d)`` is the statistic of either kind of diagram.
 """
 
 from __future__ import annotations
@@ -97,9 +98,6 @@ class ArcDiagram:
         for v, d in degree.items():
             if d > 2:
                 raise InvalidDiagramError(f"vertex {v} has degree {d} > 2")
-
-    def isolated_vertices(self) -> tuple[int, ...]:
-        return tuple(isolated(self.n, self.arcs))
 
 
 def isolated(n: int, arcs: Iterable[Arc]) -> list[int]:
@@ -249,12 +247,9 @@ def has_k_crossing(arcs: Sequence[Arc], k: int, shared_endpoint: bool) -> bool:
     return False
 
 
-def partition_crossing_number(p: PartitionDiagram) -> int:
-    return crossing_number_of_arcs(p.arcs, p.shared_endpoint)
-
-
-def braid_crossing_number(b: BraidDiagram) -> int:
-    return crossing_number_of_arcs(b.arcs, b.shared_endpoint)
+def crossing_number(d: PartitionDiagram | BraidDiagram) -> int:
+    """The most mutually crossing arcs of d, in its class's convention."""
+    return crossing_number_of_arcs(d.arcs, d.shared_endpoint)
 
 
 def is_k_noncrossing(d: PartitionDiagram | BraidDiagram, k: int) -> bool:

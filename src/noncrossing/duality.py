@@ -107,7 +107,7 @@ def contract_two_regular(p: PartitionDiagram, k: int) -> BraidDiagram:
 def expand_braid_no_isolated(b: BraidDiagram, k: int) -> PartitionDiagram:
     """Inverse of contract_two_regular: the braid's arcs other than its
     loops, expanded, built once."""
-    if b.isolated_vertices():
+    if isolated(b.n, b.arcs):
         raise RestrictedDomainError("braid has isolated points")
     if not is_k_noncrossing(b, k):
         raise RestrictedDomainError(f"braid is not {k}-noncrossing")

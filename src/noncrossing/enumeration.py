@@ -182,7 +182,7 @@ def is_member(class_tag: str, d: object, n: int, k: int) -> bool:
     kind, two_regular = _class_filter(class_tag)
     return (type(d) is kind and d.n == n
             and (not two_regular or is_two_regular(d))
-            and not (class_tag == "B_k_dagger" and d.isolated_vertices())
+            and not (class_tag == "B_k_dagger" and isolated(d.n, d.arcs))
             and is_k_noncrossing(d, k))
 
 

@@ -399,13 +399,15 @@ _CLOSED_FORM_GAPS = {
 
 
 def rho3_closed_form(n: int) -> int:
-    """rho3(n) as the twelve-term signed sum of root_power_coefficient.
+    """rho3(n) as the twelve-term signed sum over _CLOSED_FORM_TERMS:
+    term (k, m, sign) is sign * root_power_coefficient(k, m, n), read
+    from sums formed once for all twelve instead of by calling it.
 
     The twelve binomial sums are nine: by the shift and the reflection
     of _gaps, _CLOSED_FORM_GAPS groups the terms by the gaps of their
     offsets, and _triple_sums reads the nine from the three pair rows
-    C(N,s) C(N,s+a), a = 0, 1, 2.  Each term's division by N = n + 1 is
-    checked on its own."""
+    C(N,s) C(N,s+a), a = 0, 1, 2.  _coefficient checks each term's
+    division by N = n + 1 on its own."""
     if n < 1:
         raise ValueError("n must be >= 1")
     sums = _triple_sums(n + 1, _CLOSED_FORM_GAPS)

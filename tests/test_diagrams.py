@@ -13,15 +13,15 @@ from noncrossing.diagrams import (
     BraidDiagram,
     InvalidDiagramError,
     PartitionDiagram,
-    braid_crossing_number,
+    crossing_number,
     crossing_number_of_arcs,
     diagram_svg,
     format_diagram,
     has_k_crossing,
     is_k_noncrossing,
     is_two_regular,
+    isolated,
     parse_diagram,
-    partition_crossing_number,
     partition_from_blocks,
 )
 
@@ -242,7 +242,7 @@ class TestConstruction:
         b = BraidDiagram(4, ((1, 2), (2, 3)))
         assert {i for i, _ in b.arcs} == {1, 2}
         assert {j for _, j in b.arcs} == {2, 3}
-        assert b.isolated_vertices() == (4,)
+        assert isolated(b.n, b.arcs) == [4]
 
 
 class TestBlocks:
@@ -280,7 +280,7 @@ class TestCrossingStatistics:
         ],
     )
     def test_partition_examples(self, arcs, n, expect):
-        assert partition_crossing_number(PartitionDiagram(n, arcs)) == expect
+        assert crossing_number(PartitionDiagram(n, arcs)) == expect
 
     @pytest.mark.parametrize(
         "arcs,n,expect",
@@ -292,17 +292,17 @@ class TestCrossingStatistics:
         ],
     )
     def test_braid_examples(self, arcs, n, expect):
-        assert braid_crossing_number(BraidDiagram(n, arcs)) == expect
+        assert crossing_number(BraidDiagram(n, arcs)) == expect
 
     def test_partition_statistic_against_subset_oracle(self):
         for n in range(0, 9):
             for p in partitions_of(n):
-                assert partition_crossing_number(p) == oracle_crossing(p.arcs, False)
+                assert crossing_number(p) == oracle_crossing(p.arcs, False)
 
     def test_braid_statistic_against_subset_oracle(self):
         for n in range(0, 8):
             for b in braids_over(n):
-                assert braid_crossing_number(b) == oracle_crossing(b.arcs, True)
+                assert crossing_number(b) == oracle_crossing(b.arcs, True)
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_statistic_on_raw_arc_lists(self, shared):
@@ -351,7 +351,7 @@ def seeded_diagrams(seed, count):
             blocks.setdefault(label, []).append(v)
         p = partition_from_blocks(blocks.values())
         if t % 2:
-            loops = tuple((v, v) for v in p.isolated_vertices() if rng.random() < 0.5)
+            loops = tuple((v, v) for v in isolated(p.n, p.arcs) if rng.random() < 0.5)
             yield BraidDiagram(n, p.arcs + loops)
         else:
             yield p

@@ -6,9 +6,9 @@ from conftest import partitions_of
 from noncrossing.diagrams import (
     BraidDiagram,
     PartitionDiagram,
-    braid_crossing_number,
+    crossing_number,
     is_k_noncrossing,
-    partition_crossing_number,
+    isolated,
 )
 from noncrossing.duality import (
     RestrictedDomainError,
@@ -56,7 +56,7 @@ class TestDirect:
         for n in range(1, 9):
             for p in partitions_of(n):
                 image = contract_partition(p)
-                assert braid_crossing_number(image) >= partition_crossing_number(p)
+                assert crossing_number(image) == crossing_number(p)
                 for k in (3, 4):
                     assert is_k_noncrossing(p, k) == is_k_noncrossing(image, k)
 
@@ -140,7 +140,7 @@ class TestRestricted:
                 image = set()
                 for p in gen_2regular_k(n, k):
                     b = contract_two_regular(p, k)
-                    assert not b.isolated_vertices()
+                    assert not isolated(b.n, b.arcs)
                     assert is_k_noncrossing(b, k)
                     assert expand_braid_no_isolated(b, k) == p
                     image.add(b)

@@ -1,22 +1,29 @@
 """Property tests on random diagrams well past the exhaustive sizes:
 n = 20..60, from a fixed seed and a bounded number of examples."""
 
+import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from noncrossing.diagrams import (
     BraidDiagram,
     PartitionDiagram,
-    braid_crossing_number,
+    crossing_number,
     format_diagram,
+    is_two_regular,
+    isolated,
     parse_diagram,
-    partition_crossing_number,
+    partition_from_blocks,
 )
 from noncrossing.duality import (
+    RestrictedDomainError,
     contract_partition,
     contract_partition_via_tableaux,
+    contract_two_regular,
     expand_braid,
+    expand_braid_no_isolated,
 )
+from noncrossing.enumeration import is_member
 from noncrossing.tableaux import diagram_to_tableau, tableau_to_diagram
 
 _SETTINGS = settings(
@@ -48,18 +55,27 @@ def braids(draw):
     """A braid over [n]: a partition's arcs, a vertex with an arc in and
     an arc out read as a crossing, and loops on some isolated vertices."""
     p = draw(partitions())
-    isolated = p.isolated_vertices()
-    looped = draw(st.lists(st.sampled_from(isolated), unique=True)) if isolated else []
+    free = isolated(p.n, p.arcs)
+    looped = draw(st.lists(st.sampled_from(free), unique=True)) if free else []
     return BraidDiagram(p.n, p.arcs + tuple((v, v) for v in looped))
 
 
+@st.composite
+def two_regular_partitions(draw):
+    """A 2-regular partition of [n]: block labels from at least two,
+    no vertex labelled as the one before it, so no arc is (i, i+1)."""
+    n = draw(st.integers(20, 60))
+    top = draw(st.integers(1, n - 1))
+    blocks: dict[int, list[int]] = {}
+    label = draw(st.integers(0, top))
+    for v in range(1, n + 1):
+        blocks.setdefault(label, []).append(v)
+        other = draw(st.integers(0, top - 1))
+        label = other + (other >= label)  # any label but this one
+    return partition_from_blocks(blocks.values())
+
+
 diagrams = st.one_of(partitions(), braids())
-
-
-def _crossing_number(d):
-    if isinstance(d, PartitionDiagram):
-        return partition_crossing_number(d)
-    return braid_crossing_number(d)
 
 
 @seed(20070)
@@ -84,7 +100,7 @@ def test_tableau_scans_are_inverse(d):
 @_SETTINGS
 @given(diagrams)
 def test_max_rows_is_the_crossing_number(d):
-    assert diagram_to_tableau(d).max_rows() == _crossing_number(d)
+    assert diagram_to_tableau(d).max_rows() == crossing_number(d)
 
 
 @seed(20073)
@@ -101,3 +117,20 @@ def test_direct_route_equals_tableau_route(p):
 @given(braids())
 def test_tableau_route_inverts_expansion(b):
     assert contract_partition_via_tableaux(expand_braid(b)) == b
+
+
+@seed(20075)
+@_SETTINGS
+@given(two_regular_partitions())
+def test_restricted_bijection_round_trips(p):
+    # k one more than the crossing number puts every draw in the domain,
+    # and k equal to it, from 2 on, puts it out
+    assert is_two_regular(p)
+    crossing = crossing_number(p)
+    k = max(2, crossing + 1)
+    image = contract_two_regular(p, k)
+    assert is_member("B_k_dagger", image, p.n - 1, k)
+    assert expand_braid_no_isolated(image, k) == p
+    if crossing >= 2:
+        with pytest.raises(RestrictedDomainError):
+            contract_two_regular(p, crossing)

@@ -11,9 +11,9 @@ from noncrossing import tableaux
 from noncrossing.diagrams import (
     BraidDiagram,
     PartitionDiagram,
-    braid_crossing_number,
+    crossing_number,
     is_k_noncrossing,
-    partition_crossing_number,
+    isolated,
 )
 from noncrossing.enumeration import bell_number
 from noncrossing.tableaux import (
@@ -262,7 +262,7 @@ def random_diagrams(seed, count):
         if rng.random() < 0.5:
             yield p
         else:
-            loops = [(v, v) for v in p.isolated_vertices() if rng.random() < 0.5]
+            loops = [(v, v) for v in isolated(p.n, p.arcs) if rng.random() < 0.5]
             yield BraidDiagram(n, arcs + loops)
 
 
@@ -415,6 +415,17 @@ class TestShapes:
         # a shape with c distinct row lengths has c + 1 addable corners
         # and c removable ones
         assert moves == sum(2 * len(set(s)) + 1 for s in shapes)
+
+    def test_add_then_remove_at_row_one_is_the_identity(self):
+        # adding at row 1 is always legal and leaves row 1 longer than
+        # row 2, so removing at row 1 is legal too and undoes it
+        checked = 0
+        for k in range(2, 6):
+            for shape in shapes_up_to(12):
+                if len(shape) <= k - 1:
+                    assert remove_square(add_square(shape, 1), 1) == shape, (k, shape)
+                    checked += 1
+        assert checked == 319
 
     def test_half_step_matches_its_definition(self):
         shapes = shapes_up_to(6)
@@ -671,12 +682,12 @@ class TestConversion:
         for n in range(0, 7):
             for p in partitions_of(n):
                 t = diagram_to_tableau(p)
-                assert t.max_rows() == partition_crossing_number(p)
+                assert t.max_rows() == crossing_number(p)
                 for k in (3, 4):
                     assert (t.max_rows() < k) == is_k_noncrossing(p, k)
             for b in braids_over(n):
                 t = diagram_to_tableau(b)
-                assert t.max_rows() == braid_crossing_number(b)
+                assert t.max_rows() == crossing_number(b)
                 for k in (3, 4):
                     assert (t.max_rows() < k) == is_k_noncrossing(b, k)
 
@@ -697,6 +708,27 @@ class TestConversion:
                         assert odd[0] == "-" and even is None
                     else:
                         assert odd is None and even is None
+
+    def test_adjacent_arcs_and_loops_are_row_one_steps(self):
+        # in a partition, (i, i+1) is an arc exactly when vertex i's even
+        # half-step adds at row 1 and vertex i+1's odd half-step removes at
+        # row 1; in a braid, (i, i) is a loop exactly when vertex i adds at
+        # row 1 and removes there.  A braid's crossing vertex adds first,
+        # so the arc rule is the partitions' alone
+        add, remove = ("+", 1), ("-", 1)
+        partitions = [p for n in range(10) for p in partitions_of(n)]
+        braids = [b for n in range(8) for b in braids_over(n)]
+        assert len(partitions) == sum(map(bell_number, range(10)))
+        assert len(braids) == 5295
+        for p in partitions:
+            pairs = step_pairs(diagram_to_tableau(p))
+            for i in range(1, p.n):
+                adjacent = pairs[i - 1][1] == add and pairs[i][0] == remove
+                assert ((i, i + 1) in p.arcs) == adjacent, (p, i)
+        for b in braids:
+            pairs = step_pairs(diagram_to_tableau(b))
+            for i in range(1, b.n + 1):
+                assert ((i, i) in b.arcs) == (pairs[i - 1] == (add, remove)), (b, i)
 
     def test_partition_local_correspondence(self):
         for p in partitions_of(6):
