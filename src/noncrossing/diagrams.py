@@ -247,8 +247,16 @@ def has_k_crossing(arcs: Sequence[Arc], k: int, shared_endpoint: bool) -> bool:
     return False
 
 
+def _require_diagram(d: object) -> None:
+    """Refuse anything but a partition or a braid diagram: only those
+    two classes state a crossing convention."""
+    if not isinstance(d, (PartitionDiagram, BraidDiagram)):
+        raise TypeError(f"expected a partition or braid diagram, got {type(d).__name__}")
+
+
 def crossing_number(d: PartitionDiagram | BraidDiagram) -> int:
     """The most mutually crossing arcs of d, in its class's convention."""
+    _require_diagram(d)
     return crossing_number_of_arcs(d.arcs, d.shared_endpoint)
 
 
@@ -257,9 +265,8 @@ def is_k_noncrossing(d: PartitionDiagram | BraidDiagram, k: int) -> bool:
     class's convention.  Asked by has_k_crossing, which stops at the
     first k crossing arcs; the diagram's sorted arcs are in start order."""
     require_k(k)
-    if isinstance(d, (PartitionDiagram, BraidDiagram)):
-        return not has_k_crossing(d.arcs, k, d.shared_endpoint)
-    raise TypeError(f"expected a partition or braid diagram, got {type(d).__name__}")
+    _require_diagram(d)
+    return not has_k_crossing(d.arcs, k, d.shared_endpoint)
 
 
 def require_k(k: int) -> None:

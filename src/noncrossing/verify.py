@@ -104,9 +104,10 @@ def _admit(class_tag: str, k: int, route: str,
            sizes) -> tuple[range | list[int], Callable, bool]:
     """The sizes (a range kept as it is, bounded by its ends at any
     length; anything else as a list), the route's counter and its
-    decimal flag, once the class, route and cap admit them.  Brute force
+    decimal flag, once the class, k, route and cap admit them.  Brute force
     counts each size with enumeration.count_class."""
     enumeration._class_filter(class_tag)  # refuses an unknown class tag
+    diagrams.require_k(k)
     available = routes(class_tag, k)
     if route not in available:
         raise ValueError(

@@ -20,10 +20,12 @@ The code computes each W_i from the rows before it (the online, or
 relaxed, scheme of van der Hoeven) and hands the rows out as lists
 (RowSeries).  Both routes pack a row of integers into one integer,
 coefficient e in slot e (Kronecker substitution), so that a row
-product is one multiplication.  A slot holds the largest value at
-x = 1 of a kernel row, which bounds its coefficients; the walks keep
-one anti-diagonal per integer, in slots of 3n + 2 bits, as no count
-exceeds 8^n; one walk gives (a_t, b_t) for every t up to its length.
+product is one multiplication.  No packed entry is negative.  A slot
+holds the largest value at x = 1 of a kernel row, which bounds its
+coefficients, and the kernel's residual packs its t^0 and t^2 sides
+apart (kernel_residual); the walks keep one anti-diagonal per integer,
+in slots of 3n + 2 bits, as no count exceeds 8^n; one walk gives
+(a_t, b_t) for every t up to its length.
 Constant-term extraction of a fixed x-Laurent combination of Y0, Y0^2,
 Y0^3 yields rho3, as does a twelve-term signed sum of coefficients of
 Y0^k (binomial sums, by Lagrange inversion) and a three-term
@@ -58,7 +60,7 @@ from decimal import (
 )
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from math import gcd, prod
 from operator import mul
 
@@ -117,35 +119,32 @@ class RecurrenceError(ArithmeticError):
 # -- packed rows ------------------------------------------------------------------------
 
 def _slot_bytes(bound: int) -> int:
-    """Bytes per slot, so that |c| <= bound is below half a slot (_unpack)."""
-    return bound.bit_length() // 8 + 1
-
-
-def _bias(count: int, slot: int) -> int:  # half a slot in each of count slots
-    return int.from_bytes((1 << (8 * slot - 1)).to_bytes(slot, "little") * count, "little")
+    """Bytes per slot, so that a slot holds every entry 0..bound."""
+    return max(1, (bound.bit_length() + 7) // 8)
 
 
 def _pack(row: list[int], slot: int) -> int:
-    """sum_e row[e] * 2^(8*slot*e).  Each entry is biased by half a slot
-    for to_bytes, which raises OverflowError on one that does not fit."""
-    half = 1 << (8 * slot - 1)
-    data = b"".join((c + half).to_bytes(slot, "little") for c in row)
-    return int.from_bytes(data, "little") - _bias(len(row), slot)
+    """sum_e row[e] * 2^(8*slot*e).  to_bytes raises OverflowError on an
+    entry that is negative or does not fit its slot."""
+    return int.from_bytes(b"".join(c.to_bytes(slot, "little") for c in row), "little")
 
 
 def _unpack(value: int, slot: int) -> list[int]:
-    """The packed row up to its last nonzero entry, the inverse of _pack if
-    every |entry| is below half a slot: then value's bit length ends in that entry's slot."""
-    if not value:
-        return []
-    half, count = 1 << (8 * slot - 1), abs(value).bit_length() // (8 * slot) + 1
-    data = (value + _bias(count, slot)).to_bytes(count * slot, "little")
-    return [int.from_bytes(data[e : e + slot], "little") - half for e in range(0, len(data), slot)]
+    """The packed row up to its last nonzero entry, the inverse of _pack:
+    the bytes of value end in that entry's slot."""
+    data = value.to_bytes((value.bit_length() + 7) // 8, "little")
+    return [int.from_bytes(data[e : e + slot], "little") for e in range(0, len(data), slot)]
+
+
+def _difference(a: int, b: int, slot: int) -> list[int]:
+    """The row a - b of two different packed rows, up to its last nonzero entry."""
+    row = [u - v for u, v in zip_longest(_unpack(a, slot), _unpack(b, slot), fillvalue=0)]
+    return row[: max(e for e, c in enumerate(row) if c) + 1]
 
 
 def _convolve(p: list[int], q: list[int]) -> list[int]:
     """The rows sum_i p[i] * q[r - i], r < min(len(p), len(q)), of a series
-    product, for packed rows and for their l1 norms alike."""
+    product, for packed rows and for their row sums alike."""
     return [sum(p[i] * q[r - i] for i in range(r + 1)) for r in range(min(len(p), len(q)))]
 
 
@@ -156,8 +155,10 @@ class RowSeries:
     Each row lists the coefficients of an ordinary polynomial in x, from
     x^0 upward.  The kernel root Y0 = x*W(s) is stored with power 1 and
     rows W_0, W_1, ...; its k-th power, with power k and rows [s^i] W^k.
-    The rows stop at s^(order/2), that is at t^order.  A product packs
-    every row once, in slots that hold the l1 norm of any row, in or out.
+    The rows stop at s^(order/2), that is at t^order.  No entry of a row
+    is negative, but in a kernel_residual away from the root.  A product
+    packs every row once, in slots that hold the sum of any row, in or
+    out, and raises OverflowError on a negative entry (_pack).
     """
 
     power: int
@@ -179,7 +180,7 @@ class RowSeries:
     def __mul__(self, other: "RowSeries") -> "RowSeries":
         """The product, truncated at the lower of the two orders."""
         size = min(len(self.rows), len(other.rows))
-        p, q = ([sum(map(abs, row)) for row in f.rows[:size]] for f in (self, other))
+        p, q = ([sum(row) for row in f.rows[:size]] for f in (self, other))
         slot = _slot_bytes(max([0, *p, *q, *_convolve(p, q)]))  # every entry, in and out
         packed = _convolve(*([_pack(row, slot) for row in f.rows[:size]] for f in (self, other)))
         return RowSeries(self.power + other.power, [_unpack(v, slot) for v in packed])
@@ -263,30 +264,30 @@ def _square_row(w: list[int], i: int) -> int:
 
 
 def kernel_residual(y: RowSeries) -> RowSeries:
-    """K(x, y(t); t) as a truncated series, summed monomial by monomial
-    over _KERNEL_T0 and _KERNEL_T2; zero exactly on the root.  It packs
-    y.rows afresh and forms y^2 by a symmetric product of its own, not the
-    online pass's _square_row, in slots that hold the sum of the |c| of K's
-    monomials times the largest l1 norm of a row of 1, y or y^2 (bounded
-    by the norms of y)."""
+    """K(x, y(t); t) as a truncated series, zero exactly on the root.  It
+    packs y.rows afresh and forms y^2 by a symmetric product of its own,
+    not the online pass's _square_row.  Each row of K is the difference of
+    two packed rows, the t^0 side xy (_KERNEL_T0) and the t^2 side
+    (_KERNEL_T2), unpacked only where the two differ.  A slot holds the
+    larger sum of the c of a side's monomials times the largest row sum
+    of 1, y or y^2 (bounded by the sums of y)."""
 
     def square(p: list[int]) -> list[int]:  # rows of p^2: each a < b once, doubled
         return [2 * sum(p[a] * p[r - a] for a in range((r + 1) // 2))
                 + (p[r // 2] ** 2 if r % 2 == 0 else 0) for r in range(len(p))]
 
-    size = len(y.rows)
-    norms = [sum(map(abs, row)) for row in y.rows]
-    weight = sum(_KERNEL_T0.values()) + sum(_KERNEL_T2.values())
-    slot = _slot_bytes(weight * max([1, *norms, *square(norms)]))
+    sums = [sum(row) for row in y.rows]
+    weight = max(sum(monomials.values()) for monomials in (_KERNEL_T0, _KERNEL_T2))
+    slot = _slot_bytes(weight * max([1, *sums, *square(sums)]))
     packed = [_pack(row, slot) for row in y.rows]
-    powers = ([1] + [0] * (size - 1), packed, square(packed))
-    rows = [0] * size
-    for level, sign, monomials in ((0, 1, _KERNEL_T0), (1, -1, _KERNEL_T2)):
+    powers = ([1], packed, square(packed))  # rows of y^0 = 1 (the rest zero), y and y^2
+    sides = [[0] * len(packed), [0] * len(packed)]
+    for level, monomials in enumerate((_KERNEL_T0, _KERNEL_T2)):
         for (i, j), c in monomials.items():
             # x^i t^(2 level) y^j = x^(i + level + j*power) s^level * (rows of y^j)
-            for r, row in enumerate(powers[j][: size - level]):
-                rows[r + level] += sign * c * row << 8 * slot * (i + level + j * y.power)
-    return RowSeries(0, [_unpack(v, slot) for v in rows])
+            for r, row in enumerate(powers[j][: len(packed) - level]):
+                sides[level][r + level] += c * row << 8 * slot * (i + level + j * y.power)
+    return RowSeries(0, [_difference(a, b, slot) if a != b else [] for a, b in zip(*sides)])
 
 
 # -- counting routes ------------------------------------------------------------------

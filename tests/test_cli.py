@@ -87,6 +87,17 @@ class TestCount:
             assert cli.run(argv) == 1, route
         capsys.readouterr()
 
+    @pytest.mark.parametrize("route", ["brute", "closed"])
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_k_below_two_is_refused_on_every_route(self, capsys, route, k):
+        argv = ["count", "--class", "braids-noiso", "--k", str(k), "--n", "3", "--route", route]
+        assert cli.run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err.splitlines()[-1]) == {
+            "error": "ValueError", "message": f"k must be >= 2, got {k}"
+        }
+
     def test_formula_route_needs_the_right_class(self, capsys):
         status = cli.run(["count", "--class", "partitions", "--n", "4",
                           "--route", "recurrence"])

@@ -336,6 +336,11 @@ class TestCrossingStatistics:
             is_k_noncrossing(PartitionDiagram(1), 1)
         with pytest.raises(TypeError):
             is_k_noncrossing(ArcDiagram(1), 3)
+        # a bare ArcDiagram states no crossing convention
+        bare = ArcDiagram(3, ((1, 2), (1, 3)))
+        for check in (crossing_number, lambda d: is_k_noncrossing(d, 3)):
+            with pytest.raises(TypeError, match="expected a partition or braid diagram"):
+                check(bare)
 
 
 def seeded_diagrams(seed, count):

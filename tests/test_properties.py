@@ -24,7 +24,7 @@ from noncrossing.duality import (
     expand_braid_no_isolated,
 )
 from noncrossing.enumeration import is_member
-from noncrossing.tableaux import diagram_to_tableau, tableau_to_diagram
+from noncrossing.tableaux import diagram_to_tableau, step_pairs, tableau_to_diagram
 
 _SETTINGS = settings(
     max_examples=100,
@@ -134,3 +134,25 @@ def test_restricted_bijection_round_trips(p):
     if crossing >= 2:
         with pytest.raises(RestrictedDomainError):
             contract_two_regular(p, crossing)
+
+
+@seed(20076)
+@_SETTINGS
+@given(partitions())
+def test_adjacent_arcs_are_row_one_steps(p):
+    # (i, i+1) is an arc exactly when vertex i's even half-step adds at
+    # row 1 and vertex i+1's odd half-step removes there
+    pairs = step_pairs(diagram_to_tableau(p))
+    for i in range(1, p.n):
+        adjacent = pairs[i - 1][1] == ("+", 1) and pairs[i][0] == ("-", 1)
+        assert ((i, i + 1) in p.arcs) == adjacent, i
+
+
+@seed(20077)
+@_SETTINGS
+@given(braids())
+def test_loops_are_row_one_steps(b):
+    # (i, i) is a loop exactly when vertex i adds at row 1 and removes there
+    pairs = step_pairs(diagram_to_tableau(b))
+    for i in range(1, b.n + 1):
+        assert ((i, i) in b.arcs) == (pairs[i - 1] == (("+", 1), ("-", 1))), i

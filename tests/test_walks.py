@@ -50,7 +50,8 @@ class TestKernelRoot:
         assert x_terms(y, 4) == {-1: 1, 0: 3, 1: 3, 2: 1}
 
     def test_kernel_identity(self):
-        assert kernel_residual(kernel_root_series(20)).is_zero()
+        for order in range(2, 62, 2):
+            assert kernel_residual(kernel_root_series(order)).is_zero(), order
 
     def test_positive_coefficients(self):
         y = kernel_root_series(24)
@@ -506,31 +507,78 @@ def _schoolbook(p, q):
     return [_trimmed(row) for row in rows]
 
 
+def _kernel_by_schoolbook(y):
+    """The rows of K(x, y; t) = xy - t^2 (x^2 y + x y^2 + y + x + x^2 + y^2 + 2xy),
+    as a series of power 0, from coefficients read term by term and y^2
+    by _schoolbook: the reference for kernel_residual."""
+
+    def terms(series):  # {(t exponent, x exponent): coefficient}
+        return {
+            (2 * i, series.power - i + e): c
+            for i, row in enumerate(series.rows)
+            for e, c in enumerate(row)
+        }
+
+    size = len(y.rows)
+    powers = ({(0, 0): 1}, terms(y), terms(RowSeries(2 * y.power, _schoolbook(y, y))))
+    # c x^i y^j t^level for each monomial of K
+    monomials = [(1, 1, 1, 0)] + [
+        (-c, i, j, 2)
+        for (i, j), c in {(2, 1): 1, (1, 2): 1, (0, 1): 1, (1, 0): 1, (2, 0): 1, (0, 2): 1,
+                          (1, 1): 2}.items()
+    ]
+    kernel = {}
+    for c, i, j, level in monomials:
+        for (t, x), v in powers[j].items():
+            if t + level < 2 * size:
+                kernel[t + level, x + i] = kernel.get((t + level, x + i), 0) + c * v
+    # [x^(e - r) t^(2r)] is entry e of row r, the shift s = t^2 / x
+    rows = [[] for _ in range(size)]
+    for (t, x), v in kernel.items():
+        r, e = t // 2, x + t // 2
+        assert t % 2 == 0 and e >= 0, (t, x)
+        rows[r].extend([0] * (e + 1 - len(rows[r])))
+        rows[r][e] += v
+    return [_trimmed(row) for row in rows]
+
+
 class TestPackedRows:
     def test_round_trip(self):
         rng = random.Random(1717)
         for slot in (1, 2, 3, 8, 46):
-            top = (1 << (8 * slot - 1)) - 1  # the largest entry below half a slot
-            rows = [[], [0], [0, 0, 0], [top], [-top], [top, -top, 0, -top, top], [5, 0, 0]]
+            top = (1 << (8 * slot)) - 1  # the largest entry a slot holds
+            rows = [[], [0], [0, 0, 0], [top], [0, top], [top, 1, 0, top, top], [5, 0, 0]]
             rows += [
-                [rng.randint(-top, top) for _ in range(rng.randrange(1, 40))]
+                [rng.randint(0, top) for _ in range(rng.randrange(1, 40))]
                 for _ in range(200)
             ]
             for row in rows:
                 assert _unpack(_pack(row, slot), slot) == _trimmed(row), (slot, row)
 
     def test_slot_holds_its_bound(self):
-        for bound in (0, 1, 127, 128, 255, 256, 2**15 - 1, 2**15, 8**121, 8**121 + 1):
+        for bound in (0, 255, 256, 2**16 - 1, 2**16, 8**121):
             slot = _slot_bytes(bound)
-            assert bound < 1 << (8 * slot - 1), bound
-            assert _unpack(_pack([-bound, bound], slot), slot) == _trimmed([-bound, bound])
+            assert bound < 1 << (8 * slot), bound
+            assert slot == 1 or bound >= 1 << (8 * slot - 8), bound  # and is no wider
+            assert _unpack(_pack([bound, 0, bound], slot), slot) == _trimmed([bound, 0, bound])
 
     def test_entry_wider_than_its_slot_is_refused(self):
         for slot in (1, 3):
-            half = 1 << (8 * slot - 1)
-            for row in ([half], [0, -half - 1]):
+            full = 1 << (8 * slot)
+            for row in ([full], [0, full + 1]):
                 with pytest.raises(OverflowError):
                     _pack(row, slot)
+
+    def test_negative_entry_is_refused(self):
+        for slot in (1, 3):
+            for row in ([-1], [0, 5, -(1 << (8 * slot - 1))]):
+                with pytest.raises(OverflowError):
+                    _pack(row, slot)
+        y = kernel_root_series(8)
+        with pytest.raises(OverflowError):
+            y * RowSeries(0, [[1], [0, -1]])
+        with pytest.raises(OverflowError):
+            RowSeries(0, [[2, -1]]) * y
 
     def test_product_matches_schoolbook(self):
         rng = random.Random(2024)
@@ -540,7 +588,7 @@ class TestPackedRows:
 
             def series(power):
                 rows = [
-                    [rng.randint(-spread, spread) for _ in range(rng.randrange(0, 7))]
+                    [rng.randint(0, spread) for _ in range(rng.randrange(0, 7))]
                     for _ in range(size + rng.randrange(0, 3))
                 ]
                 return RowSeries(power, rows)
@@ -549,6 +597,15 @@ class TestPackedRows:
             product = p * q
             assert product.power == p.power + q.power
             assert product.rows == _schoolbook(p, q)
+
+    def test_residual_matches_schoolbook(self):
+        y = kernel_root_series(12)
+        assert _kernel_by_schoolbook(y) == [[]] * len(y.rows)
+        # the corruption of test_series_corrupted_root: Y gains x^-1 t^4
+        y.rows[2][0] += 1
+        residual = kernel_residual(y)
+        assert residual.power == 0 and not residual.is_zero()
+        assert residual.rows == _kernel_by_schoolbook(y)
 
 
 class TestDenseRoutes:
