@@ -6,8 +6,10 @@ precision survives any consumer.  They come from verify.count_text,
 which computes the recurrence table in decimal radix and hands back its
 Decimal terms, so that printing it costs time linear in its digits; a
 count of more than sys.get_int_max_str_digits() digits is still refused
-with exit 1, as str() of an int refuses it, and the recurrence stops at
-the first such term.  Reports are JSON on stdout with sorted keys
+with exit 1, as str() of an int refuses it.  A 64-bit lower bound
+proves that refusal before any exact term is formed, and where it
+cannot, the recurrence stops at the first such term.  Reports are
+JSON on stdout with sorted keys
 (byte-identical for identical invocations, apart from the elapsed-time
 field).  A table of counts, the "counts" member of a JSON report or a
 CSV table, is written row by row straight from the one table, and only

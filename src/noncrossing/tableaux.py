@@ -70,7 +70,7 @@ from itertools import chain
 from operator import ge
 from typing import Sequence
 
-from .diagrams import BraidDiagram, PartitionDiagram
+from .diagrams import BraidDiagram, PartitionDiagram, _require_diagram
 
 Shape = tuple[int, ...]
 HalfStep = tuple[str, int] | None  # ('+', row) adds, ('-', row) removes
@@ -80,7 +80,6 @@ PARTITION_STEPS = "partition"
 BRAID_STEPS = "braid"
 #: step set -> the class of the diagrams its tableaux encode
 _DIAGRAM_CLASS = {PARTITION_STEPS: PartitionDiagram, BRAID_STEPS: BraidDiagram}
-_STEP_SET = {cls: step_set for step_set, cls in _DIAGRAM_CLASS.items()}
 
 
 class MalformedTableauError(ValueError):
@@ -336,11 +335,12 @@ def diagram_to_tableau(d: PartitionDiagram | BraidDiagram) -> VacillatingTableau
     """Right-to-left scan building the unique tableau of a diagram.
 
     Exact inverse of tableau_to_diagram; the maximal row count of the
-    result equals the crossing number of the diagram.
+    result equals the crossing number of the diagram.  It takes what
+    diagrams.crossing_number takes, subclasses of the two diagram types
+    included, and raises the same TypeError on anything else.
     """
-    step_set = _STEP_SET.get(type(d))
-    if step_set is None:
-        raise TypeError(f"expected a partition or braid diagram, got {type(d).__name__}")
+    _require_diagram(d)
+    step_set = next(s for s, cls in _DIAGRAM_CLASS.items() if isinstance(d, cls))
 
     partner = {j: i for i, j in d.arcs}  # vertex -> entry its ejection released
     placers = {i for i, _ in d.arcs}  # vertices that placed themselves

@@ -92,8 +92,9 @@ def count_text(class_tag: str, k: int, route: str, sizes) -> dict[int, str | Dec
     digits, so that the table is held once; the others are converted with
     str().  Either way a value of more than sys.get_int_max_str_digits()
     digits is refused with the ValueError that str() of an int raises: a
-    decimal route stops at its first term that long, and the others
-    refuse it as they convert it."""
+    decimal route refuses it before it forms any term when a lower bound
+    proves one too long, and otherwise stops at its first term that long
+    (walks._rho3_terms); the others refuse it as they convert it."""
     sizes, counter, decimal = _admit(class_tag, k, route, sizes)
     if decimal:
         return counter(sizes, Decimal, sys.get_int_max_str_digits())

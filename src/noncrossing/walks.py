@@ -30,12 +30,13 @@ Constant-term extraction of a fixed x-Laurent combination of Y0, Y0^2,
 Y0^3 yields rho3, as does a twelve-term signed sum of coefficients of
 Y0^k (binomial sums, by Lagrange inversion) and a three-term
 P-recurrence of order 2 (_RHO3_RECURRENCE), stepped once per request
-with exact divisions (_rho3_terms).  The twelve triple-binomial sums
-are nine: each depends only on the gaps between its three offsets,
-read in either order (a shift of the summation index, and the
-reflection C(N, j) = C(N, N - j)), and each is one pass of a pair row
-C(N,s) C(N,s+a), a <= 2, against a shifted binomial row
-(_triple_sums).  The asymptotic law
+with exact divisions (_rho3_terms); a 64-bit lower-bound pass refuses a
+table with a term too long to print before the exact pass starts.  The
+twelve triple-binomial sums are nine: each depends only on the gaps
+between its three offsets, read in either order (a shift of the
+summation index, and the reflection C(N, j) = C(N, N - j)), and each
+is one pass of a pair row C(N,s) C(N,s+a), a <= 2, against a shifted
+binomial row (_triple_sums).  The asymptotic law
 rho3(n) ~ K * 8^n * n^-7 * (1 + c1/n + c2/n^2 + c3/n^3) is the formal
 series solution of that table (series_solution, in exact rationals).
 Its constant K = 327680*sqrt(3)/(27*pi) (EXACT_K) comes from a
@@ -457,33 +458,71 @@ def _rho3_terms(sizes: list[int] | range, number: type = int,
     int, or Decimal, in which case every term is a Decimal and the loop
     runs in decimal radix under an exact context, so that str() of a
     term costs time linear in its digits.  Every division must be
-    exact; a remainder raises RecurrenceError.  With max_digits > 0 the
-    pass stops at the first term of more digits, with the ValueError
-    that str() of such an int raises.  The table would hold one anyway:
-    rho3 increases, as a2 - a3 = 6n^2 + 38n + 32 > 0 gives r(n+2) >
-    r(n+1), so the largest size asked for is at least as long.
+    exact; a remainder raises RecurrenceError.  With max_digits > 0 a
+    term of more digits raises the ValueError that str() of such an int
+    raises (_too_long).  The table would hold one anyway: rho3
+    increases, as a2 - a3 = 6n^2 + 38n + 32 > 0 gives r(n+2) > r(n+1),
+    so the largest size asked for, top, is at least as long.  No term up
+    to top is too long when 8^top < 10^max_digits, as rho3(n) <= a_n <=
+    8^n; past that line _certainly_too_long tries to prove the refusal
+    before any exact term, or the set of sizes, is formed, and only when
+    it cannot does the exact pass run, stopping at its first term that
+    long.
     """
-    wanted = set(sizes)
-    if min(wanted, default=0) < 1:
+    if min(sizes, default=0) < 1:
         raise ValueError("n must be >= 1")
+    top = max(sizes)
+    if max_digits and 8**top >= 10**max_digits and _certainly_too_long(top, max_digits):
+        raise _too_long(max_digits)
+    wanted = set(sizes)
     prev, cur = (number(rho3_closed_form(n)) for n in (1, 2))
     terms = {n: v for n, v in ((1, prev), (2, cur)) if n in wanted}
     with localcontext(_EXACT):
         too_long = number(10) ** max_digits
-        for n in range(1, max(wanted) - 1):
+        for n in range(1, top - 1):
             a1, a2, a3 = recurrence_weights(n)
             value, rem = divmod(a1 * prev + a2 * cur, a3)
             if rem:  # the numerator itself may be too long to print
                 raise RecurrenceError(f"non-exact division at n={n}: remainder {rem} modulo {a3}")
             if max_digits and value >= too_long:
-                raise ValueError(
-                    f"Exceeds the limit ({max_digits} digits) for integer string conversion;"
-                    " use sys.set_int_max_str_digits() to increase the limit"
-                )
+                raise _too_long(max_digits)
             prev, cur = cur, value
             if n + 2 in wanted:
                 terms[n + 2] = value
     return terms
+
+
+def _too_long(max_digits: int) -> ValueError:
+    """The refusal of a term of more than max_digits digits, in the words
+    of str() of such an int."""
+    return ValueError(
+        f"Exceeds the limit ({max_digits} digits) for integer string conversion;"
+        " use sys.set_int_max_str_digits() to increase the limit"
+    )
+
+
+def _certainly_too_long(top: int, max_digits: int) -> bool:
+    """Whether a lower bound proves that some rho3(n), n <= top, has more
+    than max_digits digits.
+
+    Lower bounds L * 2^e of two consecutive terms, L < 2^64 and one e for
+    both, are stepped by the recurrence with a floor division, and the
+    bits past 64 are dropped, another floor.  The weights are positive,
+    so each step keeps both bounds below their terms.  The pass stops at
+    the first bound of 10^max_digits or more.  Each floor loses less than
+    a unit in 64 bits, so the bound misses a term that long only when the
+    term lies within a tiny relative margin of 10^max_digits, and then
+    the exact pass decides."""
+    too_long = 10**max_digits
+    prev, cur, e = rho3_closed_form(1), rho3_closed_form(2), 0
+    for n in range(1, top - 1):
+        a1, a2, a3 = recurrence_weights(n)
+        prev, cur = cur, (a1 * prev + a2 * cur) // a3
+        if cur << e >= too_long:
+            return True
+        drop = max(0, cur.bit_length() - 64)
+        prev, cur, e = prev >> drop, cur >> drop, e + drop
+    return False
 
 
 # -- quadrant walks -------------------------------------------------------------------

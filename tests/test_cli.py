@@ -1079,6 +1079,41 @@ class TestDecimalTables:
         if argv.startswith("rho3"):  # the whole table took about 75 MB
             assert peak < 10_000_000
 
+    @pytest.mark.parametrize("bound", [True, False])
+    def test_one_pass_refuses_an_overlong_table(self, capsys, monkeypatch, bound):
+        # the lower-bound pass proves the refusal and no exact term is
+        # formed; without it, the exact pass refuses at the same step with
+        # the same diagnostic.  Either way recurrence_weights runs once per
+        # step, 1..4784, so one pass ran.
+        steps = _count_steps(monkeypatch)
+        if not bound:
+            monkeypatch.setattr(walks, "_certainly_too_long", lambda top, max_digits: False)
+        with pytest.raises(ValueError) as caught:
+            str(10**4300)
+        tracemalloc.start()
+        try:
+            status = cli.run("rho3 --route recurrence --n-max 20000".split())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert status == 1 and steps == list(range(1, 4785))
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err.splitlines()[-1]) == {
+            "error": "ValueError",
+            "message": str(caught.value),
+        }
+        if bound:  # the exact pass keeps every term it reaches, about 4 MB
+            assert peak < 1_000_000
+
+    def test_no_bound_pass_below_the_8_to_the_n_line(self, capsys, monkeypatch):
+        # 8^4000 < 10^4300 and rho3(n) <= 8^n: no term can be too long, so
+        # only the exact pass steps, n = 1..3998
+        steps = _count_steps(monkeypatch)
+        assert cli.run("rho3 --route recurrence --n-max 4000".split()) == 0
+        assert len(capsys.readouterr().out) > 0
+        assert steps == list(range(1, 3999))
+
     def test_the_refusal_follows_the_interpreter_limit(self, capsys):
         limit = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(1000)
@@ -1092,6 +1127,19 @@ class TestDecimalTables:
         assert (ok, refused) == (0, 1)
         err = capsys.readouterr().err
         assert json.loads(err.splitlines()[-1])["message"] == str(caught.value)
+
+
+def _count_steps(monkeypatch) -> list[int]:
+    """The n of every walks.recurrence_weights call from now on, in order."""
+    steps = []
+    weights = walks.recurrence_weights
+
+    def counted(n):
+        steps.append(n)
+        return weights(n)
+
+    monkeypatch.setattr(walks, "recurrence_weights", counted)
+    return steps
 
 
 class _CountingSink:

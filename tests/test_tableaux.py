@@ -9,6 +9,7 @@ import pytest
 from conftest import braids_over, partitions_of
 from noncrossing import tableaux
 from noncrossing.diagrams import (
+    ArcDiagram,
     BraidDiagram,
     PartitionDiagram,
     crossing_number,
@@ -580,6 +581,26 @@ class TestConversion:
         assert diagram_to_tableau(PartitionDiagram(1)).shapes == ((), (), ())
         assert diagram_to_tableau(BraidDiagram(1, ((1, 1),))).shapes == ((), (1,), ())
         assert diagram_to_tableau(PartitionDiagram(4, ((1, 3), (2, 4)))).max_rows() == 2
+
+    def test_takes_what_crossing_number_takes(self):
+        # subclasses of the two diagram types are diagrams of their class;
+        # anything else is refused with crossing_number's own TypeError
+        class P(PartitionDiagram):
+            pass
+
+        class Br(BraidDiagram):
+            pass
+
+        for d in (P(4, ((1, 3), (2, 4))), Br(4, ((1, 3), (2, 4)))):
+            assert diagram_to_tableau(d).max_rows() == crossing_number(d) == 2
+        bare = ArcDiagram(3, ((1, 2), (1, 3)))
+        with pytest.raises(TypeError) as expected:
+            crossing_number(bare)
+        with pytest.raises(TypeError) as caught:
+            diagram_to_tableau(bare)
+        assert str(caught.value) == str(expected.value) == (
+            "expected a partition or braid diagram, got ArcDiagram"
+        )
 
     def test_malformed_tableau_raises(self):
         with pytest.raises(MalformedTableauError):

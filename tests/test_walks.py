@@ -16,6 +16,7 @@ from noncrossing.walks import (
     REFERENCE_K,
     RecurrenceError,
     RowSeries,
+    _certainly_too_long,
     _pack,
     _rho3_terms,
     _slot_bytes,
@@ -300,6 +301,18 @@ class TestRecurrence:
         assert str(caught.value) == (
             f"non-exact division at n=4785: remainder {rem} modulo {lead}"
         )
+
+    def test_lower_bound_proves_exactly_the_overlong_tables(self):
+        # n* is the first n with rho3(n) >= 10^digits, a term of more than
+        # digits digits: the bound proves a table over 1..n* too long, and
+        # never one over 1..n* - 1, which fits
+        table = rho3_recurrence(1200)
+        n_star = 1
+        for digits in range(1, 1001):
+            while table[n_star] < 10**digits:
+                n_star += 1
+            assert not _certainly_too_long(n_star - 1, digits), (digits, n_star)
+            assert _certainly_too_long(n_star, digits), (digits, n_star)
 
 
 class TestQuadrantWalks:
