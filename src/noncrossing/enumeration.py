@@ -2,17 +2,22 @@
 
 One stream feeds both.  Set partitions come from restricted growth
 strings in lexicographic order, which is canonical and duplicate-free,
-and each word becomes its arcs in start order by one rule: read right
-to left, a vertex starts an arc to its label's next occurrence.  Each
-class keeps the words that pass its filter: the 2-regular test first,
-where the class asks for it, then the k-crossing test in the crossing
-convention that the class's diagram type carries (_FILTERS).  That
-test, diagrams.has_k_crossing, takes the arcs in start order and only
-asks whether some k of them cross: it skips the cuts before the k-th
-start and stops at the first k crossing arcs, so no word pays for its
-whole crossing number.  The generators
-wrap the surviving arcs in validated diagrams; count_class counts them
-and builds no diagram.
+and one depth-first walk over them (_growth_walk; Knuth, TAOCP 4A,
+7.2.1.5) keeps the arcs of the prefix it stands on: a vertex that takes
+an old label closes an arc from that label's last vertex, and a step
+back pops only the arcs of the suffix it changes, so a word costs O(1)
+list operations amortized, not a pass over [n].  The walk also yields
+the words themselves (restricted_growth_strings), so the package has
+one enumeration of set partitions.  Each word's arcs are handed on as
+a fresh list in start order.  Each class keeps the words that pass its
+filter: the 2-regular test first, where the class asks for it, then
+the k-crossing test in the crossing convention that the class's
+diagram type carries (_FILTERS).  That test, diagrams.has_k_crossing,
+takes the arcs in start order and only asks whether some k of them
+cross: it skips the cuts before the k-th start and stops at the first
+k crossing arcs, so no word pays for its whole crossing number.  The
+generators wrap the surviving arcs in validated diagrams; count_class
+counts them and builds no diagram.
 
 Braids are produced through their loop-stripped skeletons: every braid
 is a partition diagram (the non-loop arcs) plus a choice of
@@ -65,44 +70,70 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
-def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
-    """All strings a_1..a_n with a_1 = 0 and a_i <= 1 + max(previous),
-    in lexicographic order.  They encode set partitions of [n]."""
+def _growth_walk(n: int) -> Iterator[tuple[list[int], list[Arc]]]:
+    """Every restricted growth string of [n], in lexicographic order, with
+    the closed arcs of its partition, by one depth-first walk.  Each step
+    yields the same two live lists, the word and its arcs in end order,
+    which the next step changes: a reader copies what it keeps.
+
+    Vertex v takes the label word[v - 1].  An old label L closes the arc
+    (last[L], v); a vertex that closes no arc opens a block, under the
+    next new label, which is its cap.  The last vertex tries each label
+    of its prefix and then a new one.  Then the walk steps back: the end
+    v of the last closed arc is the rightmost vertex below its cap, as
+    every vertex after it opened a block.  The walk pops that arc, raises
+    v's label and refills the vertices after v with label 0, each closing
+    an arc to the one before.  A word costs O(1) list operations
+    amortized."""
     if n < 0:
         raise ValueError("n must be >= 0")
     word = [0] * n
-    peak = [0] * n  # peak[t] = max(word[:t]), kept as the prefix changes
+    # the first word, all 0, up to its last vertex: a chain of arcs
+    arcs = [(v, v + 1) for v in range(1, n - 1)]
+    state = word, arcs
+    if n < 2:
+        yield state
+        return
+    leaf = n - 1  # the position of vertex n
+    last = [0] * n  # last[L] = the latest vertex before n labelled L
+    last[0] = leaf
     while True:
-        yield tuple(word)
-        # advance to lexicographic successor: the last position below its
-        # cap; the first position, a_1 = 0, has none, and at n = 0 there is
-        # no position
-        pos = n - 1
-        while pos > 0 and word[pos] > peak[pos]:
-            pos -= 1
-        if pos <= 0:
+        blocks = leaf - len(arcs)  # opened by the vertices before n
+        for label in range(blocks):
+            word[leaf] = label
+            arcs.append((last[label], n))
+            yield state
+            arcs.pop()
+        word[leaf] = blocks
+        yield state
+        if not arcs:
             return
-        word[pos] += 1
-        top = word[pos] if word[pos] > peak[pos] else peak[pos]
-        for t in range(pos + 1, n):
-            word[t] = 0
-            peak[t] = top
+        start, v = arcs.pop()
+        label = word[v - 1]
+        last[label] = start
+        word[v - 1] = label = label + 1
+        if label < v - 1 - len(arcs):  # the number of blocks opened before v
+            arcs.append((last[label], v))
+        last[label] = v
+        for u in range(v + 1, n):
+            word[u - 1] = 0
+            arcs.append((last[0], u))
+            last[0] = u
+
+
+def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
+    """All strings a_1..a_n with a_1 = 0 and a_i <= 1 + max(previous),
+    in lexicographic order.  They encode set partitions of [n]."""
+    for word, _ in _growth_walk(n):
+        yield tuple(word)
 
 
 def _partition_arcs(n: int) -> Iterator[list[Arc]]:
     """The arcs of every set partition of [n], in growth-string order,
-    each list in start order: read right to left, a vertex starts an arc
-    to its label's next occurrence."""
-    for word in restricted_growth_strings(n):
-        following: dict[int, int] = {}
-        arcs = []
-        for v in range(n, 0, -1):
-            label = word[v - 1]
-            if label in following:
-                arcs.append((v, following[label]))
-            following[label] = v
-        arcs.reverse()
-        yield arcs
+    each a fresh list in start order: the arcs that _growth_walk keeps
+    in end order, sorted by start."""
+    for _, arcs in _growth_walk(n):
+        yield sorted(arcs)
 
 
 #: class tag -> (the type of its diagrams, whose shared_endpoint is its

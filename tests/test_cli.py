@@ -589,9 +589,9 @@ class TestBudgets:
     ])
     def test_braids_are_charged_bell_of_n_plus_1(self, capsys, monkeypatch, argv):
         # the braids over [12] number up to Bell(13) > 10^7 although
-        # Bell(12) is within the budget; every generator draws from
-        # restricted_growth_strings, so none runs before the refusal
-        monkeypatch.setattr(enumeration, "restricted_growth_strings", _unreachable)
+        # Bell(12) is within the budget; every stream reads the one
+        # growth-string walk, so none runs before the refusal
+        monkeypatch.setattr(enumeration, "_growth_walk", _unreachable)
         assert cli.run(argv.split()) == 1
         assert json.loads(capsys.readouterr().err.splitlines()[-1]) == {
             "error": "RangeGuardError",
@@ -599,8 +599,27 @@ class TestBudgets:
                        "over the brute-force budget of 10000000",
         }
 
+    @pytest.mark.parametrize("stream", [
+        *(pytest.param(lambda tag=tag: enumeration.count_class(tag, 3, 4),
+                       id=f"count_class-{tag}")
+          for tag in sorted(enumeration.GENERATORS)),
+        *(pytest.param(lambda tag=tag: next(enumeration.GENERATORS[tag](4, 3)),
+                       id=f"GENERATORS-{tag}")
+          for tag in sorted(enumeration.GENERATORS)),
+        pytest.param(lambda: next(enumeration.gen_set_partitions(4)),
+                     id="gen_set_partitions"),
+        pytest.param(lambda: next(enumeration.restricted_growth_strings(4)),
+                     id="restricted_growth_strings"),
+    ])
+    def test_every_stream_trips_the_walk(self, monkeypatch, stream):
+        # the control for the tests that patch the walk to show that no
+        # work started: every stream of enumeration reads it
+        monkeypatch.setattr(enumeration, "_growth_walk", _unreachable)
+        with pytest.raises(AssertionError, match="work started"):
+            stream()
+
     def test_braids_over_11_are_admitted(self, monkeypatch):
-        monkeypatch.setattr(enumeration, "restricted_growth_strings", _unreachable)
+        monkeypatch.setattr(enumeration, "_growth_walk", _unreachable)
         with pytest.raises(AssertionError, match="work started"):
             cli.run(["count", "--class", "braids", "--k", "3", "--n", "11"])
 
@@ -624,7 +643,7 @@ class TestBudgets:
             return bell_number(m)
 
         monkeypatch.setattr(enumeration, "bell_number", bounded_bell)
-        monkeypatch.setattr(enumeration, "restricted_growth_strings", _unreachable)
+        monkeypatch.setattr(enumeration, "_growth_walk", _unreachable)
         assert cli.run([*argv.split(), str(10**6)]) == 1
         assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "RangeGuardError"
 
@@ -641,7 +660,7 @@ class TestBudgets:
     ])
     def test_verify_rejects_a_bijection_suite_below_n_2(self, capsys, monkeypatch, suite, named):
         # the maps go from [n] to [n - 1], so n = 1 is no case of theirs
-        monkeypatch.setattr(enumeration, "restricted_growth_strings", _unreachable)
+        monkeypatch.setattr(enumeration, "_growth_walk", _unreachable)
         assert cli.run(["verify", "--suite", suite, "--n-max", "1"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -655,7 +674,7 @@ class TestBudgets:
         "verify --suite rho3 --n-max 121",
     ])
     def test_every_rho3_route_is_admitted_before_brute_force(self, capsys, monkeypatch, argv):
-        monkeypatch.setattr(enumeration, "restricted_growth_strings", _unreachable)
+        monkeypatch.setattr(enumeration, "_growth_walk", _unreachable)
         assert cli.run(argv.split()) == 1
         diagnostic = json.loads(capsys.readouterr().err.splitlines()[-1])
         assert diagnostic["error"] == "RangeGuardError"

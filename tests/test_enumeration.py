@@ -50,18 +50,87 @@ class TestGrowthStrings:
         words = list(restricted_growth_strings(4))
         assert words[0] == (0, 0, 0, 0)
         assert words[-1] == (0, 1, 2, 3)
-        assert words == sorted(words)
-        assert len(words) == len(set(words)) == bell_number(4)
+        # with the growth condition below, Bell(n) distinct words are all
+        # of them, and sorted is their order
+        for n in range(0, 10):
+            words = list(restricted_growth_strings(n))
+            assert words == sorted(words), n
+            assert len(words) == len(set(words)) == bell_number(n), n
 
     def test_growth_condition(self):
-        for word in restricted_growth_strings(6):
-            assert word[0] == 0
-            for pos in range(1, 6):
-                assert word[pos] <= max(word[:pos]) + 1
+        for n in range(1, 10):
+            for word in restricted_growth_strings(n):
+                assert word[0] == 0
+                for pos in range(1, n):
+                    assert word[pos] <= max(word[:pos]) + 1
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             next(restricted_growth_strings(-1))
+
+
+def _right_to_left_arcs(word):
+    # the per-word rule the walk replaced: read right to left, a vertex
+    # starts an arc to its label's next occurrence
+    following = {}
+    arcs = []
+    for v in range(len(word), 0, -1):
+        label = word[v - 1]
+        if label in following:
+            arcs.append((v, following[label]))
+        following[label] = v
+    arcs.reverse()
+    return arcs
+
+
+class TestArcWalk:
+    def test_each_list_is_the_right_to_left_rule_and_its_own(self):
+        # the rule's list, in start order, that the reader may keep or
+        # change: keep one, reverse the next, extend the one after, and
+        # every later list is still the rule's
+        import noncrossing.enumeration as enumeration_module
+
+        for n in range(0, 10):
+            kept = []
+            stream = enumeration_module._partition_arcs(n)
+            for t, word in enumerate(restricted_growth_strings(n)):
+                arcs = next(stream)
+                assert arcs == _right_to_left_arcs(word), (n, word)
+                assert arcs == sorted(arcs), (n, word)
+                if t % 3 == 0:
+                    kept.append((word, arcs))
+                elif t % 3 == 1:
+                    arcs.reverse()
+                else:
+                    arcs.extend([(0, 0), (n + 1, n + 2)])
+            assert next(stream, None) is None
+            for word, arcs in kept:
+                assert arcs == _right_to_left_arcs(word), (n, word)
+
+
+_ENTRIES = [
+    *(pytest.param(lambda n, tag=tag: count_class(tag, 3, n), id=f"count_class-{tag}")
+      for tag in sorted(GENERATORS)),
+    *(pytest.param(lambda n, tag=tag: next(GENERATORS[tag](n, 3)), id=f"GENERATORS-{tag}")
+      for tag in sorted(GENERATORS)),
+    pytest.param(lambda n: next(gen_set_partitions(n)), id="gen_set_partitions"),
+    pytest.param(lambda n: next(restricted_growth_strings(n)), id="restricted_growth_strings"),
+]
+
+
+class TestSizes:
+    @pytest.mark.parametrize("entry", _ENTRIES)
+    @pytest.mark.parametrize("n", [-1, -7])
+    def test_negative_size_is_refused(self, entry, n):
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
+            entry(n)
+
+    @pytest.mark.parametrize("tag", sorted(GENERATORS))
+    def test_the_empty_size_counts_one(self, tag):
+        # [0] has one partition, the empty one, and one braid
+        for k in range(2, 7):
+            assert count_class(tag, k, 0) == 1, (tag, k)
+            assert sum(1 for _ in GENERATORS[tag](0, k)) == 1, (tag, k)
 
 
 class TestPartitionStream:
