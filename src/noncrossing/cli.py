@@ -128,9 +128,10 @@ def _cmd_count(ns: argparse.Namespace) -> tuple[dict | Iterator[str], int]:
 
 def _cmd_enum(ns: argparse.Namespace) -> tuple[dict | Iterator[str], int]:
     class_tag = _CLASS_TAGS[ns.class_name]
+    diagrams.require_k(ns.k)
     enumeration.require_brute_budget(class_tag, ns.n)
     lines = map(diagrams.format_diagram, enumeration.GENERATORS[class_tag](ns.n, ns.k))
-    # the generator refuses k < 2 at its first diagram, before any is written
+    # the generator refuses n < 0 at its first diagram, before any is written
     lines = chain([next(lines, "")], lines)
     if ns.format == "json":
         return {"class": ns.class_name, "k": ns.k, "n": ns.n, "diagrams": lines}, 0

@@ -181,60 +181,22 @@ def partition_from_blocks(blocks: Iterable[Iterable[int]]) -> PartitionDiagram:
 # -- crossing statistics -------------------------------------------------------
 
 
-def crossing_number_of_arcs(arcs: Iterable[Arc], shared_endpoint: bool) -> int:
-    """Largest m admitting arcs with i_1 < ... < i_m </<= j_1 < ... < j_m.
+def _first_crossing_cut(arcs: Sequence[Arc], k: int, shared_endpoint: bool, first: int) -> int:
+    """The least t >= first at whose cut k of the arcs cross, or len(arcs).
 
-    With ``shared_endpoint`` the middle comparison is <= (equality only
-    realisable as i_m = j_1), which is the braid convention; otherwise
-    it is strict, the partition convention.
-
-    Every arc of such a set spans the cut c = i_m, so the maximum is
-    found by scanning cuts: among the arcs spanning a cut, a mutually
-    crossing set is exactly a subset whose left and right endpoints both
-    increase strictly.  Sorted by (i, -j), arcs sharing a left endpoint
-    have decreasing right endpoints, so such a subset is exactly a
-    strictly increasing run of right endpoints, found by patience
-    sorting.  The scan is has_k_crossing's without the stop: cut t is
-    the t-th arc's start and reads the arcs up to it in this order, so
-    the last cut of a run of equal starts reads every arc that starts
-    there.  One pass per arc costs O(m^2 log m) for m arcs.
+    The arcs come in (i, -j) order.  Cut t is the t-th arc's start c and
+    reads the arcs up to it, so the last cut of a run of equal starts
+    reads every arc that starts there.  Every arc of a crossing set
+    spans the cut c = i_m of its last start, and among the arcs spanning
+    a cut, a mutually crossing set is exactly a subset whose left and
+    right endpoints both increase strictly: in (i, -j) order, a strictly
+    increasing run of right endpoints, found by patience sorting.  The
+    scan returns at the first run of length k.
     """
-    arcs = sorted(arcs, key=lambda a: (a[0], -a[1]))
-    best = 0
-    for t, (c, _) in enumerate(arcs):
-        low = c - 1 if shared_endpoint else c  # an arc (i, j) spans c when j > low
-        tails: list[int] = []  # tails[h]: least right end of a run of h + 1
-        for _, j in arcs[: t + 1]:
-            if j > low:
-                h = bisect_left(tails, j)
-                if h == len(tails):
-                    tails.append(j)
-                else:
-                    tails[h] = j
-        best = max(best, len(tails))
-    return best
-
-
-def has_k_crossing(arcs: Sequence[Arc], k: int, shared_endpoint: bool) -> bool:
-    """True when some k of the arcs cross, that is, when
-    crossing_number_of_arcs(arcs, shared_endpoint) >= k, for k >= 1.
-
-    The arcs must have distinct starts and come in start order, as the
-    arcs of a partition or a braid do in a diagram.  The scan is the
-    statistic's, stopped as soon as it can answer: k crossing arcs have
-    k distinct starts, so their cut c = i_k is the k-th start or a later
-    one, and the first k - 1 cuts are skipped; the scan returns at the
-    first patience run of length k.  With distinct starts, start order
-    is the (i, -j) order the statistic sorts by.
-    """
-    if len(arcs) < k:
-        return False
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    for t in range(k - 1, len(arcs)):
+    for t in range(first, len(arcs)):
         c = arcs[t][0]
         low = c - 1 if shared_endpoint else c  # an arc (i, j) spans c when j > low
-        tails: list[int] = []
+        tails: list[int] = []  # tails[h]: least right end of a run of h + 1
         for _, j in arcs[: t + 1]:
             if j > low:
                 h = bisect_left(tails, j)
@@ -243,8 +205,45 @@ def has_k_crossing(arcs: Sequence[Arc], k: int, shared_endpoint: bool) -> bool:
                 elif h + 1 < k:
                     tails.append(j)
                 else:
-                    return True
-    return False
+                    return t
+    return len(arcs)
+
+
+def crossing_number_of_arcs(arcs: Iterable[Arc], shared_endpoint: bool) -> int:
+    """Largest m admitting arcs with i_1 < ... < i_m </<= j_1 < ... < j_m.
+
+    With ``shared_endpoint`` the middle comparison is <= (equality only
+    realisable as i_m = j_1), which is the braid convention; otherwise
+    it is strict, the partition convention.
+
+    The arcs are sorted by (i, -j) and the stopping scan is asked for
+    k = 1, 2, ... in turn.  A cut t that answers k is where k + 1 is
+    first asked: no earlier cut has k crossing arcs, so none has k + 1,
+    and k + 1 crossing arcs need k + 1 starts, so the cuts before the
+    (k + 1)-th are skipped too.  So the cuts are scanned about once in
+    all, one pass per arc, O(m^2 log m) for m arcs.
+    """
+    arcs = sorted(arcs, key=lambda a: (a[0], -a[1]))
+    k = t = 0
+    while (t := _first_crossing_cut(arcs, k + 1, shared_endpoint, max(t, k))) < len(arcs):
+        k += 1
+    return k
+
+
+def has_k_crossing(arcs: Sequence[Arc], k: int, shared_endpoint: bool) -> bool:
+    """True when some k of the arcs cross, that is, when
+    crossing_number_of_arcs(arcs, shared_endpoint) >= k, for k >= 1.
+
+    The arcs must have distinct starts and come in start order, as the
+    arcs of a partition or a braid do in a diagram; with distinct starts,
+    start order is the (i, -j) order of the scan.  k crossing arcs have
+    k distinct starts, so the scan starts at the k-th cut.
+    """
+    if len(arcs) < k:
+        return False
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    return _first_crossing_cut(arcs, k, shared_endpoint, k - 1) < len(arcs)
 
 
 def _require_diagram(d: object) -> None:

@@ -8,11 +8,13 @@ an old label closes an arc from that label's last vertex, and a step
 back pops only the arcs of the suffix it changes, so a word costs O(1)
 list operations amortized, not a pass over [n].  The walk also yields
 the words themselves (restricted_growth_strings), so the package has
-one enumeration of set partitions.  Each word's arcs are handed on as
-a fresh list in start order.  Each class keeps the words that pass its
-filter: the 2-regular test first, where the class asks for it, then
-the k-crossing test in the crossing convention that the class's
-diagram type carries (_FILTERS).  That test, diagrams.has_k_crossing,
+one enumeration of set partitions.  Each class reads the walk's own
+list of arcs and keeps the words that pass its filter (_class_arcs):
+the 2-regular test first, where the class asks for it, on the walk's
+list, as it needs no order; then the list of each word that passes is
+sorted into a fresh one in start order and meets the k-crossing test
+in the crossing convention that the class's diagram type carries
+(_FILTERS).  That test, diagrams.has_k_crossing,
 takes the arcs in start order and only asks whether some k of them
 cross: it skips the cuts before the k-th start and stops at the first
 k crossing arcs, so no word pays for its whole crossing number.  The
@@ -128,14 +130,6 @@ def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
         yield tuple(word)
 
 
-def _partition_arcs(n: int) -> Iterator[list[Arc]]:
-    """The arcs of every set partition of [n], in growth-string order,
-    each a fresh list in start order: the arcs that _growth_walk keeps
-    in end order, sorted by start."""
-    for _, arcs in _growth_walk(n):
-        yield sorted(arcs)
-
-
 #: class tag -> (the type of its diagrams, whose shared_endpoint is its
 #: crossing convention; its partitions are 2-regular); the braid classes
 #: filter their skeletons
@@ -155,21 +149,24 @@ def _class_filter(class_tag: str) -> tuple[type[PartitionDiagram | BraidDiagram]
 
 
 def _class_arcs(class_tag: str, n: int, k: int) -> Iterator[list[Arc]]:
-    """The arcs of each partition of [n] that passes class_tag's filter at k."""
+    """The arcs of each partition of [n] that passes class_tag's filter at
+    k, in growth-string order, each a fresh list in start order."""
     require_k(k)
     kind, two_regular = _class_filter(class_tag)
     shared_endpoint = kind.shared_endpoint
-    for arcs in _partition_arcs(n):
-        # the cheap test first: only Bell(n-1) of Bell(n) partitions pass it
+    for _, arcs in _growth_walk(n):
+        # the cheap test first, on the walk's own list: only Bell(n-1) of
+        # Bell(n) partitions pass it, and it needs no start order
         if two_regular and any(j == i + 1 for i, j in arcs):
             continue
+        arcs = sorted(arcs)
         if not has_k_crossing(arcs, k, shared_endpoint):
             yield arcs
 
 
 def gen_set_partitions(n: int) -> Iterator[PartitionDiagram]:
     """Every set partition of [n] exactly once, as a canonical diagram."""
-    return (PartitionDiagram(n, arcs) for arcs in _partition_arcs(n))
+    return (PartitionDiagram(n, arcs) for _, arcs in _growth_walk(n))
 
 
 def gen_partitions_k(n: int, k: int) -> Iterator[PartitionDiagram]:

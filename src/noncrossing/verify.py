@@ -36,17 +36,13 @@ class _Route(NamedTuple):
 
 
 # The size caps of the entry points that do not enumerate (brute force has
-# enumeration.require_brute_budget).  Each was set where the call took
-# about ten seconds on a 2-core x86 VM under Python 3.11: a formula
-# route's table over 1..cap, the walks suite at --n-max cap.  There the
-# kernel table over 1..120 now takes 4.3-4.4 s, the walks suite at 210
-# 0.12-0.23 s and the closed-form table over 1..800 5.4-5.7 s; the caps
-# stay where they were, as raising a cap is a change of its own.
-# The recurrence is cheap in time, and one size keeps two terms, but a
-# table over 1..n holds about 1.5 n^2 bits; at 20 000 that is 75 MB,
-# which sets its cap instead.  asympt takes about 0.05 s at --n cap, and
-# render about 0.2 s and 55 MB at DIAGRAM_CAP; those caps stay so that
-# every entry point has one.
+# enumeration.require_brute_budget).  Each is set where the call takes at
+# most about ten seconds on a 2-core x86 VM under Python 3.11: a formula
+# route's table over 1..cap, the walks suite at --n-max cap.  The
+# recurrence is cheap in time, but a table over 1..n holds about
+# 1.5 n^2 bits, 75 MB at 20 000, which sets its cap instead.  asympt and
+# render are far below ten seconds at their caps, which keep every entry
+# point capped.
 
 #: (class, k) -> route -> its _Route
 _FORMULA_ROUTES = {
@@ -332,8 +328,8 @@ def suite_names(k: int) -> tuple[str, ...]:
 def run_suites(names, k: int, n_max: int) -> list[dict]:
     """The reports of the named suites, in order.  Before the first one
     runs, an empty list of names, an unknown name (the message lists
-    SUITE_NAMES) and a suite that checks another k are refused with
-    ValueError, and so are the suites that would check no n, named by
+    SUITE_NAMES), a suite that checks another k and k < 2 are refused
+    with ValueError, and so are the suites that would check no n, named by
     the largest first n among them, the least n_max that admits them
     all; then every suite that enumerates is charged its budget, so that
     a refusal comes before any work."""
@@ -346,6 +342,7 @@ def run_suites(names, k: int, n_max: int) -> list[dict]:
             raise ValueError(f"unknown suite {name!r}; available: {', '.join(SUITE_NAMES)}")
         if suite.k not in (None, k):
             raise ValueError(f"the {name} suite checks k = {suite.k} only, not k = {k}")
+    diagrams.require_k(k)
     first = max((suite.first_n for suite in suites if n_max < suite.first_n), default=None)
     if first is not None:
         vacuous = [name for name, suite in zip(names, suites) if suite.first_n == first]

@@ -831,6 +831,27 @@ def test_run_suites_refuses_no_suite(monkeypatch):
         verify.run_suites([], 3, 5)
 
 
+@pytest.mark.parametrize("argv,k", [
+    ("enum --class partitions --k 1 --n 13", 1),
+    ("enum --class braids --k 0 --n 12", 0),
+    ("verify --suite duality --k 1 --n-max 13", 1),
+    ("verify --suite tableau --k 0 --n-max 12", 0),
+    ("verify --suite all --k 1 --n-max 13", 1),
+])
+def test_k_below_two_is_refused_before_the_budget(capsys, monkeypatch, argv, k):
+    # as count refuses it: before any charge, and before any suite runs,
+    # the tableau suite's n = 0 round trip too
+    _no_suite_runs(monkeypatch)
+    monkeypatch.setattr(enumeration, "require_brute_budget", _unreachable)
+    monkeypatch.setattr(enumeration, "_growth_walk", _unreachable)
+    assert cli.run(argv.split()) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.splitlines()[-1]) == {
+        "error": "ValueError", "message": f"k must be >= 2, got {k}"
+    }
+
+
 def test_verify_all_runs_the_suites_of_its_k(capsys):
     status, report = run_json(capsys, "verify", "--suite", "all", "--k", "4", "--n-max", "4")
     assert status == 0 and report["passed"] is True and report["k"] == 4

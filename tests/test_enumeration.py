@@ -83,29 +83,56 @@ def _right_to_left_arcs(word):
     return arcs
 
 
+def _mangle(t, arcs, n):
+    # the reader's turn with the t-th list: keep it (True), or reverse
+    # or extend it
+    if t % 3 == 1:
+        arcs.reverse()
+    elif t % 3 == 2:
+        arcs.extend([(0, 0), (n + 1, n + 2)])
+    return t % 3 == 0
+
+
 class TestArcWalk:
     def test_each_list_is_the_right_to_left_rule_and_its_own(self):
-        # the rule's list, in start order, that the reader may keep or
-        # change: keep one, reverse the next, extend the one after, and
-        # every later list is still the rule's
+        # every partition of [n <= 9] passes the P_k filter at k = 10, so
+        # each word's list comes: the rule's, in start order, and the
+        # reader's to keep or change (_mangle), and every later list and
+        # every kept one is still the rule's
         import noncrossing.enumeration as enumeration_module
 
         for n in range(0, 10):
             kept = []
-            stream = enumeration_module._partition_arcs(n)
+            stream = enumeration_module._class_arcs("P_k", n, 10)
             for t, word in enumerate(restricted_growth_strings(n)):
                 arcs = next(stream)
                 assert arcs == _right_to_left_arcs(word), (n, word)
                 assert arcs == sorted(arcs), (n, word)
-                if t % 3 == 0:
+                if _mangle(t, arcs, n):
                     kept.append((word, arcs))
-                elif t % 3 == 1:
-                    arcs.reverse()
-                else:
-                    arcs.extend([(0, 0), (n + 1, n + 2)])
             assert next(stream, None) is None
             for word, arcs in kept:
                 assert arcs == _right_to_left_arcs(word), (n, word)
+
+    @pytest.mark.parametrize("tag", sorted(GENERATORS))
+    def test_each_class_list_is_in_start_order_and_its_own(self, tag):
+        # the 2-regular test reads the walk's list in end order, so the
+        # lists that pass it must still be sorted and copied
+        import noncrossing.enumeration as enumeration_module
+
+        for k in range(2, 5):
+            for n in range(0, 9):
+                # a copy of each list as it comes, read before any is changed
+                expected = [list(arcs) for arcs in enumeration_module._class_arcs(tag, n, k)]
+                kept = []
+                stream = enumeration_module._class_arcs(tag, n, k)
+                for t, want in enumerate(expected):
+                    arcs = next(stream)
+                    assert arcs == want == sorted(want), (tag, k, n, want)
+                    if _mangle(t, arcs, n):
+                        kept.append((arcs, want))
+                assert next(stream, None) is None, (tag, k, n)
+                assert all(arcs == want for arcs, want in kept), (tag, k, n)
 
 
 _ENTRIES = [

@@ -29,7 +29,8 @@ def test_no_bare_asserts():
 
 
 #: each crossing scan -> the position of its shared_endpoint argument
-_CROSSING_SCANS = {"has_k_crossing": 2, "crossing_number_of_arcs": 1}
+_CROSSING_SCANS = {"_first_crossing_cut": 2, "has_k_crossing": 2,
+                   "crossing_number_of_arcs": 1}
 
 
 def test_crossing_convention_is_read_from_the_diagram_types():
@@ -52,6 +53,21 @@ def test_crossing_convention_is_read_from_the_diagram_types():
                 literal.append(f"{path.name}:{node.lineno}")
     assert calls >= 3
     assert not literal, f"crossing conventions passed as literals: {', '.join(literal)}"
+
+
+def test_one_patience_sort_scan():
+    # the crossing number asks the stopping scan, so the patience-sort
+    # loop is written once: only one function of diagrams calls bisect_left
+    tree = ast.parse((_PACKAGE / "diagrams.py").read_text())
+    callers = [
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        and any(isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "bisect_left"
+                for node in ast.walk(function))
+    ]
+    assert callers == ["_first_crossing_cut"]
 
 
 def _package_imports(path):
