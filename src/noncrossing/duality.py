@@ -28,6 +28,9 @@ tuples as they do by size, so the rule compares tuples.  The two routes
 share nothing beyond the diagram types; their agreement is the module's
 central cross-validation contract.
 
+Contractions take partitions and expansions braids; each map refuses a
+diagram of the other class with TypeError, and takes subclasses.
+
 Restricted to partitions without adjacent-vertex arcs, contraction
 produces a loop-free image; looping every isolated image vertex then
 lands exactly on the braids without isolated points, which is how the
@@ -44,6 +47,13 @@ class RestrictedDomainError(ValueError):
     """Input is outside the domain of the restricted bijection."""
 
 
+def _require(d: object, cls: type) -> None:
+    """Refuse anything but a cls diagram, subclasses included, as
+    diagrams._require_diagram admits them."""
+    if not isinstance(d, cls):
+        raise TypeError(f"expected a {cls.__name__}, got {type(d).__name__}")
+
+
 # -- direct route ---------------------------------------------------------------
 
 
@@ -56,11 +66,13 @@ def _contracted(p: PartitionDiagram) -> tuple[int, tuple[tuple[int, int], ...]]:
 
 def contract_partition(p: PartitionDiagram) -> BraidDiagram:
     """Map arcs (i, j) to (i, j-1), dropping vertex n.  Requires n >= 1."""
+    _require(p, PartitionDiagram)
     return BraidDiagram(*_contracted(p))
 
 
 def expand_braid(b: BraidDiagram) -> PartitionDiagram:
     """Inverse of contract_partition: arcs (i, j) become (i, j+1)."""
+    _require(b, BraidDiagram)
     return PartitionDiagram(b.n + 1, tuple((i, j + 1) for i, j in b.arcs))
 
 
@@ -73,15 +85,18 @@ def contract_partition_via_tableaux(p: PartitionDiagram) -> BraidDiagram:
     scan.  Equals contract_partition on every input; coded independently
     so the two can be checked against each other.
     """
+    _require(p, PartitionDiagram)
     if p.n < 1:
         raise ValueError("contraction needs at least one vertex")
-    source = diagram_to_tableau(p).shapes
-    shapes = list(source[1:-1])
-    # braid vertex i + 1: corners s^(2i+1), s^(2i+3), middle s^(2i+2),
-    # which is shapes[2i + 1]
-    for i, (a, b, c) in enumerate(zip(source[1::2], source[2::2], source[3::2])):
-        if b <= a or b <= c:  # not larger than both
-            shapes[2 * i + 1] = min(a, c)
+    source = iter(diagram_to_tableau(p).shapes)
+    next(source)  # s^0
+    a = next(source)
+    shapes = [a]
+    # braid vertex i: corners a = s^(2i-1) and c = s^(2i+1), middle b;
+    # zip stops before s^2n, which has no pair
+    for b, c in zip(source, source):
+        shapes += (b if a < b > c else min(a, c), c)
+        a = c
     return tableau_to_diagram(VacillatingTableau(tuple(shapes), BRAID_STEPS))
 
 
@@ -96,6 +111,7 @@ def contract_two_regular(p: PartitionDiagram, k: int) -> BraidDiagram:
     a loop on each vertex they leave isolated are the braid, built once.
     Inputs outside the domain are rejected, not silently mapped.
     """
+    _require(p, PartitionDiagram)
     if not is_two_regular(p):
         raise RestrictedDomainError("partition has an adjacent-vertex arc")
     if not is_k_noncrossing(p, k):
@@ -107,6 +123,7 @@ def contract_two_regular(p: PartitionDiagram, k: int) -> BraidDiagram:
 def expand_braid_no_isolated(b: BraidDiagram, k: int) -> PartitionDiagram:
     """Inverse of contract_two_regular: the braid's arcs other than its
     loops, expanded, built once."""
+    _require(b, BraidDiagram)
     if isolated(b.n, b.arcs):
         raise RestrictedDomainError("braid has isolated points")
     if not is_k_noncrossing(b, k):

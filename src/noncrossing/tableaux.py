@@ -10,22 +10,22 @@ disciplines are used:
 * braid steps: the legal pairs are (do nothing, do nothing),
   (add, remove), (do nothing, add) and (remove, do nothing).
 
-Both are stated once, as the table ``_LEGAL_KINDS`` of legal (odd, even)
-kinds, which validation and the right-to-left scan both read.  The rule
-for one half-step is that of ``add_square`` and ``remove_square``: an
-add is legal when the row above is longer, a remove when the row below
-is shorter.  ``half_step`` decodes a step from the rows alone.  Only
-the first row where two shapes differ can carry it, by one square, and
-every row after that one must be unchanged; so it reads that row, its
-neighbour and the tails after it, and builds no trial shape.  A step it
-refuses goes through ``add_square`` or ``remove_square``, which raise
-the message, or else the two shapes differ by more than one square.
-This is the one-pass check and rule-by-rule report of ``diagrams``.
-Every legal step keeps a shape a shape, so a sequence that starts at
-() and moves only by legal half-steps holds only shapes.  The
-validating scan ``_scan`` therefore calls ``is_shape`` only on a
-tableau it has already found invalid, to name its first entry that is
-not a shape.
+Validation reads them as the table ``_LEGAL_KINDS`` of legal (odd,
+even) kinds, one lookup per vertex.  The rule for one half-step is that
+of ``add_square`` and ``remove_square``: an add is legal when the row
+above is longer, a remove when the row below is shorter.  ``half_step``
+decodes a step from the rows alone.  Only the first row where two shapes
+differ can carry it, by one square, and every row after that one must
+be unchanged; so it reads that row, its neighbour and the tails after
+it, and builds no trial shape.  A step it refuses goes through
+``add_square`` or ``remove_square``, which raise the message, or else
+the two shapes differ by more than one square.  This is the one-pass
+check and rule-by-rule report of ``diagrams``.  Every legal step keeps
+a shape a shape, so a sequence that starts at () and moves only by
+legal half-steps holds only shapes.  The validating scan ``_scan``
+therefore walks the shapes once, calls ``half_step`` only where two
+neighbours differ, and calls ``is_shape`` only on a tableau it has
+already found invalid, to name its first entry that is not a shape.
 
 The translation to diagrams scans vertices left to right while
 maintaining a filling (a partial standard Young tableau whose entries
@@ -39,21 +39,32 @@ are the currently open origins):
   arc (e, i).  Under braid steps a vertex may place i and immediately
   eject it again, which is how loops (i, i) arise.
 
-The inverse direction scans the diagram right to left.  Each vertex
-places iff it starts an arc and ejects iff it ends one, and under either
-discipline exactly one legal pair does just that; the scan undoes its
-even half-step, then its odd one.  An ejection is undone by ordinary
-row insertion of the arc partner (bump the smallest larger entry
-downward), a placement by deleting the entry i, which at that moment is
-maximal and therefore sits at a removable corner.  Because insertion and
-reverse bumping are mutually inverse, the two scans are exact inverses,
-and the maximal number of rows used equals the diagram's crossing number.
-So the row bound is ``max_rows()``: a diagram is k-noncrossing iff
+A half-step that does nothing costs nothing, a placement one append,
+and a removal one bisection per row above it.  Neither checks its row:
+the filling has the shape of the tableau at every point, and the scan
+behind ``step_pairs`` has already proved each half-step legal on that
+shape, so a placement lands on an addable corner and a removal starts
+at a removable one.
+
+The inverse direction scans the diagram right to left, one half-step at
+a time.  Each vertex places iff it starts an arc and ejects iff it ends
+one, and under either discipline exactly one legal pair does just that:
+the add falls on the even half and the remove on the odd one, except
+for the braid pair (add, remove).  One pass over the arcs writes, for
+each half-step, what undoing it takes.  An ejection is undone by
+ordinary row insertion of the arc partner (bump the smallest larger
+entry downward), a placement by deleting the entry i, which at that
+moment is maximal and therefore ends its row.  A half-step that does
+nothing repeats the shape before it; any other moves one row length
+and builds one shape.  Because insertion and reverse bumping are
+mutually inverse, the two scans are exact inverses, and the maximal
+number of rows used equals the diagram's crossing number.  So the row
+bound is ``max_rows()``: a diagram is k-noncrossing iff
 ``max_rows() < k`` for its tableau.
 
 Every tableau is built as a shape sequence, never from step pairs:
 ``diagram_to_tableau`` keeps the row lengths of its filling, moved by
-the row that each insertion or extraction reports, and the duality's
+the row that each insertion or deletion ends in, and the duality's
 witness route amends the shapes of a partition tableau.
 A tableau is scanned at most once: its first scan derives every
 half-step and every violation, and the tableau keeps the result.
@@ -66,7 +77,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from operator import ge
 from typing import Sequence
 
@@ -197,9 +207,10 @@ def _scan(t: VacillatingTableau) -> tuple[tuple[str, ...], tuple[StepPair, ...]]
 
     A sequence that starts at () and moves only by legal half-steps holds
     only shapes, so the scan derives every half-step once, by half_step
-    unless the two shapes are equal, and vets no shape on its way.  Only when it has found a violation does it call
-    is_shape, entry by entry, and a non-shape entry is then the whole
-    report, as if it had been checked first."""
+    unless the two shapes are equal, and vets no shape on its way.  Only
+    when it has found a violation does it call is_shape, entry by entry,
+    and a non-shape entry is then the whole report, as if it had been
+    checked first."""
     shapes = t.shapes
     if t.step_set not in _LEGAL_KINDS:
         return (f"unknown step set {t.step_set!r}",), ()
@@ -212,19 +223,19 @@ def _scan(t: VacillatingTableau) -> tuple[tuple[str, ...], tuple[StepPair, ...]]
         out.append("last shape is not empty")
     legal = _LEGAL_KINDS[t.step_set]
     pairs: list[StepPair] = []
-    for i, (prev, mid, nxt) in enumerate(zip(shapes[0::2], shapes[1::2], shapes[2::2]), 1):
+    rest = iter(shapes)
+    prev = next(rest)
+    for i, (mid, nxt) in enumerate(zip(rest, rest), 1):
         try:
-            pair = (
-                None if prev == mid else half_step(prev, mid),
-                None if mid == nxt else half_step(mid, nxt),
-            )
+            odd = None if prev == mid else half_step(prev, mid)
+            even = None if mid == nxt else half_step(mid, nxt)
         except MalformedTableauError as err:
             out.append(f"vertex {i}: {err}")
-            continue
-        odd, even = pair
-        if (odd and odd[0], even and even[0]) not in legal:
-            out.append(f"vertex {i}: pair {pair} not allowed for {t.step_set} steps")
-        pairs.append(pair)
+        else:
+            if (odd and odd[0], even and even[0]) not in legal:
+                out.append(f"vertex {i}: pair {(odd, even)} not allowed for {t.step_set} steps")
+            pairs.append((odd, even))
+        prev = nxt
     if out:
         for pos, s in enumerate(shapes):
             if not is_shape(s):
@@ -245,90 +256,42 @@ def step_pairs(t: VacillatingTableau) -> tuple[StepPair, ...]:
     return pairs
 
 
-# -- fillings ---------------------------------------------------------------------
+# -- the correspondence -------------------------------------------------------------
 # A filling is a list of rows of distinct integers, strictly increasing
 # along rows and down columns; the entries are the open origins.
 
 
-def _place(filling: list[list[int]], value: int, row: int) -> None:
-    # value exceeds every current entry, so the declared corner is the
-    # only constraint
-    if row == len(filling) + 1:
-        filling.append([])
-    elif not (1 <= row <= len(filling)):
-        raise MalformedTableauError(f"cannot place at row {row}")
-    filling[row - 1].append(value)
-
-
-def _reverse_bump(filling: list[list[int]], row: int) -> int:
-    """Remove the corner of the given row and bump upward, returning the
-    entry ejected from the top row."""
-    if not (1 <= row <= len(filling)) or not filling[row - 1]:
-        raise MalformedTableauError(f"no corner at row {row}")
-    if row < len(filling) and len(filling[row]) >= len(filling[row - 1]):
-        raise MalformedTableauError(f"row {row} has no removable corner")
-    value = filling[row - 1].pop()
-    if not filling[row - 1]:
-        filling.pop(row - 1)
-    for r in range(row - 2, -1, -1):
-        # rows increase strictly, and columns too, so some entry of the
-        # row above is smaller than the carried value
-        cells = filling[r]
-        pos = bisect_left(cells, value) - 1
-        cells[pos], value = value, cells[pos]
-    return value
-
-
-def _insert(filling: list[list[int]], value: int) -> int:
-    """Standard row insertion; returns the 1-indexed row of the new cell."""
-    for r, cells in enumerate(filling, 1):
-        pos = bisect_right(cells, value)
-        if pos == len(cells):
-            cells.append(value)
-            return r
-        cells[pos], value = value, cells[pos]
-    filling.append([value])
-    return len(filling)
-
-
-def _extract_max(filling: list[list[int]], value: int) -> int:
-    """Delete the maximal entry ``value``; returns the row it occupied."""
-    for r, cells in enumerate(filling):
-        if cells and cells[-1] == value:
-            cells.pop()
-            if not cells:
-                filling.pop(r)
-            return r + 1
-    raise MalformedTableauError(f"entry {value} is not at a corner")
-
-
-# -- the correspondence -------------------------------------------------------------
-
-
 def tableau_to_diagram(t: VacillatingTableau) -> PartitionDiagram | BraidDiagram:
-    """Left-to-right scan turning a valid tableau into its diagram."""
+    """Left-to-right scan turning a valid tableau into its diagram.  It
+    checks no row: the scan behind step_pairs has proved every half-step
+    legal on the shape the filling has."""
     filling: list[list[int]] = []
     arcs: list[tuple[int, int]] = []
-    # the half-steps in order, the two of vertex i at positions 2i and 2i + 1
-    for pos, half in enumerate(chain.from_iterable(step_pairs(t)), 2):
-        if half:
+    for i, pair in enumerate(step_pairs(t), 1):
+        for half in pair:
+            if half is None:
+                continue
             op, row = half
-            if op == "+":
-                _place(filling, pos // 2, row)
-            else:
-                arcs.append((_reverse_bump(filling, row), pos // 2))
+            if op == "+":  # i exceeds every entry, so it ends its row
+                if row > len(filling):
+                    filling.append([i])
+                else:
+                    filling[row - 1].append(i)
+            else:  # take the corner of the row and bump upward
+                cells = filling[row - 1]
+                value = cells.pop()
+                if not cells:  # an emptied row is the last one
+                    filling.pop()
+                for r in range(row - 2, -1, -1):
+                    # the carried value replaces the largest smaller
+                    # entry, which exists as columns increase strictly
+                    cells = filling[r]
+                    pos = bisect_left(cells, value) - 1
+                    cells[pos], value = value, cells[pos]
+                arcs.append((value, i))
     if filling:
         raise MalformedTableauError("valid tableaux drain the filling")
     return _DIAGRAM_CLASS[t.step_set](t.n, tuple(arcs))
-
-
-#: step set -> each legal pair by what its vertex does, (places, ejects),
-#: even half first: the right-to-left scan undoes a placement by deleting
-#: the entry i and an ejection by inserting its partner
-_UNDO = {
-    step_set: {("+" in kinds, "-" in kinds): kinds[::-1] for kinds in legal}
-    for step_set, legal in _LEGAL_KINDS.items()
-}
 
 
 def diagram_to_tableau(d: PartitionDiagram | BraidDiagram) -> VacillatingTableau:
@@ -340,29 +303,49 @@ def diagram_to_tableau(d: PartitionDiagram | BraidDiagram) -> VacillatingTableau
     included, and raises the same TypeError on anything else.
     """
     _require_diagram(d)
-    step_set = next(s for s, cls in _DIAGRAM_CLASS.items() if isinstance(d, cls))
-
-    partner = {j: i for i, j in d.arcs}  # vertex -> entry its ejection released
-    placers = {i for i, _ in d.arcs}  # vertices that placed themselves
-    undo = _UNDO[step_set]
-
+    braid = isinstance(d, BraidDiagram)
+    # half-step 2i - 1 is vertex i's odd half and 2i its even one.  A
+    # vertex adds on its even half and removes on its odd one, except a
+    # braid vertex that does both, whose pair is (add, remove).  The scan
+    # undoes the add of vertex i by deleting i and the remove of an arc
+    # (i, j) by inserting i: undo[h] is -i, i, or 0 for doing nothing.
+    both = {j for _, j in d.arcs}.intersection(i for i, _ in d.arcs) if braid else ()
+    undo = [0] * (2 * d.n + 1)
+    for i, j in d.arcs:
+        undo[2 * i - (i in both)] = -i
+        undo[2 * j - 1 + (j in both)] = i
     filling: list[list[int]] = []
     rows: list[int] = []  # the row lengths of filling
-    rev: list[Shape] = [()]
-    for i in range(d.n, 0, -1):
-        for kind in undo[i in placers, i in partner]:
-            if kind == "+":
-                r = _extract_max(filling, i) - 1
-                rows[r] -= 1
-                if not rows[r]:
-                    rows.pop()  # an emptied row is the last one
-            elif kind == "-":
-                r = _insert(filling, partner[i]) - 1
-                if r < len(rows):
+    shapes: list[Shape] = [()] * (2 * d.n + 1)
+    shape: Shape = ()
+    for h in range(2 * d.n, 0, -1):
+        value = undo[h]
+        if value > 0:  # row insertion, bumping the smallest larger entry down
+            for r, cells in enumerate(filling):
+                pos = bisect_right(cells, value)
+                if pos == len(cells):
+                    cells.append(value)
                     rows[r] += 1
-                else:
-                    rows.append(1)
-            rev.append(tuple(rows) if kind else rev[-1])
+                    break
+                cells[pos], value = value, cells[pos]
+            else:
+                filling.append([value])
+                rows.append(1)
+            shape = tuple(rows)
+        elif value:  # -value is the largest entry, so it ends its row
+            for r, cells in enumerate(filling):
+                if cells[-1] == -value:
+                    cells.pop()
+                    if not cells:  # an emptied row is the last one
+                        filling.pop()
+                        rows.pop()
+                    else:
+                        rows[r] -= 1
+                    break
+            else:
+                raise MalformedTableauError(f"entry {-value} is not at a corner")
+            shape = tuple(rows)
+        shapes[h - 1] = shape
     if filling:
         raise MalformedTableauError("the right-to-left scan left entries in the filling")
-    return VacillatingTableau(tuple(reversed(rev)), step_set)
+    return VacillatingTableau(tuple(shapes), BRAID_STEPS if braid else PARTITION_STEPS)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -1267,8 +1268,9 @@ class TestHarness:
 
 @pytest.mark.parametrize("command", sorted(_REPORTS))
 def test_report_is_pinned(capsys, command):
-    # stdout byte for byte, apart from the elapsed-time line of JSON reports
-    assert cli.run(command.split()) == 0
+    # stdout byte for byte, apart from the elapsed-time line of JSON
+    # reports; a command is written as a shell would split it
+    assert cli.run(shlex.split(command)) == 0
     out = capsys.readouterr().out.splitlines(keepends=True)
     kept = [line for line in out if not line.lstrip().startswith('"elapsed_seconds"')]
     assert "".join(kept) == _REPORTS[command]

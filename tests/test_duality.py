@@ -145,3 +145,24 @@ class TestRestricted:
                     assert expand_braid_no_isolated(b, k) == p
                     image.add(b)
                 assert image == set(gen_braids_no_isolated(n - 1, k))
+
+
+@pytest.mark.parametrize("route,k,wrong,right", [
+    (contract_partition, None, BraidDiagram(3, ((1, 3),)), PartitionDiagram(3, ((1, 3),))),
+    (contract_two_regular, 3, BraidDiagram(3, ((1, 3),)), PartitionDiagram(3, ((1, 3),))),
+    (contract_partition_via_tableaux, None, BraidDiagram(4, ((1, 2), (2, 4), (3, 3))),
+     PartitionDiagram(4, ((1, 2), (2, 4)))),
+    (expand_braid, None, PartitionDiagram(3, ((1, 3),)), BraidDiagram(3, ((1, 3),))),
+    (expand_braid_no_isolated, 3, PartitionDiagram(2, ((1, 2),)), BraidDiagram(2, ((1, 2),))),
+], ids=["contract_partition", "contract_two_regular", "contract_partition_via_tableaux",
+        "expand_braid", "expand_braid_no_isolated"])
+def test_each_map_takes_only_its_own_diagram_type(route, k, wrong, right):
+    # contractions take partitions and expansions braids; a diagram of
+    # the other class is refused by type, a subclass of the right one is
+    # that class
+    args = () if k is None else (k,)
+    with pytest.raises(TypeError) as err:
+        route(wrong, *args)
+    assert str(err.value) == f"expected a {type(right).__name__}, got {type(wrong).__name__}"
+    sub = type("Sub", (type(right),), {})(right.n, right.arcs)
+    assert route(sub, *args) == route(right, *args)

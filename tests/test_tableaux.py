@@ -228,7 +228,8 @@ def reference_tableau(d):
     """diagram_to_tableau as first written: the right-to-left scan reads
     each shape off its filling.  A vertex undoes, even half first, the
     one legal pair that places iff it starts an arc and ejects iff it
-    ends one."""
+    ends one: a placement by deleting the vertex, the largest entry, from
+    the end of its row, an ejection by row-inserting its partner."""
     step_set = P if isinstance(d, PartitionDiagram) else B
     undo = {("+" in kinds, "-" in kinds): kinds[::-1] for kinds in documented_kinds(step_set)}
     partner = {j: i for i, j in d.arcs}
@@ -237,9 +238,20 @@ def reference_tableau(d):
     for i in range(d.n, 0, -1):
         for kind in undo[i in placers, i in partner]:
             if kind == "+":
-                tableaux._extract_max(filling, i)
+                [cells] = [cells for cells in filling if max(cells) == i]
+                cells.remove(i)
             elif kind == "-":
-                tableaux._insert(filling, partner[i])
+                value = partner[i]
+                for cells in filling:
+                    larger = [x for x in cells if x > value]
+                    if not larger:
+                        cells.append(value)
+                        break
+                    bumped = min(larger)
+                    cells[cells.index(bumped)], value = value, bumped
+                else:
+                    filling.append([value])
+            filling = [cells for cells in filling if cells]
             rev.append(tuple(map(len, filling)))
     return VacillatingTableau(tuple(reversed(rev)), step_set)
 
