@@ -55,7 +55,6 @@ from .tableaux import (
     validate_tableau,
 )
 from .walks import (
-    AsymptoticParams,
     EXACT_K,
     REFERENCE_K,
     RecurrenceError,

@@ -7,19 +7,21 @@ one-to-one, lands in the image class (enumeration.is_member) and has a
 domain as large as that class (enumeration.count_class) is onto it, so
 no set of diagrams is kept.  Every entry point has a size cap, refused
 with RangeGuardError before any work.  Each suite is one entry of
-_SUITES: its check, the class whose brute-force budget it is charged,
-the least n it checks and the one k it checks, if any.  run_suites reads
-only that table, and refuses with ValueError, before any suite runs, a
-call that names no suite, an unknown one, or one that would check
-another k or no n; suite_names(k) gives the suites that check k, which
---suite all runs.  A failed suite names its route, n and k and a
-counterexample: a diagram, the disagreeing values, or the
-ArithmeticError a route raised."""
+_SUITES: its check, its admission (the brute-force budget or the size
+cap it is held to at n_max), the least n it checks and the one k it
+checks, if any.  run_suites reads only that table, and refuses with
+ValueError, before any suite runs, a call that names no suite, an
+unknown one, or one that would check another k or no n, and with
+RangeGuardError one that a suite does not admit; suite_names(k) gives
+the suites that check k, which --suite all runs.  A failed suite names
+its route, n and k and a counterexample: a diagram, the disagreeing
+values, or the ArithmeticError a route raised."""
 
 from __future__ import annotations
 
 import sys
 from decimal import Decimal
+from functools import partial
 from itertools import chain
 from typing import Callable, NamedTuple
 
@@ -36,13 +38,12 @@ class _Route(NamedTuple):
 
 
 # The size caps of the entry points that do not enumerate (brute force has
-# enumeration.require_brute_budget).  Each is set where the call takes at
-# most about ten seconds on a 2-core x86 VM under Python 3.11: a formula
-# route's table over 1..cap, the walks suite at --n-max cap.  The
+# enumeration.require_brute_budget): a formula route's table over 1..cap,
+# the walks suite at --n-max cap.  They are fixed limits, not derived from
+# a time budget; each call at its cap takes seconds, not minutes.  The
 # recurrence is cheap in time, but a table over 1..n holds about
 # 1.5 n^2 bits, 75 MB at 20 000, which sets its cap instead.  asympt and
-# render are far below ten seconds at their caps, which keep every entry
-# point capped.
+# render are fast at their caps, which keep every entry point capped.
 
 #: (class, k) -> route -> its _Route
 _FORMULA_ROUTES = {
@@ -132,10 +133,7 @@ def rho3_agreement(n_max: int) -> tuple[dict[str, dict[int, str | Decimal]], dic
     only up to _BRUTE_CAP, and the rho3 suite's report that each agrees
     with the closed form, digit for digit.  A route that raises ArithmeticError
     fails it at the largest n asked for, with the tables built so far."""
-    spans = {route: range(1, (min(n_max, _BRUTE_CAP) if route == "brute" else n_max) + 1)
-             for route in routes("B_k_dagger", 3)}
-    for route, span in spans.items():  # every cap, before the first table
-        _admit("B_k_dagger", 3, route, span)
+    spans = _rho3_spans(n_max)
     tables = {}
     for route, span in spans.items():
         try:
@@ -150,6 +148,16 @@ def rho3_agreement(n_max: int) -> tuple[dict[str, dict[int, str | Decimal]], dic
                 return tables, _failure("rho3", "route disagrees", witness,
                                         route=route, n=n, k=3)
     return tables, {"name": "rho3", "passed": True, "details": {"values": reference}}
+
+
+def _rho3_spans(n_max: int) -> dict[str, range]:
+    """Each rho3 route's sizes, 1..n_max, brute force only up to
+    _BRUTE_CAP, once _admit has admitted every one of them."""
+    spans = {route: range(1, (min(n_max, _BRUTE_CAP) if route == "brute" else n_max) + 1)
+             for route in routes("B_k_dagger", 3)}
+    for route, span in spans.items():
+        _admit("B_k_dagger", 3, route, span)
+    return spans
 
 
 # -- the suites -------------------------------------------------------------------
@@ -235,7 +243,6 @@ def _suite_tableau(k: int, n_max: int) -> dict:
 
 def _suite_walks(k: int, n_max: int) -> dict:
     """Reflection principle: a_n - b_n equals the closed form."""
-    require_cap("the walks suite", n_max, _WALKS_CAP)
     for n, (a, b) in enumerate(walks._quadrant_walk_table(n_max)):
         try:
             expect = 1 if n == 0 else walks.rho3_closed_form(n)
@@ -249,22 +256,26 @@ def _suite_walks(k: int, n_max: int) -> dict:
 
 def _suite_series(k: int, n_max: int) -> dict:
     """Kernel identities and the coefficient formula.  The kernel check
-    is kernel_root_series's own: it raises on a nonzero residual."""
+    is the online root's own: it raises on a nonzero residual.  The
+    formula is checked against the packed rows of Y0, Y0^2 and Y0^3 that
+    the kernel route reads, from that one pass (walks._cube_row)."""
     order = 40
     try:
-        y = walks.kernel_root_series(order)
+        _, packed, squares, bits = walks._online_root(order // 2)
     except ArithmeticError as err:
         # the root to t^order holds [t^(2n+2)] up to n = order/2 - 1
         return _raised("series", err, check="kernel", route="kernel", n=order // 2 - 1, k=3)
     if not walks.kernel_symmetry_holds():
         return _failure("series", "the kernel is not symmetric",
                         {"kernel_symmetry_holds": False}, check="symmetry", k=3)
-    powers = {1: y, 2: y * y}
-    powers[3] = powers[2] * y
+    mask = (1 << bits) - 1
     for n in range(0, min(n_max, 10) + 1):
-        for power in (1, 2, 3):
+        # [x^m t^(2n+2)] Y0^k is the x^(m - k + n + 1) slot of [s^(n+1)] W^k
+        rows = packed[n + 1], squares[n + 1], walks._cube_row(packed, squares, bits, n + 1)
+        for power, row in enumerate(rows, 1):
             for m in range(-5, 6):
-                direct = powers[power].coefficient(2 * n + 2, m)
+                d = m - power + n + 1
+                direct = (row >> bits * d) & mask if d >= 0 else 0
                 try:
                     formula = walks.root_power_coefficient(power, m, n)
                 except ArithmeticError as err:
@@ -299,21 +310,22 @@ def _raised(name: str, err: ArithmeticError, **where) -> dict:
 
 class _Suite(NamedTuple):
     check: Callable  # (k, n_max) -> its report
-    budget: str | None  # the class whose brute-force budget it is charged at n_max
+    admit: Callable | None  # n_max -> None, raising over its budget or cap; None: no limit
     first_n: int  # the least n it checks past n = 0, so the least n_max it takes
     k: int | None = None  # the one k it checks, or None for every k
 
 
 #: suite -> its _Suite.  The bijections map [n] to [n - 1], so they start
 #: at n = 2; the other suites start at n = 1, as --n-max does, and tableau,
-#: walks and series check n = 0 besides.  tableau is charged every braid.
+#: walks and series check n = 0 besides.  tableau is charged every braid,
+#: rho3 each route's cap, and series runs at a fixed order.
 _SUITES = {
-    "duality": _Suite(_suite_duality, "P_k", 2),
-    "restriction": _Suite(_suite_restriction, "P_k", 2),
-    "routes": _Suite(_suite_routes, "P_k", 1),
-    "tableau": _Suite(_suite_tableau, "B_k", 1),
-    "rho3": _Suite(lambda k, n_max: rho3_agreement(n_max)[1], None, 1, 3),
-    "walks": _Suite(_suite_walks, None, 1, 3),
+    "duality": _Suite(_suite_duality, partial(enumeration.require_brute_budget, "P_k"), 2),
+    "restriction": _Suite(_suite_restriction, partial(enumeration.require_brute_budget, "P_k"), 2),
+    "routes": _Suite(_suite_routes, partial(enumeration.require_brute_budget, "P_k"), 1),
+    "tableau": _Suite(_suite_tableau, partial(enumeration.require_brute_budget, "B_k"), 1),
+    "rho3": _Suite(lambda k, n_max: rho3_agreement(n_max)[1], _rho3_spans, 1, 3),
+    "walks": _Suite(_suite_walks, partial(require_cap, "the walks suite", cap=_WALKS_CAP), 1, 3),
     "series": _Suite(_suite_series, None, 1, 3),
 }
 #: the suite names, in the order that run_suites is given them by --suite all
@@ -331,8 +343,8 @@ def run_suites(names, k: int, n_max: int) -> list[dict]:
     SUITE_NAMES), a suite that checks another k and k < 2 are refused
     with ValueError, and so are the suites that would check no n, named by
     the largest first n among them, the least n_max that admits them
-    all; then every suite that enumerates is charged its budget, so that
-    a refusal comes before any work."""
+    all; then every suite is admitted at n_max (its brute-force budget or
+    its cap, RangeGuardError), so that a refusal comes before any work."""
     names = list(names)  # read twice below, so an iterator of names is listed once
     if not names:
         raise ValueError(f"no suite named; available: {', '.join(SUITE_NAMES)}")
@@ -348,6 +360,6 @@ def run_suites(names, k: int, n_max: int) -> list[dict]:
         vacuous = [name for name, suite in zip(names, suites) if suite.first_n == first]
         verb = "suites start" if len(vacuous) > 1 else "suite starts"
         raise ValueError(f"the {' and '.join(vacuous)} {verb} at n = {first}, got n_max = {n_max}")
-    for class_tag in filter(None, (suite.budget for suite in suites)):
-        enumeration.require_brute_budget(class_tag, n_max)
+    for admit in filter(None, (suite.admit for suite in suites)):
+        admit(n_max)
     return [suite.check(k, n_max) for suite in suites]

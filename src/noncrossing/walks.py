@@ -16,11 +16,13 @@ t^2 with Laurent-polynomial coefficients in x, fixed point of
 Y = t^2*(1/x + 1)*(x + Y)*(1 + Y).  With s = t^2/x and Y0 = x*W(s)
 that relation becomes W = s*(1 + x)*(1 + (1 + x)*W + x*W^2), whose
 coefficient W_i = [s^i] W is an ordinary polynomial of degree 2i - 1.
-The code computes each W_i from the rows before it (the online, or
-relaxed, scheme of van der Hoeven) and hands the rows out as lists
-(RowSeries).  Both routes pack a row of integers into one integer,
-coefficient e in slot e (Kronecker substitution), so that a row
-product is one multiplication.  No packed entry is negative.  A slot
+The code computes each W_i, and the rows of W^2 and W^3, from the rows
+before it (the online, or relaxed, scheme of van der Hoeven) in one
+pass that the kernel route and the series suite both read, and hands
+the rows of W out as lists (RowSeries, which has no product).  Both
+routes pack a row of integers into one integer, coefficient e in slot
+e (Kronecker substitution), so that a row product is one
+multiplication.  No packed entry is negative.  A slot
 holds the largest value at x = 1 of a kernel row, which bounds its
 coefficients, and the kernel's residual packs its t^0 and t^2 sides
 apart (kernel_residual); the walks keep one anti-diagonal per integer,
@@ -38,7 +40,8 @@ summation index, and the reflection C(N, j) = C(N, N - j)), and each
 is one pass of a pair row C(N,s) C(N,s+a), a <= 2, against a shifted
 binomial row (_triple_sums).  The asymptotic law
 rho3(n) ~ K * 8^n * n^-7 * (1 + c1/n + c2/n^2 + c3/n^3) is the formal
-series solution of that table (series_solution, in exact rationals).
+series solution of that table (series_solution, in exact rationals),
+kept as the (base, exponent, corrections) that it returns for any table.
 Its constant K = 327680*sqrt(3)/(27*pi) (EXACT_K) comes from a
 saddle-point expansion of the twelve-term sum; the published value
 6686.408973 (REFERENCE_K) is low by a relative 7.0e-4, an erratum.
@@ -143,12 +146,6 @@ def _difference(a: int, b: int, slot: int) -> list[int]:
     return row[: max(e for e, c in enumerate(row) if c) + 1]
 
 
-def _convolve(p: list[int], q: list[int]) -> list[int]:
-    """The rows sum_i p[i] * q[r - i], r < min(len(p), len(q)), of a series
-    product, for packed rows and for their row sums alike."""
-    return [sum(p[i] * q[r - i] for i in range(r + 1)) for r in range(min(len(p), len(q)))]
-
-
 @dataclass(frozen=True)
 class RowSeries:
     """The truncated series x^power * sum_i s^i rows[i](x) with s = t^2/x.
@@ -157,9 +154,9 @@ class RowSeries:
     x^0 upward.  The kernel root Y0 = x*W(s) is stored with power 1 and
     rows W_0, W_1, ...; its k-th power, with power k and rows [s^i] W^k.
     The rows stop at s^(order/2), that is at t^order.  No entry of a row
-    is negative, but in a kernel_residual away from the root.  A product
-    packs every row once, in slots that hold the sum of any row, in or
-    out, and raises OverflowError on a negative entry (_pack).
+    is negative, but in a kernel_residual away from the root.  It has no
+    product: the powers of the root come packed from its one online pass
+    (_online_root, _cube_row).
     """
 
     power: int
@@ -177,14 +174,6 @@ class RowSeries:
 
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.rows)
-
-    def __mul__(self, other: "RowSeries") -> "RowSeries":
-        """The product, truncated at the lower of the two orders."""
-        size = min(len(self.rows), len(other.rows))
-        p, q = ([sum(row) for row in f.rows[:size]] for f in (self, other))
-        slot = _slot_bytes(max([0, *p, *q, *_convolve(p, q)]))  # every entry, in and out
-        packed = _convolve(*([_pack(row, slot) for row in f.rows[:size]] for f in (self, other)))
-        return RowSeries(self.power + other.power, [_unpack(v, slot) for v in packed])
 
 
 # -- the kernel and its power-series root --------------------------------------------
@@ -235,9 +224,11 @@ def kernel_root_series(order: int) -> RowSeries:
 
 def _online_root(half_order: int) -> tuple[list[list[int]], list[int], list[int], int]:
     """W_i, i <= h = half_order, as rows and packed, S_i, i <= h + 1, packed,
-    and the slot width in bits, checked against the kernel.  No coefficient
-    of W_i, S_i or [s^i] W^3 is negative, so none exceeds its row's value at
-    x = 1: the pass with bits = 0 gives those, and [s^i] W^3 <= S_(i+1)/2 (_kernel_ct)."""
+    and the slot width in bits, checked against the kernel.  Slot d of a
+    packed row holds its x^d coefficient, and _cube_row gives [s^i] W^3,
+    i <= h, in the same slots.  No coefficient of W_i, S_i or [s^i] W^3 is
+    negative, so none exceeds its row's value at x = 1: the pass with
+    bits = 0 gives those, and [s^i] W^3 <= S_(i+1)/2 (_cube_row)."""
     slot = _slot_bytes(max(max(values) for values in _online_pass(half_order, 0)))
     bits = 8 * slot
     packed, squares = _online_pass(half_order, bits)
@@ -262,6 +253,14 @@ def _square_row(w: list[int], i: int) -> int:
     # [s^i] W^2 = sum of W_a * W_b over a + b = i, a, b >= 1, b < len(w) (W_0 = 0)
     pairs = sum(w[a] * w[i - a] for a in range(max(1, i + 1 - len(w)), (i + 1) // 2))
     return 2 * pairs + (w[i // 2] ** 2 if i % 2 == 0 else 0)
+
+
+def _cube_row(packed: list[int], squares: list[int], bits: int, i: int) -> int:
+    """[s^i] W^3, packed as _online_root packs W_i and S_i.  The relation
+    times W, W^2 = s(1 + x)(W + (1 + x)W^2 + xW^3), gives it as
+    (S_(i+1)/(1 + x) - W_i - (1 + x)S_i)/x, both divisions exact."""
+    one_plus_x = 1 + (1 << bits)
+    return (squares[i + 1] // one_plus_x - packed[i] - one_plus_x * squares[i]) >> bits
 
 
 def kernel_residual(y: RowSeries) -> RowSeries:
@@ -319,11 +318,9 @@ def _rho3_kernel_table(sizes: list[int] | range) -> dict[int, int]:
 def _kernel_ct(packed: list[int], squares: list[int], bits: int, n: int) -> int:
     # [t^(2n+2)] CT_x(A*Y0 + B*Y0^3 + C*Y0^2), reading only the x-coefficients
     # the prefactors meet: slot d of a packed row holds its x^d coefficient.
-    # With top = n+1, [t^(2 top)] Y0^k is x^(k-top) [s^top] W^k.  The relation
-    # times W, W^2 = s(1 + x)(W + (1 + x)W^2 + xW^3), gives [s^top] W^3 as
-    # (S_(top+1)/(1 + x) - W_top - (1 + x)S_top)/x, both divisions exact
-    top, one_plus_x, mask = n + 1, 1 + (1 << bits), (1 << bits) - 1
-    cube = (squares[top + 1] // one_plus_x - packed[top] - one_plus_x * squares[top]) >> bits
+    # With top = n+1, [t^(2 top)] Y0^k is x^(k-top) [s^top] W^k
+    top, mask = n + 1, (1 << bits) - 1
+    cube = _cube_row(packed, squares, bits, top)
     return sum(  # x^e meets the exponent d = top - k - e of [s^top] W^k
         c * ((row >> bits * d) & mask)
         for prefactor, k, row in zip(_CT_PREFACTORS, (1, 3, 2), (packed[top], cube, squares[top]))
@@ -573,19 +570,6 @@ def _quadrant_walk_table(n_max: int) -> list[tuple[int, int]]:
 # -- asymptotics -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AsymptoticParams:
-    """rho3(n) ~ K * base^n * n^exponent * (1 + c1/n + c2/n^2 + c3/n^3),
-    K the leading_constant, the rest from series_solution."""
-
-    base: Fraction
-    exponent: Fraction
-    c1: Fraction
-    c2: Fraction
-    c3: Fraction
-    leading_constant: Decimal
-
-
 def _dominant_root(coeffs: list[int]) -> Fraction:
     """The rational root of largest modulus of sum_i coeffs[i] X^i, among
     the candidates p/q with p | the constant term and q | the leading one.
@@ -647,21 +631,21 @@ def series_solution(table, order: int) -> tuple[Fraction, Fraction, tuple[Fracti
 
 
 @cache
-def solve_asymptotics() -> AsymptoticParams:
-    """The law of rho3: series_solution of _RHO3_RECURRENCE to three
-    corrections, and K = EXACT_K.  Solved once per process."""
-    base, exponent, (c1, c2, c3) = series_solution(_RHO3_RECURRENCE, 3)
-    return AsymptoticParams(base, exponent, c1, c2, c3, EXACT_K)
+def solve_asymptotics() -> tuple[Fraction, Fraction, tuple[Fraction, ...]]:
+    """The law of rho3 as series_solution gives it for any table, the
+    (base, exponent, corrections) of _RHO3_RECURRENCE, unchanged.  Its
+    constant is EXACT_K.  Solved once per process."""
+    return series_solution(_RHO3_RECURRENCE, 3)
 
 
-def _shape(params: AsymptoticParams, n: int) -> Fraction:
-    """n^exponent * (1 + c1/n + c2/n^2 + c3/n^3)"""
-    correction = 1 + params.c1 / n + params.c2 / n**2 + params.c3 / n**3
-    return Fraction(n) ** params.exponent * correction
+def _shape(n: int) -> Fraction:
+    """n^exponent * (1 + c1/n + c2/n^2 + ...), every correction of the law."""
+    _, exponent, corrections = solve_asymptotics()
+    return Fraction(n) ** exponent * (1 + sum(c / n**i for i, c in enumerate(corrections, 1)))
 
 
 def asymptotic_estimate(n: int) -> Decimal:
-    """K * base^n * n^exponent * (1 + c1/n + c2/n^2 + c3/n^3) at 60 digits.
+    """K * base^n * n^exponent * (1 + c1/n + c2/n^2 + ...) at 60 digits.
 
     With base = p/q and a/b = n^exponent * correction, the factor after K
     is a * p^n / g over (b / g) * q^n, g = gcd(p^n, b), both formed
@@ -670,16 +654,15 @@ def asymptotic_estimate(n: int) -> Decimal:
     by the second."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    params = solve_asymptotics()
-    p, q = params.base.numerator, params.base.denominator
-    a, b = _shape(params, n).as_integer_ratio()
+    p, q = solve_asymptotics()[0].as_integer_ratio()
+    a, b = _shape(n).as_integer_ratio()
     g = gcd(pow(p, n, b), b)
     with localcontext(_EXACT):
         numerator = Decimal(a) * Decimal(p) ** n / g
         denominator = Decimal(b // g) * Decimal(q) ** n
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_DIGITS
-        return params.leading_constant * numerator / denominator
+        return EXACT_K * numerator / denominator
 
 
 def fit_leading_constant(n_probe: int) -> Decimal:
@@ -687,8 +670,7 @@ def fit_leading_constant(n_probe: int) -> Decimal:
     rho3(n) the one term _rho3_terms keeps; tends to EXACT_K as n grows."""
     if n_probe < 1:
         raise ValueError("n_probe must be >= 1")
-    params = solve_asymptotics()
-    ratio = _rho3_terms([n_probe])[n_probe] / (params.base**n_probe * _shape(params, n_probe))
+    ratio = _rho3_terms([n_probe])[n_probe] / (solve_asymptotics()[0] ** n_probe * _shape(n_probe))
     with localcontext() as ctx:
         ctx.prec = _DECIMAL_DIGITS
         return Decimal(ratio.numerator) / Decimal(ratio.denominator)

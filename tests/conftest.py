@@ -21,6 +21,29 @@ def braids_over(n):
     return tuple(enumeration.gen_braids(n, n + 2))
 
 
+def trimmed(row):
+    """The row without its trailing zeros."""
+    while row and not row[-1]:
+        row = row[:-1]
+    return row
+
+
+def schoolbook(p, q):
+    """The rows of the product of two walks.RowSeries, entry by entry,
+    truncated at the lower of the two orders: a reference product that
+    shares no code with the library, which forms the root's powers in its
+    online pass instead."""
+    rows = [[] for _ in range(min(len(p.rows), len(q.rows)))]
+    for i, a in enumerate(p.rows[: len(rows)]):
+        for j, b in enumerate(q.rows[: len(rows) - i]):
+            out = rows[i + j]
+            out.extend([0] * (len(a) + len(b) - 1 - len(out)))
+            for u, c in enumerate(a):
+                for v, d in enumerate(b):
+                    out[u + v] += c * d
+    return [trimmed(row) for row in rows]
+
+
 @pytest.fixture(scope="session")
 def golden():
     with open(_ROOT / "testdata" / "golden.json") as fh:

@@ -466,22 +466,36 @@ class TestSuiteFailures:
         assert failed["counterexample"]["closed"] == "5"
 
     def test_series_corrupted_root(self, capsys, monkeypatch):
-        # kernel_root_series checks its own residual (test_series_suite);
-        # a root corrupted after that check fails the coefficient check
-        root = walks.kernel_root_series
+        # the online root checks its own residual (test_series_suite); a
+        # root corrupted after that check fails the coefficient check
+        root = walks._online_root
 
-        def corrupted(order):
-            y = root(order)
-            y.rows[2][0] += 1
-            return y
+        def corrupted(half_order):
+            rows, packed, squares, bits = root(half_order)
+            packed[2] += 1  # the x^0 slot of W_2
+            return rows, packed, squares, bits
 
-        monkeypatch.setattr(walks, "kernel_root_series", corrupted)
+        monkeypatch.setattr(walks, "_online_root", corrupted)
         failed = self._run(capsys, "series")
         # Y gains x^-1 t^4, the coefficient of power 1 at m = -1, n = 1
         assert failed["details"]["check"] == "coefficient"
         assert (failed["details"]["power"], failed["details"]["m"], failed["details"]["n"]) \
             == (1, -1, 1)
         assert failed["counterexample"] == {"series": "2", "binomial_sum": "1"}
+
+    def test_series_wrong_cube(self, capsys, monkeypatch):
+        # the suite reads Y0^3 from the rows the kernel route reads, so a
+        # wrong cube identity fails it, not only the rho3 agreement
+        cube = walks._cube_row
+        monkeypatch.setattr(walks, "_cube_row", lambda *args: cube(*args) + (args[-1] == 4))
+        failed = self._run(capsys, "series")
+        # [s^4] W^3 gains x^0: Y0^3 gains x^-1 t^8, power 3 at m = -1, n = 3
+        assert failed["details"]["check"] == "coefficient"
+        assert (failed["details"]["power"], failed["details"]["m"], failed["details"]["n"]) \
+            == (3, -1, 3)
+        assert int(failed["counterexample"]["series"]) == (
+            int(failed["counterexample"]["binomial_sum"]) + 1
+        )
 
     def test_series_symmetry(self, capsys, monkeypatch):
         monkeypatch.setattr(walks, "kernel_symmetry_holds", lambda: False)
@@ -881,6 +895,19 @@ class TestFormulaCaps:
         argv = ["verify", "--suite", "walks", "--n-max", str(verify._WALKS_CAP + 1)]
         assert cli.run(argv) == 1
         assert json.loads(capsys.readouterr().err.splitlines()[-1])["error"] == "RangeGuardError"
+
+    @pytest.mark.parametrize("suite,n_max,message", [
+        ("walks", 300, "the walks suite is capped at n = 210, got 300"),
+        ("rho3", 200, "route 'kernel' is capped at n = 120, got 200"),
+    ])
+    def test_a_suite_cap_is_refused_before_any_suite_runs(self, monkeypatch, suite, n_max,
+                                                          message):
+        # the series suite, named first, would run before the capped one
+        monkeypatch.setattr(walks, "_online_root", _unreachable)
+        monkeypatch.setattr(walks, "kernel_symmetry_holds", _unreachable)
+        with pytest.raises(enumeration.RangeGuardError) as raised:
+            verify.run_suites(["series", suite], 3, n_max)
+        assert str(raised.value) == message
 
     def test_asympt_over_its_cap_is_refused(self, capsys, monkeypatch):
         monkeypatch.setattr(walks, "asymptotic_estimate", _unreachable)

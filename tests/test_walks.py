@@ -7,6 +7,7 @@ from math import comb, factorial, isclose, pi, sqrt
 
 import pytest
 
+from conftest import schoolbook, trimmed
 from noncrossing.enumeration import gen_braids_no_isolated
 from noncrossing.walks import (
     _CLOSED_FORM_GAPS,
@@ -114,8 +115,8 @@ class TestCoefficientFormula:
     def test_matches_series_extraction(self):
         for n in range(0, 7):
             y = kernel_root_series(2 * n + 2)
-            powers = {1: y, 2: y * y}
-            powers[3] = powers[2] * y
+            square = RowSeries(2, schoolbook(y, y))
+            powers = {1: y, 2: square, 3: RowSeries(3, schoolbook(square, y))}
             for k in (1, 2, 3):
                 for m in range(-5, 6):
                     assert powers[k].coefficient(2 * n + 2, m) == (
@@ -346,20 +347,20 @@ class TestAsymptotics:
         )
 
     def test_solved_constants(self):
-        params = solve_asymptotics()
-        assert params.base == 8
-        assert params.exponent == Fraction(-7)
-        assert params.c1 == Fraction(-28)
-        assert params.c2 == Fraction(4102, 9)
-        assert params.c3 == Fraction(-457744, 81)
-        assert params.leading_constant == EXACT_K
+        assert solve_asymptotics() == series_solution(_RHO3_RECURRENCE, 3)
+        base, exponent, (c1, c2, c3) = solve_asymptotics()
+        assert base == 8
+        assert exponent == Fraction(-7)
+        assert c1 == Fraction(-28)
+        assert c2 == Fraction(4102, 9)
+        assert c3 == Fraction(-457744, 81)
         assert len(EXACT_K.as_tuple().digits) == 60
 
     def test_corrections_satisfy_their_equations(self):
-        p = solve_asymptotics()
-        assert 2268 + 81 * p.c1 == 0
-        assert 1683 * p.c1 + 162 * p.c2 - 26712 == 0
-        assert -32547 * p.c1 + 729 * p.c2 + 129654 + 243 * p.c3 == 0
+        _, _, (c1, c2, c3) = solve_asymptotics()
+        assert 2268 + 81 * c1 == 0
+        assert 1683 * c1 + 162 * c2 - 26712 == 0
+        assert -32547 * c1 + 729 * c2 + 129654 + 243 * c3 == 0
 
     def test_corrections_help(self):
         exact = Decimal(rho3_recurrence(50)[50])
@@ -397,8 +398,7 @@ class TestAsymptotics:
             )
             for i in (1, 2, 3)
         )
-        params = solve_asymptotics()
-        assert corrections == (params.c1, params.c2, params.c3)
+        assert corrections == solve_asymptotics()[2]
 
     def test_estimate_validation(self):
         with pytest.raises(ValueError):
@@ -499,31 +499,10 @@ def _dict_walk_counts(n):
     return grid.get((1, 0), 0), grid.get((0, 1), 0)
 
 
-def _trimmed(row):
-    """The row without its trailing zeros."""
-    while row and not row[-1]:
-        row = row[:-1]
-    return row
-
-
-def _schoolbook(p, q):
-    """The product of two RowSeries, entry by entry: the reference for
-    the packed product."""
-    rows = [[] for _ in range(min(len(p.rows), len(q.rows)))]
-    for i, a in enumerate(p.rows[: len(rows)]):
-        for j, b in enumerate(q.rows[: len(rows) - i]):
-            out = rows[i + j]
-            out.extend([0] * (len(a) + len(b) - 1 - len(out)))
-            for u, c in enumerate(a):
-                for v, d in enumerate(b):
-                    out[u + v] += c * d
-    return [_trimmed(row) for row in rows]
-
-
 def _kernel_by_schoolbook(y):
     """The rows of K(x, y; t) = xy - t^2 (x^2 y + x y^2 + y + x + x^2 + y^2 + 2xy),
     as a series of power 0, from coefficients read term by term and y^2
-    by _schoolbook: the reference for kernel_residual."""
+    by schoolbook: the reference for kernel_residual."""
 
     def terms(series):  # {(t exponent, x exponent): coefficient}
         return {
@@ -533,7 +512,7 @@ def _kernel_by_schoolbook(y):
         }
 
     size = len(y.rows)
-    powers = ({(0, 0): 1}, terms(y), terms(RowSeries(2 * y.power, _schoolbook(y, y))))
+    powers = ({(0, 0): 1}, terms(y), terms(RowSeries(2 * y.power, schoolbook(y, y))))
     # c x^i y^j t^level for each monomial of K
     monomials = [(1, 1, 1, 0)] + [
         (-c, i, j, 2)
@@ -552,7 +531,7 @@ def _kernel_by_schoolbook(y):
         assert t % 2 == 0 and e >= 0, (t, x)
         rows[r].extend([0] * (e + 1 - len(rows[r])))
         rows[r][e] += v
-    return [_trimmed(row) for row in rows]
+    return [trimmed(row) for row in rows]
 
 
 class TestPackedRows:
@@ -566,14 +545,14 @@ class TestPackedRows:
                 for _ in range(200)
             ]
             for row in rows:
-                assert _unpack(_pack(row, slot), slot) == _trimmed(row), (slot, row)
+                assert _unpack(_pack(row, slot), slot) == trimmed(row), (slot, row)
 
     def test_slot_holds_its_bound(self):
         for bound in (0, 255, 256, 2**16 - 1, 2**16, 8**121):
             slot = _slot_bytes(bound)
             assert bound < 1 << (8 * slot), bound
             assert slot == 1 or bound >= 1 << (8 * slot - 8), bound  # and is no wider
-            assert _unpack(_pack([bound, 0, bound], slot), slot) == _trimmed([bound, 0, bound])
+            assert _unpack(_pack([bound, 0, bound], slot), slot) == trimmed([bound, 0, bound])
 
     def test_entry_wider_than_its_slot_is_refused(self):
         for slot in (1, 3):
@@ -587,29 +566,6 @@ class TestPackedRows:
             for row in ([-1], [0, 5, -(1 << (8 * slot - 1))]):
                 with pytest.raises(OverflowError):
                     _pack(row, slot)
-        y = kernel_root_series(8)
-        with pytest.raises(OverflowError):
-            y * RowSeries(0, [[1], [0, -1]])
-        with pytest.raises(OverflowError):
-            RowSeries(0, [[2, -1]]) * y
-
-    def test_product_matches_schoolbook(self):
-        rng = random.Random(2024)
-        for _ in range(60):
-            size = rng.randrange(0, 9)
-            spread = rng.choice((1, 9, 10**6, 10**40))
-
-            def series(power):
-                rows = [
-                    [rng.randint(0, spread) for _ in range(rng.randrange(0, 7))]
-                    for _ in range(size + rng.randrange(0, 3))
-                ]
-                return RowSeries(power, rows)
-
-            p, q = series(rng.randrange(-2, 3)), series(rng.randrange(-2, 3))
-            product = p * q
-            assert product.power == p.power + q.power
-            assert product.rows == _schoolbook(p, q)
 
     def test_residual_matches_schoolbook(self):
         y = kernel_root_series(12)
