@@ -7,26 +7,31 @@ is a bijection onto the braids over [n-1] and preserves the crossing
 number.
 
 An independently coded witness route computes the same map through
-vacillating tableaux, by one rule on shapes.  Let s^0 .. s^2n be the
+vacillating tableaux: it re-brackets the partition's half-steps into
+braid step pairs and fills them.  This is the half-step construction of
+Chen, Deng, Du, Stanley and Yan.  Re-bracketing the 2n half-steps of the
+partition tableau by one vertex makes braid vertex i the even half of
+partition vertex i (add or nothing), then the odd half of vertex i+1
+(remove or nothing).  The first odd and the last even half-steps do
+nothing, so re-bracketing drops them.  Swapping each pair into braid
+order moves a lone add to the even slot, (add, nothing) becoming
+(nothing, add), and a lone remove to the odd slot, (nothing, remove)
+becoming (remove, nothing).  Only (add, remove) keeps its order.  The
+route takes the half-steps from the one right-to-left scan of
+``tableaux`` and hands the pairs to its one fill, which checks each
+pair and half-step; it builds and decodes no shape.
+
+Stated on shapes, this is the paper's rule.  Let s^0 .. s^2n be the
 partition tableau.  Its shapes s^1 .. s^(2n-1) form the braid tableau,
 except that for braid vertex i, with corners a = s^(2i-1) and
 c = s^(2i+1), the middle b = s^(2i) is kept only when it is larger than
-both a and c; otherwise it becomes the smaller of a and c.
-
-This is the half-step construction of Chen, Deng, Du, Stanley and Yan,
-stated on shapes.  Re-bracketing the 2n half-steps by one vertex makes
-braid vertex i the step a -> b -> c: the even half of partition vertex
-i (add or nothing), then the odd half of vertex i+1 (remove or
-nothing).  The first odd and the last even half-steps do nothing, so
-re-bracketing drops s^0 and s^2n, which repeat their neighbours.
-Swapping each pair into braid order keeps a and c and replaces b:
-(add, nothing) becomes (nothing, add), with middle a, and
-(nothing, remove) becomes (remove, nothing), with middle c; in each
-case the smaller corner.  Only (add, remove), whose middle exceeds both
-corners, keeps its order.  Shapes at most one square apart order as
-tuples as they do by size, so the rule compares tuples.  The two routes
-share nothing beyond the diagram types; their agreement is the module's
-central cross-validation contract.
+both a and c; otherwise it becomes the smaller of a and c.  A swap
+keeps a and c, and the middle becomes a for a lone add and c for a lone
+remove, in each case the smaller corner.  Shapes at most one square apart order as tuples as they
+do by size, so the rule compares tuples.  The tests hold the rule, as
+the statement of the step on shapes, against the tableau of the direct
+route's image.  The two routes share nothing beyond the diagram types;
+their agreement is the module's central cross-validation contract.
 
 Contractions take partitions and expansions braids; each map refuses a
 diagram of the other class with TypeError, and takes subclasses.
@@ -40,7 +45,7 @@ count of such partitions reduces to the braid count.
 from __future__ import annotations
 
 from .diagrams import BraidDiagram, PartitionDiagram, is_k_noncrossing, is_two_regular, isolated
-from .tableaux import BRAID_STEPS, VacillatingTableau, diagram_to_tableau, tableau_to_diagram
+from .tableaux import BRAID_STEPS, _fill, _half_steps
 
 
 class RestrictedDomainError(ValueError):
@@ -80,24 +85,23 @@ def expand_braid(b: BraidDiagram) -> PartitionDiagram:
 
 
 def contract_partition_via_tableaux(p: PartitionDiagram) -> BraidDiagram:
-    """Witness route: partition tableau, the shape rule, braid tableau,
-    diagram.  tableau_to_diagram validates the braid tableau in its one
-    scan.  Equals contract_partition on every input; coded independently
-    so the two can be checked against each other.
+    """Witness route: the half-steps of the partition's one right-to-left
+    scan, re-bracketed into braid step pairs and filled into the braid,
+    building and decoding no shape.  _fill checks every pair and
+    half-step it fills.  The shape rule of the module docstring is this
+    step stated on shapes; the tests hold it, the route does not run it.
+    Equals contract_partition on every input; coded independently so
+    the two can be checked against each other.
     """
     _require(p, PartitionDiagram)
     if p.n < 1:
         raise ValueError("contraction needs at least one vertex")
-    source = iter(diagram_to_tableau(p).shapes)
-    next(source)  # s^0
-    a = next(source)
-    shapes = [a]
-    # braid vertex i: corners a = s^(2i-1) and c = s^(2i+1), middle b;
-    # zip stops before s^2n, which has no pair
-    for b, c in zip(source, source):
-        shapes += (b if a < b > c else min(a, c), c)
-        a = c
-    return tableau_to_diagram(VacillatingTableau(tuple(shapes), BRAID_STEPS))
+    # braid vertex i is partition half-step 2i (add or nothing), then
+    # 2i + 1 (remove or nothing); half-steps 1 and 2n do nothing
+    inner = iter(_half_steps(p)[1:-1])
+    pairs = [(None, add) if remove is None else (remove, None) if add is None else (add, remove)
+             for add, remove in zip(inner, inner)]
+    return _fill(p.n - 1, pairs, BRAID_STEPS)
 
 
 # -- restriction to 2-regular partitions -----------------------------------------

@@ -40,32 +40,36 @@ are the currently open origins):
   eject it again, which is how loops (i, i) arise.
 
 A half-step that does nothing costs nothing, a placement one append,
-and a removal one bisection per row above it.  Neither checks its row:
-the filling has the shape of the tableau at every point, and the scan
-behind ``step_pairs`` has already proved each half-step legal on that
-shape, so a placement lands on an addable corner and a removal starts
-at a removable one.
+and a removal one bisection per row above it.  This fill, ``_fill``,
+checks every pair it is handed, each in O(1): its kinds against
+``_LEGAL_KINDS``, each half-step against the lengths of its row and
+the neighbouring row of the filling, which has the shape of the tableau
+at every point (the rule of ``add_square`` and ``remove_square``), and
+at the end that the filling drains.  A refusal names the vertex.  So a
+placement lands on an addable corner and a removal starts at a
+removable one even when the pairs come from no tableau, as on the
+duality's witness route.
 
-The inverse direction scans the diagram right to left, one half-step at
-a time.  Each vertex places iff it starts an arc and ejects iff it ends
-one, and under either discipline exactly one legal pair does just that:
-the add falls on the even half and the remove on the odd one, except
-for the braid pair (add, remove).  One pass over the arcs writes, for
-each half-step, what undoing it takes.  An ejection is undone by
-ordinary row insertion of the arc partner (bump the smallest larger
-entry downward), a placement by deleting the entry i, which at that
-moment is maximal and therefore ends its row.  A half-step that does
-nothing repeats the shape before it; any other moves one row length
-and builds one shape.  Because insertion and reverse bumping are
-mutually inverse, the two scans are exact inverses, and the maximal
-number of rows used equals the diagram's crossing number.  So the row
-bound is ``max_rows()``: a diagram is k-noncrossing iff
-``max_rows() < k`` for its tableau.
+The inverse direction, ``_half_steps``, scans the diagram right to
+left, one half-step at a time, and returns the half-steps themselves, in
+the form of ``step_pairs``.  Each vertex places iff it starts an arc and
+ejects iff it ends one, and under either discipline exactly one legal
+pair does just that: the add falls on the even half and the remove on
+the odd one, except for the braid pair (add, remove).  One pass over the
+arcs writes, for each half-step, what undoing it takes.  An ejection is
+undone by ordinary row insertion of the arc partner (bump the smallest
+larger entry downward), a placement by deleting the entry i, which at
+that moment is maximal and therefore ends its row; the row that either
+ends in is the row of the half-step.  Because insertion and reverse
+bumping are mutually inverse, the scan and the fill are exact inverses,
+and the maximal number of rows used equals the diagram's crossing
+number.  So the row bound is ``max_rows()``: a diagram is k-noncrossing
+iff ``max_rows() < k`` for its tableau.
 
-Every tableau is built as a shape sequence, never from step pairs:
-``diagram_to_tableau`` keeps the row lengths of its filling, moved by
-the row that each insertion or deletion ends in, and the duality's
-witness route amends the shapes of a partition tableau.
+``diagram_to_tableau`` builds its shapes from the scan's half-steps: a
+half-step that does nothing repeats the shape before it, and any other
+moves one row length and builds one shape.  The duality's witness route
+re-brackets the same half-steps and fills them, and builds no tableau.
 A tableau is scanned at most once: its first scan derives every
 half-step and every violation, and the tableau keeps the result.
 ``validate_tableau``, ``step_pairs`` and ``tableau_to_diagram`` all read
@@ -261,23 +265,83 @@ def step_pairs(t: VacillatingTableau) -> tuple[StepPair, ...]:
 # along rows and down columns; the entries are the open origins.
 
 
-def tableau_to_diagram(t: VacillatingTableau) -> PartitionDiagram | BraidDiagram:
-    """Left-to-right scan turning a valid tableau into its diagram.  It
-    checks no row: the scan behind step_pairs has proved every half-step
-    legal on the shape the filling has."""
+def _half_steps(d: PartitionDiagram | BraidDiagram) -> list[HalfStep]:
+    """The 2n half-steps of d's tableau, half-step h at index h - 1, by
+    the one right-to-left scan; each is None, ("+", row) or ("-", row),
+    as in step_pairs."""
+    _require_diagram(d)
+    # half-step 2i - 1 is vertex i's odd half and 2i its even one.  A
+    # vertex adds on its even half and removes on its odd one, except a
+    # braid vertex that does both, whose pair is (add, remove).  The scan
+    # undoes the add of vertex i by deleting i and the remove of an arc
+    # (i, j) by inserting i.  steps[h - 1] first holds what undoing
+    # half-step h takes, -i, i or None for nothing, and the scan
+    # overwrites it with the half-step once it has undone it.
+    both = ({j for _, j in d.arcs}.intersection(i for i, _ in d.arcs)
+            if isinstance(d, BraidDiagram) else ())
+    steps: list[HalfStep | int] = [None] * (2 * d.n)
+    for i, j in d.arcs:
+        steps[2 * i - 1 - (i in both)] = -i
+        steps[2 * j - 2 + (j in both)] = i
+    filling: list[list[int]] = []
+    for slot in range(2 * d.n - 1, -1, -1):
+        value = steps[slot]
+        if value is None:
+            continue
+        if value > 0:  # row insertion, bumping the smallest larger entry down
+            for row, cells in enumerate(filling, 1):
+                pos = bisect_right(cells, value)
+                if pos == len(cells):
+                    cells.append(value)
+                    break
+                cells[pos], value = value, cells[pos]
+            else:
+                filling.append([value])
+                row = len(filling)
+            steps[slot] = ("-", row)  # the half-step took that square away
+        else:  # -value is the largest entry, so it ends its row
+            for row, cells in enumerate(filling, 1):
+                if cells[-1] == -value:
+                    cells.pop()
+                    if not cells:  # an emptied row is the last one
+                        filling.pop()
+                    break
+            else:
+                raise MalformedTableauError(f"entry {-value} is not at a corner")
+            steps[slot] = ("+", row)
+    if filling:
+        raise MalformedTableauError("the right-to-left scan left entries in the filling")
+    return steps
+
+
+def _fill(n: int, pairs: Sequence[StepPair], step_set: str) -> PartitionDiagram | BraidDiagram:
+    """Left-to-right fill turning n step pairs into their diagram, or
+    raise naming the first vertex whose pair is not legal for step_set,
+    whose half-step is illegal on the filling's rows, or after which the
+    filling does not drain.  Each check is O(1): a kind lookup, or the
+    lengths of the step's row and its neighbour, by the rule of
+    add_square and remove_square."""
+    legal = _LEGAL_KINDS[step_set]
     filling: list[list[int]] = []
     arcs: list[tuple[int, int]] = []
-    for i, pair in enumerate(step_pairs(t), 1):
+    for i, pair in enumerate(pairs, 1):
+        odd, even = pair
+        if (odd and odd[0], even and even[0]) not in legal:
+            raise MalformedTableauError(f"vertex {i}: pair {pair} not allowed for {step_set} steps")
         for half in pair:
             if half is None:
                 continue
             op, row = half
-            if op == "+":  # i exceeds every entry, so it ends its row
-                if row > len(filling):
-                    filling.append([i])
-                else:
-                    filling[row - 1].append(i)
-            else:  # take the corner of the row and bump upward
+            rows = len(filling)
+            # i exceeds every entry, so a placement ends its row
+            if op == "+" and row == rows + 1:
+                filling.append([i])
+            elif op == "+" and 0 < row <= rows and (
+                    row == 1 or len(filling[row - 2]) > len(filling[row - 1])):
+                filling[row - 1].append(i)
+            elif op == "-" and 0 < row <= rows and (
+                    row == rows or len(filling[row]) < len(filling[row - 1])):
+                # take the corner of the row and bump upward
                 cells = filling[row - 1]
                 value = cells.pop()
                 if not cells:  # an emptied row is the last one
@@ -289,63 +353,47 @@ def tableau_to_diagram(t: VacillatingTableau) -> PartitionDiagram | BraidDiagram
                     pos = bisect_left(cells, value) - 1
                     cells[pos], value = value, cells[pos]
                 arcs.append((value, i))
+            else:
+                doing = "adding" if op == "+" else "removing"
+                shape = tuple(map(len, filling))
+                raise MalformedTableauError(f"vertex {i}: {doing} at row {row} of {shape} is illegal")
     if filling:
-        raise MalformedTableauError("valid tableaux drain the filling")
-    return _DIAGRAM_CLASS[t.step_set](t.n, tuple(arcs))
+        raise MalformedTableauError(f"vertex {n}: the filling does not drain")
+    return _DIAGRAM_CLASS[step_set](n, tuple(arcs))
+
+
+def tableau_to_diagram(t: VacillatingTableau) -> PartitionDiagram | BraidDiagram:
+    """Left-to-right fill turning a valid tableau into its diagram: the
+    one fill, _fill, of the pairs the tableau's scan derived, which
+    checks each half-step again on the filling's rows, in O(1)."""
+    return _fill(t.n, step_pairs(t), t.step_set)
 
 
 def diagram_to_tableau(d: PartitionDiagram | BraidDiagram) -> VacillatingTableau:
-    """Right-to-left scan building the unique tableau of a diagram.
+    """The unique tableau of a diagram: its shapes, built from the
+    half-steps of the right-to-left scan.
 
     Exact inverse of tableau_to_diagram; the maximal row count of the
     result equals the crossing number of the diagram.  It takes what
     diagrams.crossing_number takes, subclasses of the two diagram types
     included, and raises the same TypeError on anything else.
     """
-    _require_diagram(d)
-    braid = isinstance(d, BraidDiagram)
-    # half-step 2i - 1 is vertex i's odd half and 2i its even one.  A
-    # vertex adds on its even half and removes on its odd one, except a
-    # braid vertex that does both, whose pair is (add, remove).  The scan
-    # undoes the add of vertex i by deleting i and the remove of an arc
-    # (i, j) by inserting i: undo[h] is -i, i, or 0 for doing nothing.
-    both = {j for _, j in d.arcs}.intersection(i for i, _ in d.arcs) if braid else ()
-    undo = [0] * (2 * d.n + 1)
-    for i, j in d.arcs:
-        undo[2 * i - (i in both)] = -i
-        undo[2 * j - 1 + (j in both)] = i
-    filling: list[list[int]] = []
-    rows: list[int] = []  # the row lengths of filling
-    shapes: list[Shape] = [()] * (2 * d.n + 1)
+    rows: list[int] = []  # the row lengths after each half-step
     shape: Shape = ()
-    for h in range(2 * d.n, 0, -1):
-        value = undo[h]
-        if value > 0:  # row insertion, bumping the smallest larger entry down
-            for r, cells in enumerate(filling):
-                pos = bisect_right(cells, value)
-                if pos == len(cells):
-                    cells.append(value)
-                    rows[r] += 1
-                    break
-                cells[pos], value = value, cells[pos]
-            else:
-                filling.append([value])
-                rows.append(1)
+    shapes = [shape]
+    for step in _half_steps(d):
+        if step is not None:
+            op, row = step
+            if op == "+":
+                if row > len(rows):
+                    rows.append(1)
+                else:
+                    rows[row - 1] += 1
+            elif rows[row - 1] > 1:
+                rows[row - 1] -= 1
+            else:  # an emptied row is the last one
+                rows.pop()
             shape = tuple(rows)
-        elif value:  # -value is the largest entry, so it ends its row
-            for r, cells in enumerate(filling):
-                if cells[-1] == -value:
-                    cells.pop()
-                    if not cells:  # an emptied row is the last one
-                        filling.pop()
-                        rows.pop()
-                    else:
-                        rows[r] -= 1
-                    break
-            else:
-                raise MalformedTableauError(f"entry {-value} is not at a corner")
-            shape = tuple(rows)
-        shapes[h - 1] = shape
-    if filling:
-        raise MalformedTableauError("the right-to-left scan left entries in the filling")
-    return VacillatingTableau(tuple(shapes), BRAID_STEPS if braid else PARTITION_STEPS)
+        shapes.append(shape)
+    return VacillatingTableau(tuple(shapes),
+                              BRAID_STEPS if isinstance(d, BraidDiagram) else PARTITION_STEPS)

@@ -21,6 +21,18 @@ def braids_over(n):
     return tuple(enumeration.gen_braids(n, n + 2))
 
 
+def shape_rule(shapes):
+    """The braid tableau's shapes from a partition tableau's shapes
+    s^0 .. s^2n by the paper's rule: s^1 .. s^(2n-1), except that braid
+    vertex i, between the corners a = s^(2i-1) and c = s^(2i+1), keeps
+    the middle b = s^(2i) only when it is larger than both, and otherwise
+    takes the smaller of a and c."""
+    out = [shapes[1]]
+    for a, b, c in zip(shapes[1:-2:2], shapes[2:-1:2], shapes[3::2]):
+        out += (b if a < b > c else min(a, c), c)
+    return tuple(out)
+
+
 def trimmed(row):
     """The row without its trailing zeros."""
     while row and not row[-1]:

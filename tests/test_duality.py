@@ -2,7 +2,8 @@
 
 import pytest
 
-from conftest import partitions_of
+from conftest import partitions_of, shape_rule
+from noncrossing import duality
 from noncrossing.diagrams import (
     BraidDiagram,
     PartitionDiagram,
@@ -19,7 +20,7 @@ from noncrossing.duality import (
     expand_braid_no_isolated,
 )
 from noncrossing.enumeration import gen_2regular_k, gen_braids, gen_braids_no_isolated
-from noncrossing.tableaux import diagram_to_tableau
+from noncrossing.tableaux import MalformedTableauError, diagram_to_tableau
 
 
 class TestDirect:
@@ -90,21 +91,34 @@ class TestTableauRoute:
                 assert contract_partition_via_tableaux(p) == contract_partition(p), p
 
     def test_intermediate_shape_interleaving(self):
-        # the shapes of the braid tableau, reached by the direct route and
-        # not by the witness's shape rule, interleave with the partition
-        # tableau's: even positions repeat the odd source shapes, and odd
-        # positions agree with a neighbouring source shape whenever they
-        # differ from the one in between
-        for n in range(2, 6):
+        # the braid tableau of the image, reached by the direct route, is
+        # the paper's shape rule applied to the partition tableau: the
+        # witness route's re-bracketing of half-steps, stated on shapes
+        for n in range(1, 9):
             for p in partitions_of(n):
                 src = diagram_to_tableau(p).shapes
-                mid = diagram_to_tableau(contract_partition(p)).shapes
-                assert mid[2 * (n - 1)] == src[2 * n - 1] == ()
-                for j in range(1, n):
-                    assert mid[2 * j] == src[2 * j + 1]
-                for j in range(0, n - 1):
-                    if mid[2 * j + 1] != src[2 * j + 2]:
-                        assert mid[2 * j + 1] in (src[2 * j + 1], src[2 * j + 3])
+                assert diagram_to_tableau(contract_partition(p)).shapes == shape_rule(src), p
+
+    def test_witness_route_guard_is_live(self, monkeypatch):
+        # the route fills whatever half-steps its source hands it, so its
+        # fill must refuse a corrupted source, naming the braid vertex: a
+        # half-step on a row that is illegal on its shape, and a lone add
+        # left in the odd slot
+        p = PartitionDiagram(4, ((1, 3), (2, 4)))
+        steps = duality._half_steps(p)
+        assert steps[1] == ("+", 1) and steps[2] is None and steps[3] == ("+", 2)
+        for h, half, message in [
+            (3, ("+", 3), "vertex 2: adding at row 3 of (1,) is illegal"),
+            (1, None, "vertex 1: pair (('+', 1), None) not allowed for braid steps"),
+        ]:
+            corrupt = list(steps)
+            corrupt[h] = half
+            if half is None:  # the add of half-step 2 moves to half-step 3
+                corrupt[2] = steps[1]
+            monkeypatch.setattr(duality, "_half_steps", lambda d, corrupt=corrupt: corrupt)
+            with pytest.raises(MalformedTableauError) as err:
+                contract_partition_via_tableaux(p)
+            assert str(err.value) == message
 
 
 class TestRestricted:

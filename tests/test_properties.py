@@ -1,10 +1,12 @@
 """Property tests on random diagrams well past the exhaustive sizes:
-n = 20..60, from a fixed seed and a bounded number of examples."""
+n = 20..60, and n = 200..1000 for the two contraction routes, from a
+fixed seed and a bounded number of examples."""
 
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
+from conftest import shape_rule
 from noncrossing.diagrams import (
     BraidDiagram,
     PartitionDiagram,
@@ -35,11 +37,11 @@ _SETTINGS = settings(
 
 
 @st.composite
-def partitions(draw):
-    """A set partition of [n] in arc form: each vertex gets a block
-    label, and consecutive members of a block are joined by an arc.  The
-    number of labels sets how many blocks there can be."""
-    n = draw(st.integers(20, 60))
+def partitions(draw, sizes=(20, 60)):
+    """A set partition of [n], n in sizes, in arc form: each vertex gets
+    a block label, and consecutive members of a block are joined by an
+    arc.  The number of labels sets how many blocks there can be."""
+    n = draw(st.integers(*sizes))
     labels = draw(st.lists(st.integers(0, draw(st.integers(0, n - 1))), min_size=n, max_size=n))
     last: dict[int, int] = {}
     arcs = []
@@ -51,10 +53,10 @@ def partitions(draw):
 
 
 @st.composite
-def braids(draw):
+def braids(draw, sizes=(20, 60)):
     """A braid over [n]: a partition's arcs, a vertex with an arc in and
     an arc out read as a crossing, and loops on some isolated vertices."""
-    p = draw(partitions())
+    p = draw(partitions(sizes))
     free = isolated(p.n, p.arcs)
     looped = draw(st.lists(st.sampled_from(free), unique=True)) if free else []
     return BraidDiagram(p.n, p.arcs + tuple((v, v) for v in looped))
@@ -117,6 +119,30 @@ def test_direct_route_equals_tableau_route(p):
 @given(braids())
 def test_tableau_route_inverts_expansion(b):
     assert contract_partition_via_tableaux(expand_braid(b)) == b
+
+
+@seed(20078)
+@settings(_SETTINGS, max_examples=15)
+@given(partitions((200, 1000)))
+def test_direct_route_equals_tableau_route_past_the_exhaustive_sizes(p):
+    assert contract_partition_via_tableaux(p) == contract_partition(p)
+
+
+@seed(20079)
+@settings(_SETTINGS, max_examples=15)
+@given(braids((200, 1000)))
+def test_tableau_route_inverts_expansion_past_the_exhaustive_sizes(b):
+    assert contract_partition_via_tableaux(expand_braid(b)) == b
+
+
+@seed(20080)
+@_SETTINGS
+@given(partitions())
+def test_shape_rule_states_the_witness_step(p):
+    # the braid tableau of the image is the paper's shape rule applied to
+    # the partition tableau
+    shapes = diagram_to_tableau(p).shapes
+    assert diagram_to_tableau(contract_partition(p)).shapes == shape_rule(shapes)
 
 
 @seed(20075)

@@ -70,6 +70,28 @@ def test_one_patience_sort_scan():
     assert callers == ["_first_crossing_cut"]
 
 
+def _callers(module, name):
+    """The functions of a library module that call name."""
+    tree = ast.parse((_PACKAGE / module).read_text())
+    return [
+        function.name
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef)
+        and any(isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+                for node in ast.walk(function))
+    ]
+
+
+def test_one_tableau_scan_and_one_fill():
+    # row insertion is written once, in the right-to-left scan, and the
+    # upward bump once, in the fill; the duality's witness route reaches
+    # both through them and bisects nothing itself
+    assert _callers("tableaux.py", "bisect_right") == ["_half_steps"]
+    assert _callers("tableaux.py", "bisect_left") == ["_fill"]
+    assert _callers("duality.py", "bisect_right") == _callers("duality.py", "bisect_left") == []
+
+
 def _package_imports(path):
     """The sibling modules a library module imports, relatively or not."""
     found = set()

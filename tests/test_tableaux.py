@@ -663,23 +663,67 @@ class TestConversion:
         assert 0 < len(calls) <= len(bad.shapes)
 
     def test_witness_route_scans_each_tableau_once(self, monkeypatch):
-        from noncrossing.duality import contract_partition, contract_partition_via_tableaux
+        from noncrossing import duality
+
+        def unreachable(*args):
+            raise AssertionError("the witness route decoded or built a tableau")
 
         scanned = []
-        scan = tableaux._scan
+        scan = duality._half_steps
 
-        def counted_scan(t):
-            scanned.append((t.step_set, t.n))
-            return scan(t)
+        def counted_scan(d):
+            scanned.append(d)
+            return scan(d)
 
-        monkeypatch.setattr(tableaux, "_scan", counted_scan)
+        monkeypatch.setattr(tableaux, "_scan", unreachable)
+        monkeypatch.setattr(tableaux, "half_step", unreachable)
+        monkeypatch.setattr(VacillatingTableau, "__post_init__", unreachable)
+        monkeypatch.setattr(duality, "_half_steps", counted_scan)
         n = 7
         p = PartitionDiagram(n, ((1, 3), (2, 5), (3, 4), (5, 7)))
-        assert contract_partition_via_tableaux(p) == contract_partition(p)
-        # the partition tableau is built by the right-to-left scan and
-        # read as shapes, so only the braid tableau over [n-1] is
-        # scanned, once
-        assert scanned == [(B, n - 1)]
+        assert duality.contract_partition_via_tableaux(p) == duality.contract_partition(p)
+        # the route re-brackets the half-steps of the partition's one
+        # right-to-left scan and fills them: it decodes no shape and
+        # builds no tableau, of either diagram
+        assert scanned == [p]
+
+    @pytest.mark.parametrize("step_set", [P, B])
+    def test_fill_guard_matches_the_square_rule(self, step_set):
+        # the fill refuses exactly the pair sequences that break a rule:
+        # a pair of kinds not legal for the step set, a half-step that
+        # add_square or remove_square refuses, or a filling left undrained;
+        # it names the first vertex that breaks one, and fills any other
+        # sequence into the diagram whose tableau the sequence is
+        rng = random.Random(38)
+        legal = documented_kinds(step_set)
+        # mostly legal kinds on low rows, so that every outcome is common
+        drawn = sorted(legal, key=str) * 12 + list(product((None, "+", "-"), repeat=2))
+        seen = {"filled": 0, "kind": 0, "row": 0, "drain": 0}
+        for _ in range(4000):
+            n = rng.randint(1, 5)
+            pairs = tuple(tuple(kind and (kind, rng.choice((0, 1, 1, 1, 1, 2, 2, 3)))
+                                for kind in rng.choice(drawn)) for _ in range(n))
+            shape, broken = (), None
+            for i, pair in enumerate(pairs, 1):
+                if (pair[0] and pair[0][0], pair[1] and pair[1][0]) not in legal:
+                    broken = (i, "kind")
+                    break
+                try:
+                    shape = _apply(_apply(shape, pair[0]), pair[1])
+                except MalformedTableauError:
+                    broken = (i, "row")
+                    break
+            else:
+                if shape:
+                    broken = (n, "drain")
+            seen[broken[1] if broken else "filled"] += 1
+            if broken is None:
+                d = tableaux._fill(n, pairs, step_set)
+                assert diagram_to_tableau(d) == tableau_of_pairs(pairs, step_set), pairs
+                continue
+            with pytest.raises(MalformedTableauError, match=f"^vertex {broken[0]}: "):
+                tableaux._fill(n, pairs, step_set)
+        assert min(seen.values()) >= 100, seen
 
     def test_row_lengths_match_the_reference_filling(self):
         # diagram_to_tableau counts the squares of each row as its scan
