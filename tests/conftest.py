@@ -33,6 +33,24 @@ def shape_rule(shapes):
     return tuple(out)
 
 
+def window_crossing(arcs, shared):
+    """The crossing statistic by the cut scan with a quadratic chain DP
+    on each window: every arc spanning the cut, longest subsequence
+    strictly increasing in both endpoints."""
+    arcs = sorted(arcs)
+    best = 0
+    for c in {i for i, _ in arcs}:
+        window = [(i, j) for i, j in arcs if i <= c < j or (shared and c == j)]
+        chain = [0] * len(window)
+        for t, (i, j) in enumerate(window):
+            chain[t] = 1 + max(
+                (chain[s] for s in range(t) if window[s][0] < i and window[s][1] < j),
+                default=0,
+            )
+        best = max(best, max(chain, default=0))
+    return best
+
+
 def trimmed(row):
     """The row without its trailing zeros."""
     while row and not row[-1]:

@@ -7,12 +7,13 @@ from itertools import combinations
 
 import pytest
 
-from conftest import braids_over, partitions_of
+from conftest import braids_over, partitions_of, window_crossing
 from noncrossing.diagrams import (
     ArcDiagram,
     BraidDiagram,
     InvalidDiagramError,
     PartitionDiagram,
+    _most_rows,
     crossing_number,
     crossing_number_of_arcs,
     diagram_svg,
@@ -60,24 +61,6 @@ def oracle_crossing(arcs, shared):
     for size in range(1, len(arcs) + 1):
         if chain_exists(arcs, size, shared):
             best = size
-    return best
-
-
-def window_crossing(arcs, shared):
-    """The crossing statistic by the cut scan with a quadratic chain DP
-    on each window: every arc spanning the cut, longest subsequence
-    strictly increasing in both endpoints."""
-    arcs = sorted(arcs)
-    best = 0
-    for c in {i for i, _ in arcs}:
-        window = [(i, j) for i, j in arcs if i <= c < j or (shared and c == j)]
-        chain = [0] * len(window)
-        for t, (i, j) in enumerate(window):
-            chain[t] = 1 + max(
-                (chain[s] for s in range(t) if window[s][0] < i and window[s][1] < j),
-                default=0,
-            )
-        best = max(best, max(chain, default=0))
     return best
 
 
@@ -315,6 +298,26 @@ class TestCrossingStatistics:
             assert crossing_number_of_arcs(arcs, shared) == oracle_crossing(arcs, shared), arcs
         assert min(seen.values()) >= 100, seen
 
+    @pytest.mark.parametrize(
+        "arcs,strict,shared",
+        [
+            (((1, 5), (3, 5)), 1, 1),  # ends tie
+            (((2, 5), (2, 6)), 1, 1),  # starts tie
+            (((1, 4), (1, 5), (2, 6)), 2, 2),
+            (((2, 6), (1, 5), (1, 4)), 2, 2),  # not in (i, -j) order
+            (((1, 3), (1, 3)), 1, 1),  # a repeated arc
+            (((1, 3), (2, 4), (1, 3), (2, 4)), 2, 2),
+            (((1, 1),), 0, 1),
+            (((1, 1), (3, 3)), 0, 1),
+            (((1, 1), (1, 2), (2, 3), (3, 3)), 1, 2),  # loops first and last
+            (((3, 3), (2, 3), (1, 2), (1, 1)), 1, 2),
+            (((1, 1), (1, 3), (2, 4), (4, 4)), 2, 2),
+        ],
+    )
+    def test_raw_arc_list_examples(self, arcs, strict, shared):
+        assert crossing_number_of_arcs(arcs, False) == strict == oracle_crossing(arcs, False)
+        assert crossing_number_of_arcs(arcs, True) == shared == oracle_crossing(arcs, True)
+
     @pytest.mark.parametrize("shared", [False, True])
     def test_statistic_on_long_raw_arc_lists(self, shared):
         for arcs in raw_arc_lists(20_120 + shared, 60, 40, 40):
@@ -412,6 +415,34 @@ class TestPredicates:
         assert not is_k_noncrossing(PartitionDiagram(6, ((1, 4), (2, 5), (3, 6))), 3)
         assert is_k_noncrossing(PartitionDiagram(3), 3)
         assert is_k_noncrossing(PartitionDiagram(4, ((1, 3), (2, 4))), 3)
+        # loops first and last: they cross nothing, and a braid crosses
+        # at a shared vertex where a partition does not
+        looped = BraidDiagram(6, ((1, 1), (2, 4), (3, 5), (6, 6)))
+        assert not is_k_noncrossing(looped, 2) and is_k_noncrossing(looped, 3)
+        assert is_k_noncrossing(BraidDiagram(2, ((1, 1), (2, 2))), 2)
+        chain = ((1, 3), (3, 5))
+        assert not is_k_noncrossing(BraidDiagram(5, chain), 2)
+        assert is_k_noncrossing(PartitionDiagram(5, chain), 2)
+
+    def test_is_k_noncrossing_at_the_threshold(self):
+        # the sweep stops at k rows, so it is asked on both sides of the
+        # statistic, in both conventions: each seeded diagram's arcs, its
+        # loops dropped for the partition, as a partition and as a braid
+        seen = {PartitionDiagram: 0, BraidDiagram: 0}
+        for d in seeded_diagrams(20_140, 300):
+            seen[type(d)] += 1
+            flat = tuple((i, j) for i, j in d.arcs if i != j)
+            for e in (PartitionDiagram(d.n, flat), BraidDiagram(d.n, d.arcs)):
+                cross = window_crossing(e.arcs, e.shared_endpoint)
+                for k in {2, cross, cross + 1} - {0, 1}:
+                    assert is_k_noncrossing(e, k) == (cross < k), (e, k)
+        assert min(seen.values()) == 150, seen
+
+    def test_the_sweep_stops_at_k_rows(self):
+        # is_k_noncrossing reads no arc past the first k crossing ones
+        arcs = iter(((1, 4), (2, 5), (3, 6), (7, 8)))
+        assert _most_rows(arcs, False, 2) == 2
+        assert next(arcs) == (3, 6)
 
     def test_two_regular(self):
         assert is_two_regular(PartitionDiagram(3, ((1, 3),)))

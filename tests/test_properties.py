@@ -1,17 +1,22 @@
 """Property tests on random diagrams well past the exhaustive sizes:
-n = 20..60, and n = 200..1000 for the two contraction routes, from a
-fixed seed and a bounded number of examples."""
+n = 20..60, n = 100..300 for the crossing statistic, n = 200..1000 for
+the two contraction routes, and one partition of [4000], from a fixed
+seed and a bounded number of examples."""
+
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import shape_rule
+from conftest import shape_rule, window_crossing
 from noncrossing.diagrams import (
     BraidDiagram,
     PartitionDiagram,
     crossing_number,
+    crossing_number_of_arcs,
     format_diagram,
+    is_k_noncrossing,
     is_two_regular,
     isolated,
     parse_diagram,
@@ -103,6 +108,37 @@ def test_tableau_scans_are_inverse(d):
 @given(diagrams)
 def test_max_rows_is_the_crossing_number(d):
     assert diagram_to_tableau(d).max_rows() == crossing_number(d)
+
+
+@seed(20081)
+@settings(_SETTINGS, max_examples=30)
+@given(st.one_of(partitions((100, 300)), braids((100, 300))))
+def test_crossing_number_past_the_old_cost(d):
+    # the sweep against the independent window DP, in both conventions,
+    # and the stopping sweep on both sides of the statistic
+    cross = crossing_number(d)
+    assert cross == window_crossing(d.arcs, d.shared_endpoint)
+    other = not d.shared_endpoint
+    assert crossing_number_of_arcs(d.arcs, other) == window_crossing(d.arcs, other)
+    for k in {2, cross, cross + 1} - {0, 1}:
+        assert is_k_noncrossing(d, k) == (cross < k)
+
+
+def test_crossing_number_at_n_4000():
+    # the size of the timing row in the ROADMAP: a partition of [4000]
+    # from 1333 random block labels, 2,745 arcs and 56 rows, read
+    # as a partition and as a braid; the tableau's row count is the same
+    # algorithm run right to left
+    rng = random.Random(4000)
+    blocks = {}
+    for v in range(1, 4001):
+        blocks.setdefault(rng.randrange(4000 // 3), []).append(v)
+    p = partition_from_blocks(blocks.values())
+    assert 2600 < len(p.arcs) < 2800
+    for d in (p, BraidDiagram(p.n, p.arcs)):
+        cross = crossing_number(d)
+        assert cross == diagram_to_tableau(d).max_rows() > 40
+        assert not is_k_noncrossing(d, cross) and is_k_noncrossing(d, cross + 1)
 
 
 @seed(20073)

@@ -29,8 +29,7 @@ def test_no_bare_asserts():
 
 
 #: each crossing scan -> the position of its shared_endpoint argument
-_CROSSING_SCANS = {"_first_crossing_cut": 2, "has_k_crossing": 2,
-                   "crossing_number_of_arcs": 1}
+_CROSSING_SCANS = {"_most_rows": 1, "has_k_crossing": 2, "crossing_number_of_arcs": 1}
 
 
 def test_crossing_convention_is_read_from_the_diagram_types():
@@ -55,21 +54,6 @@ def test_crossing_convention_is_read_from_the_diagram_types():
     assert not literal, f"crossing conventions passed as literals: {', '.join(literal)}"
 
 
-def test_one_patience_sort_scan():
-    # the crossing number asks the stopping scan, so the patience-sort
-    # loop is written once: only one function of diagrams calls bisect_left
-    tree = ast.parse((_PACKAGE / "diagrams.py").read_text())
-    callers = [
-        function.name
-        for function in ast.walk(tree)
-        if isinstance(function, ast.FunctionDef)
-        and any(isinstance(node, ast.Call)
-                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "bisect_left"
-                for node in ast.walk(function))
-    ]
-    assert callers == ["_first_crossing_cut"]
-
-
 def _callers(module, name):
     """The functions of a library module that call name."""
     tree = ast.parse((_PACKAGE / module).read_text())
@@ -81,6 +65,15 @@ def _callers(module, name):
                 and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
                 for node in ast.walk(function))
     ]
+
+
+def test_one_patience_sort_scan():
+    # each crossing loop is written once in diagrams: the insertion sweep,
+    # the only row insertion (bisect_right), in _most_rows, and the
+    # stopping patience scan in has_k_crossing; the sweep's cut and the
+    # patience scan are the only calls of bisect_left
+    assert _callers("diagrams.py", "bisect_right") == ["_most_rows"]
+    assert _callers("diagrams.py", "bisect_left") == ["_most_rows", "has_k_crossing"]
 
 
 def test_one_tableau_scan_and_one_fill():
