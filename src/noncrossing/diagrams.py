@@ -29,9 +29,13 @@ attribute ``shared_endpoint``, and every crossing test reads it there;
 
 Every crossing question about a diagram or an arc list is one
 left-to-right insertion sweep (``_most_rows``): it keeps the
-row-insertion filling of the open arcs' right ends, and its most rows
-are the statistic, as the most rows of the diagram's vacillating
-tableau are.  ``is_k_noncrossing`` stops it at k rows.  Only the
+row-insertion filling of the open arcs' right ends as one list of rows,
+drops the rows that the passed ends empty, which are always the bottom
+ones, and its most rows are the statistic, as the most rows of the
+diagram's vacillating tableau are.  ``crossing_number`` and
+``is_k_noncrossing`` sweep the arcs a diagram stores, which are already
+in the sweep's order, and the latter stops at k rows; only
+``crossing_number_of_arcs`` sorts, for raw arc lists.  Only the
 brute-force words of ``enumeration``, of at most 12 vertices, ask
 ``has_k_crossing`` instead, a patience scan of each cut that stops at
 the first k crossing arcs; on those words it is the faster of the two.
@@ -199,53 +203,45 @@ def _most_rows(arcs: Iterable[Arc], shared_endpoint: bool, stop: int) -> int:
     the cut i_m of its last start, and among the arcs spanning a cut a
     crossing set is a run whose right ends increase strictly, that is,
     a strictly decreasing run of their -j.  The sweep keeps the
-    row-insertion filling of the -j of the open arcs, whose number of
-    rows is the longest such run (Schensted).  Before arc (i, j) it cuts
-    from every row the ends the cut at i has passed, -j >= bump - i,
-    where bump is 1 with shared endpoints and 0 otherwise.  Those are
-    the largest entries, and cutting the largest entries of a filling
-    leaves the filling of the rest, so what is left is the filling of
-    the arcs still open.  An arc whose own end would be cut (a loop in
-    the strict convention) is skipped.  This is the mirror image of the
-    right-to-left scan of tableaux, and its most rows are the most rows
-    of the diagram's vacillating tableau.  Each arc costs one cut and
-    one insertion, each at most a bisection per row: O(m r log m) for
-    m arcs and r rows, where rescanning each cut cost O(m^2 log m).
+    row-insertion filling of the -j of the open arcs, one list of rows,
+    whose number is the longest such run (Schensted).  Before arc (i, j)
+    it cuts from every row the ends the cut at i has passed,
+    -j >= bump - i, where bump is 1 with shared endpoints and 0
+    otherwise.  Those are the largest entries, and cutting the largest
+    entries of a filling leaves the filling of the rest, so what is
+    left is the filling of the arcs still open.  The filling's columns
+    increase strictly downward, so a row that empties empties every row
+    below it: the emptied rows are a suffix, dropped from the bottom.
+    An arc whose own end would be cut (a loop in the strict convention)
+    is skipped.  This is the mirror image of the right-to-left scan of
+    tableaux, and its most rows are the most rows of the diagram's
+    vacillating tableau.  Each arc costs one cut and one insertion, each
+    at most a bisection per row: O(m r log m) for m arcs and r rows,
+    where rescanning each cut cost O(m^2 log m).
     """
     bump = int(shared_endpoint)
-    first: list[int] = []  # the filling's first row, which most arcs never leave
-    rest: list[list[int]] = []  # its other rows
+    rows: list[list[int]] = []
     most = 0
     for i, j in arcs:
         low = bump - i
-        if first and first[-1] >= low:
-            del first[bisect_left(first, low):]
-        if rest:
-            for t, row in enumerate(rest):
-                if row[-1] >= low:
-                    del row[bisect_left(row, low):]
-                    if not row:  # so are the rows below
-                        del rest[t:]
-                        break
+        for row in rows:
+            if row[-1] >= low:
+                del row[bisect_left(row, low):]
+        while rows and not rows[-1]:  # the emptied rows are the bottom ones
+            rows.pop()
         value = -j
         if value >= low:
             continue
-        pos = bisect_right(first, value)  # row insertion, bumping the least larger entry down
-        if pos == len(first):
-            first.append(value)
-            most = most or 1
-            continue
-        first[pos], value = value, first[pos]
-        for row in rest:
+        for row in rows:  # row insertion, bumping the least larger entry down
             pos = bisect_right(row, value)
             if pos == len(row):
                 row.append(value)
                 break
             row[pos], value = value, row[pos]
         else:
-            rest.append([value])
-            if len(rest) >= most:
-                most = len(rest) + 1
+            rows.append([value])
+            if len(rows) > most:
+                most = len(rows)
                 if most == stop:
                     break
     return most
@@ -256,8 +252,10 @@ def crossing_number_of_arcs(arcs: Iterable[Arc], shared_endpoint: bool) -> int:
 
     With ``shared_endpoint`` the middle comparison is <= (equality only
     realisable as i_m = j_1), which is the braid convention; otherwise
-    it is strict, the partition convention.  The arcs are sorted by
-    (i, -j) and swept once by _most_rows.
+    it is strict, the partition convention.  This is the one crossing
+    entry that sorts, for raw arc lists, which may repeat starts and
+    come in any order: it sorts them by (i, -j) and sweeps them once by
+    _most_rows.
     """
     return _most_rows(sorted(arcs, key=lambda a: (a[0], -a[1])), shared_endpoint, 0)
 
@@ -308,16 +306,18 @@ def _require_diagram(d: object) -> None:
 
 
 def crossing_number(d: PartitionDiagram | BraidDiagram) -> int:
-    """The most mutually crossing arcs of d, in its class's convention."""
+    """The most mutually crossing arcs of d, in its class's convention:
+    one sweep of _most_rows over the stored arcs.  A diagram stores its
+    arcs sorted, and its starts are distinct, so that order is the
+    sweep's (i, -j) order and nothing is sorted again."""
     _require_diagram(d)
-    return crossing_number_of_arcs(d.arcs, d.shared_endpoint)
+    return _most_rows(d.arcs, d.shared_endpoint, 0)
 
 
 def is_k_noncrossing(d: PartitionDiagram | BraidDiagram, k: int) -> bool:
     """True when the diagram has no k mutually crossing arcs, in its
-    class's convention: the sweep of _most_rows stops at the first k
-    crossing arcs.  A diagram stores its arcs sorted, and its starts are
-    distinct, so that order is the sweep's (i, -j) order."""
+    class's convention: the sweep of _most_rows over the stored arcs,
+    as in crossing_number, stops at the first k crossing arcs."""
     require_k(k)
     _require_diagram(d)
     return _most_rows(d.arcs, d.shared_endpoint, k) < k

@@ -210,11 +210,10 @@ def _scan(t: VacillatingTableau) -> tuple[tuple[str, ...], tuple[StepPair, ...]]
     scan derived, complete exactly when there is no violation.
 
     A sequence that starts at () and moves only by legal half-steps holds
-    only shapes, so the scan derives every half-step once, by half_step
-    unless the two shapes are equal, and vets no shape on its way.  Only
-    when it has found a violation does it call is_shape, entry by entry,
-    and a non-shape entry is then the whole report, as if it had been
-    checked first."""
+    only shapes, so the scan derives every half-step once, by half_step,
+    and vets no shape on its way.  Only when it has found a violation
+    does it call is_shape, entry by entry, and a non-shape entry is then
+    the whole report, as if it had been checked first."""
     shapes = t.shapes
     if t.step_set not in _LEGAL_KINDS:
         return (f"unknown step set {t.step_set!r}",), ()
@@ -231,8 +230,8 @@ def _scan(t: VacillatingTableau) -> tuple[tuple[str, ...], tuple[StepPair, ...]]
     prev = next(rest)
     for i, (mid, nxt) in enumerate(zip(rest, rest), 1):
         try:
-            odd = None if prev == mid else half_step(prev, mid)
-            even = None if mid == nxt else half_step(mid, nxt)
+            odd = half_step(prev, mid)
+            even = half_step(mid, nxt)
         except MalformedTableauError as err:
             out.append(f"vertex {i}: {err}")
         else:

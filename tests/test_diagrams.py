@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 
 from conftest import braids_over, partitions_of, window_crossing
+from noncrossing import diagrams
 from noncrossing.diagrams import (
     ArcDiagram,
     BraidDiagram,
@@ -312,6 +313,8 @@ class TestCrossingStatistics:
             (((1, 1), (1, 2), (2, 3), (3, 3)), 1, 2),  # loops first and last
             (((3, 3), (2, 3), (1, 2), (1, 1)), 1, 2),
             (((1, 1), (1, 3), (2, 4), (4, 4)), 2, 2),
+            # the second row holds a passed end and the first does not
+            (((1, 3), (2, 5), (4, 6)), 2, 2),
         ],
     )
     def test_raw_arc_list_examples(self, arcs, strict, shared):
@@ -363,6 +366,20 @@ def seeded_diagrams(seed, count):
             yield BraidDiagram(n, p.arcs + loops)
         else:
             yield p
+
+
+def test_crossing_number_sweeps_the_stored_arcs(monkeypatch):
+    # a diagram's arcs are already in the sweep's order: crossing_number
+    # sorts nothing through the raw-list entry
+    def unreachable(*args):
+        raise AssertionError("crossing_number_of_arcs called")
+
+    monkeypatch.setattr(diagrams, "crossing_number_of_arcs", unreachable)
+    seen = {PartitionDiagram: 0, BraidDiagram: 0}
+    for d in seeded_diagrams(20_150, 200):
+        seen[type(d)] += 1
+        assert crossing_number(d) == window_crossing(d.arcs, d.shared_endpoint), d
+    assert min(seen.values()) == 100, seen
 
 
 class TestKCrossing:

@@ -76,6 +76,15 @@ def test_one_patience_sort_scan():
     assert _callers("diagrams.py", "bisect_left") == ["_most_rows", "has_k_crossing"]
 
 
+def test_diagram_crossings_sweep_the_stored_arcs():
+    # a diagram's arcs are stored in the sweep's order, so only the raw
+    # arc-list entry sorts before it sweeps
+    sweepers = _callers("diagrams.py", "_most_rows")
+    assert {"crossing_number", "is_k_noncrossing"} <= set(sweepers)
+    sorters = _callers("diagrams.py", "crossing_number_of_arcs")
+    assert not {"crossing_number", "is_k_noncrossing"} & set(sorters)
+
+
 def test_one_tableau_scan_and_one_fill():
     # row insertion is written once, in the right-to-left scan, and the
     # upward bump once, in the fill; the duality's witness route reaches
